@@ -1,11 +1,16 @@
 """Guided expansion of a single seed: perturb, score, ascend, filter.
 
-Two flows share one ascent loop. The embedding flow perturbs the seed's
-scoring embedding directly and decodes once at the end; the latent flow
-perturbs the codec latent, decoding an intermediate image for every scoring
+Two flows share one ascent loop and one scoring chain: latent -> lift ->
+embedding -> cosine head, plus diversity over the latents. The embedding
+flow perturbs the seed's scoring embedding directly (identity lift) and
+decodes once at the end; the latent flow perturbs the codec latent, and its
+lift decodes an intermediate image and embeds it for every scoring
 evaluation. Both enforce prediction consistency with retries and a fallback
 to the unperturbed seed reconstruction, so every emitted variant keeps the
 seed's predicted class.
+
+The module also owns the manifest record layout: VariantRecord and the one
+builder that makes the records of every method.
 """
 
 from __future__ import annotations
@@ -205,17 +210,41 @@ def optimize_guidance(
     return variants, trace
 
 
-class _EmbeddingScorePath:
-    """Scores variants that are themselves scoring embeddings (T = 1)."""
+def identity_lift(flat: np.ndarray):
+    """Embedding flow lift: the variant already is the scoring embedding."""
+    return flat, lambda g: g
 
-    def __init__(self, head: ZeroShotHead, weights: tuple, seed_pred: lm.Prediction):
+
+def decode_lift(codec: LinearCodec, embedder: Embedder):
+    """Latent flow lift: decode an intermediate image, then embed it."""
+
+    def lift(flat: np.ndarray):
+        pixels, mask = codec.decode_with_mask(flat)
+        # chain through embed (linear) and the decode pixel clamp (masked)
+        pullback = lambda g: codec.basis @ ((embedder.projection.T @ g) * mask)
+        return embedder.embed_flat(pixels), pullback
+
+    return lift
+
+
+class ScoreChain:
+    """Scores latents: lift to an embedding, classify by cosine, add diversity.
+
+    lift maps a flat latent to (embedding, pullback), where pullback carries
+    an embedding gradient back to the latent; diversity needs no lift.
+    """
+
+    def __init__(self, head: ZeroShotHead, weights: tuple, seed_pred: lm.Prediction,
+                 lift=identity_lift):
         self.head = head
         self.weights = weights
         self.seed_pred = seed_pred
         self.seed_entropy = lm.entropy(seed_pred.probs)
+        self.lift = lift
 
     def predict(self, latent: lm.Latent) -> lm.Prediction:
-        return self.head.predict(latent.flat())
+        embedding, _ = self.lift(latent.flat())
+        return self.head.predict(embedding)
 
     def __call__(self, variants):
         w_con, w_ent, w_div = self.weights
@@ -223,13 +252,14 @@ class _EmbeddingScorePath:
         s_con = s_ent = 0.0
         grads = []
         for v in variants:
-            pred, jac = lm.classify_grad(v.flat(), self.head.prototypes, self.head.tau)
+            embedding, pullback = self.lift(v.flat())
+            pred, jac = lm.classify_grad(embedding, self.head.prototypes, self.head.tau)
             s_con += pred.probs[target]
             s_ent += lm.entropy(pred.probs) - self.seed_entropy
             g_e = lm.consistency_entropy_grad(
                 pred, jac, self.head.tau, target, w_con, w_ent
             )
-            grads.append(g_e.reshape(v.values.shape))
+            grads.append(pullback(g_e).reshape(v.values.shape))
         s_div, div_grads = lm.diversity_score_grad([v.values for v in variants])
         for i in range(len(variants)):
             grads[i] = grads[i] + w_div * div_grads[i]
@@ -237,75 +267,46 @@ class _EmbeddingScorePath:
         return scores, grads
 
 
-class _LatentScorePath:
-    """Scores codec latents: decode an intermediate image, embed it, classify."""
-
-    def __init__(
-        self,
-        codec: LinearCodec,
-        embedder: Embedder,
-        head: ZeroShotHead,
-        weights: tuple,
-        seed_pred: lm.Prediction,
-    ):
-        self.codec = codec
-        self.embedder = embedder
-        self.head = head
-        self.weights = weights
-        self.seed_pred = seed_pred
-        self.seed_entropy = lm.entropy(seed_pred.probs)
-
-    def predict(self, latent: lm.Latent) -> lm.Prediction:
-        pixels, _ = self.codec.decode_with_mask(latent.flat())
-        return self.head.predict(self.embedder.embed_flat(pixels))
-
-    def __call__(self, variants):
-        w_con, w_ent, w_div = self.weights
-        target = self.seed_pred.argmax_class
-        s_con = s_ent = 0.0
-        grads = []
-        for v in variants:
-            pixels, mask = self.codec.decode_with_mask(v.flat())
-            e = self.embedder.embed_flat(pixels)
-            pred, jac = lm.classify_grad(e, self.head.prototypes, self.head.tau)
-            s_con += pred.probs[target]
-            s_ent += lm.entropy(pred.probs) - self.seed_entropy
-            g_e = lm.consistency_entropy_grad(
-                pred, jac, self.head.tau, target, w_con, w_ent
-            )
-            # chain through embed (linear) and the decode pixel clamp (masked)
-            g_pix = (self.embedder.projection.T @ g_e) * mask
-            g_lat = self.codec.basis @ g_pix
-            grads.append(g_lat.reshape(v.values.shape))
-        s_div, div_grads = lm.diversity_score_grad([v.values for v in variants])
-        for i in range(len(variants)):
-            grads[i] = grads[i] + w_div * div_grads[i]
-        scores = lm.GuidanceScores(s_con=s_con, s_ent=s_ent, s_div=s_div, weights=self.weights)
-        return scores, grads
-
-
-def _per_variant_scores(score_path, seed_pred, latents, weights):
-    """Decompose the objective into one GuidanceScores per emitted variant."""
-    preds = [score_path.predict(v) for v in latents]
+def _per_variant_scores(preds, seed_pred, flats, weights):
+    """One GuidanceScores per variant from its prediction and flat values."""
     seed_entropy = lm.entropy(seed_pred.probs)
-    mean_flat = np.mean(np.stack([v.flat() for v in latents], axis=0), axis=0)
-    r = lm.softmax(mean_flat)
-    out = []
-    for pred, lat in zip(preds, latents):
-        s_div = lm.kl_divergence(lm.softmax(lat.flat()), r)
-        out.append(
-            lm.GuidanceScores(
-                s_con=float(pred.probs[seed_pred.argmax_class]),
-                s_ent=lm.entropy(pred.probs) - seed_entropy,
-                s_div=s_div,
-                weights=weights,
-            )
+    r = lm.softmax(np.mean(np.stack(flats, axis=0), axis=0))
+    return [
+        lm.GuidanceScores(
+            s_con=float(pred.probs[seed_pred.argmax_class]),
+            s_ent=lm.entropy(pred.probs) - seed_entropy,
+            s_div=lm.kl_divergence(lm.softmax(flat), r),
+            weights=weights,
         )
-    return out, preds
+        for pred, flat in zip(preds, flats)
+    ]
 
 
-def _expand_with_path(
-    score_path,
+def _records(method, stream_ids, initial, final, consistent, retry_counts, fallbacks, qualified):
+    """The one record builder: variant i's record from the i-th entry of each list."""
+    columns = zip(stream_ids, initial, final, consistent, retry_counts, fallbacks, qualified)
+    # seed_index stays -1 until the pipeline fills in the real index
+    return [VariantRecord(-1, i, method, *row) for i, row in enumerate(columns)]
+
+
+def measured_records(seed_image, images, stream_ids, method, embedder, head, weights):
+    """Records for variants generated without guidance: scores measured once.
+
+    A variant qualifies when it keeps the seed's predicted class and gains
+    prediction entropy over the seed.
+    """
+    seed_pred = head.predict(embedder.embed(seed_image))
+    embeddings = [embedder.embed(img) for img in images]
+    preds = [head.predict(e) for e in embeddings]
+    scores = _per_variant_scores(preds, seed_pred, embeddings, weights)
+    consistent = [pred.argmax_class == seed_pred.argmax_class for pred in preds]
+    qualified = [c and sc.s_ent > 0.0 for c, sc in zip(consistent, scores)]
+    k = len(images)
+    return _records(method, stream_ids, scores, scores, consistent, [0] * k, [False] * k, qualified)
+
+
+def _expand_with_chain(
+    chain,
     seed_latent: lm.Latent,
     seed_pred: lm.Prediction,
     method: str,
@@ -314,63 +315,44 @@ def _expand_with_path(
 ):
     """Joint ascent, then per-variant consistency retries and seed fallback."""
     k = config.ratio_k
-    variants, trace = optimize_guidance(seed_latent, score_path, k, config, rng_stream)
-    initial_scores, _ = _per_variant_scores(
-        score_path,
-        seed_pred,
-        [
-            lm.perturb_and_project(seed_latent, p, config.epsilon)
-            for p in init_perturbations(
-                seed_latent.values.shape, k, config.noise_mode, rng_stream
-            )
-        ],
+    shape = seed_latent.values.shape
+    params = init_perturbations(shape, k, config.noise_mode, rng_stream)
+    initial = [lm.perturb_and_project(seed_latent, p, config.epsilon) for p in params]
+    initial_scores = _per_variant_scores(
+        [chain.predict(v) for v in initial], seed_pred, [v.flat() for v in initial],
         config.weights,
     )
+    emitted, trace = optimize_guidance(
+        seed_latent, chain, k, config, rng_stream, initial_params=params
+    )
+    preds = [chain.predict(v) for v in emitted]
     target = seed_pred.argmax_class
-    emitted = list(variants)
     retry_counts = [0] * k
     fallbacks = [False] * k
     for i in range(k):
-        if score_path.predict(emitted[i]).argmax_class == target:
-            continue
         variant_stream = rng_stream.child("variant", i)
-        fixed = False
-        for attempt in range(1, config.retries + 1):
-            retry_counts[i] = attempt
-            params = _draw_params(
-                seed_latent.values.shape,
-                config.noise_mode,
-                variant_stream.child("retry", attempt).generator(),
+        while preds[i].argmax_class != target and retry_counts[i] < config.retries:
+            retry_counts[i] += 1
+            retry_params = _draw_params(
+                shape, config.noise_mode,
+                variant_stream.child("retry", retry_counts[i]).generator(),
             )
             single, _ = optimize_guidance(
-                seed_latent, score_path, 1, config, variant_stream, initial_params=[params]
+                seed_latent, chain, 1, config, variant_stream, initial_params=[retry_params]
             )
-            if score_path.predict(single[0]).argmax_class == target:
-                emitted[i] = single[0]
-                fixed = True
-                break
-        if not fixed:
+            emitted[i], preds[i] = single[0], chain.predict(single[0])
+        if preds[i].argmax_class != target:
             emitted[i] = lm.Latent(seed_latent.values.copy())
+            preds[i] = chain.predict(emitted[i])
             retry_counts[i] += 1
             fallbacks[i] = True
-    final_scores, final_preds = _per_variant_scores(
-        score_path, seed_pred, emitted, config.weights
+    final_scores = _per_variant_scores(
+        preds, seed_pred, [v.flat() for v in emitted], config.weights
     )
-    records = []
-    for i in range(k):
-        records.append(
-            VariantRecord(
-                seed_index=-1,  # pipeline fills the real index
-                variant_index=i,
-                method=method,
-                stream_id=rng_stream.child("variant", i).id,
-                scores_initial=initial_scores[i],
-                scores_final=final_scores[i],
-                consistent=final_preds[i].argmax_class == target,
-                retry_count=retry_counts[i],
-                fallback=fallbacks[i],
-            )
-        )
+    stream_ids = [rng_stream.child("variant", i).id for i in range(k)]
+    consistent = [pred.argmax_class == target for pred in preds]
+    records = _records(method, stream_ids, initial_scores, final_scores, consistent,
+                       retry_counts, fallbacks, [True] * k)
     return emitted, records, trace
 
 
@@ -386,9 +368,9 @@ def expand_seed_embedding_flow(
     e0 = embedder.embed(seed_image)
     seed_latent = lm.Latent(e0[None, :])
     seed_pred = head.predict(e0)
-    path = _EmbeddingScorePath(head, config.weights, seed_pred)
-    emitted, records, trace = _expand_with_path(
-        path, seed_latent, seed_pred, "gif_embed", config, rng_stream
+    chain = ScoreChain(head, config.weights, seed_pred)
+    emitted, records, trace = _expand_with_chain(
+        chain, seed_latent, seed_pred, "gif_embed", config, rng_stream
     )
     images = [decoder(v.flat()) for v in emitted]
     return images, records, trace
@@ -408,9 +390,9 @@ def expand_seed_latent_flow(
     # variants use, so the seed fallback is consistent by construction
     recon_pixels, _ = codec.decode_with_mask(f0.flat())
     seed_pred = head.predict(embedder.embed_flat(recon_pixels))
-    path = _LatentScorePath(codec, embedder, head, config.weights, seed_pred)
-    emitted, records, trace = _expand_with_path(
-        path, f0, seed_pred, "gif_latent", config, rng_stream
+    chain = ScoreChain(head, config.weights, seed_pred, decode_lift(codec, embedder))
+    emitted, records, trace = _expand_with_chain(
+        chain, f0, seed_pred, "gif_latent", config, rng_stream
     )
     images = [codec.decode(v) for v in emitted]
     return images, records, trace

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import augment as ag
 from . import guidance as gd
-from . import latentmath as lm
 from .backends import EmbeddingDecoder, Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead
 from .errors import FormatError, InputError, ParameterError
 from .rng import RngStream
@@ -396,57 +395,24 @@ def seed_content_key(image: Image, label: int) -> str:
     return h.hexdigest()
 
 
-def _per_variant_embedding_scores(head, weights, seed_pred, embeddings):
-    path = gd._EmbeddingScorePath(head, weights, seed_pred)
-    latents = [lm.Latent(e[None, :]) for e in embeddings]
-    return gd._per_variant_scores(path, seed_pred, latents, weights)
-
-
-def _measured_records(images, head, embedder, weights, seed_pred, method, stream_ids):
-    """Records for baseline variants: scores measured, never optimized."""
-    embeddings = [embedder.embed(img) for img in images]
-    scores, preds = _per_variant_embedding_scores(head, weights, seed_pred, embeddings)
-    records = []
-    for i, (sc, pred) in enumerate(zip(scores, preds)):
-        consistent = pred.argmax_class == seed_pred.argmax_class
-        records.append(
-            gd.VariantRecord(
-                seed_index=-1,
-                variant_index=i,
-                method=method,
-                stream_id=stream_ids[i],
-                scores_initial=sc,
-                scores_final=sc,
-                consistent=consistent,
-                retry_count=0,
-                fallback=False,
-                qualified=consistent and sc.s_ent > 0.0,
-            )
-        )
-    return records
-
-
 def _expand_one_seed(image, label, method, config, backends, stream):
     """All K variants of one seed; pure in (stream id, method, config, seed)."""
-    k = config.ratio_k
-    if method == "gif_embed":
+    if method in ("gif_embed", "gif_latent"):
         gcfg = config.guidance_config(method)
-        images, records, _ = gd.expand_seed_embedding_flow(
-            image, backends.embedder, backends.head, backends.decoder, gcfg, stream
-        )
-        return images, records
-    if method == "gif_latent":
-        gcfg = config.guidance_config(method)
-        images, records, _ = gd.expand_seed_latent_flow(
-            image, backends.codec, backends.embedder, backends.head, gcfg, stream
-        )
+        if method == "gif_embed":
+            images, records, _ = gd.expand_seed_embedding_flow(
+                image, backends.embedder, backends.head, backends.decoder, gcfg, stream
+            )
+        else:
+            images, records, _ = gd.expand_seed_latent_flow(
+                image, backends.codec, backends.embedder, backends.head, gcfg, stream
+            )
         return images, records
 
-    seed_pred = backends.head.predict(backends.embedder.embed(image))
     if method in ("cutout", "gridmask", "randlite"):
         images = []
         stream_ids = []
-        for i in range(k):
+        for i in range(config.ratio_k):
             sub = stream.child("variant", i)
             if method == "cutout":
                 img = ag.cutout(image, config.cutout_frac, sub)
@@ -458,41 +424,20 @@ def _expand_one_seed(image, label, method, config, backends, stream):
                 img = ag.gridmask(image, config.grid_period, config.grid_keep, phase)
             images.append(img)
             stream_ids.append(sub.id)
-        records = _measured_records(
-            images, backends.head, backends.embedder, config.weights, seed_pred,
-            method, stream_ids,
-        )
-        return images, records
-
-    # selective methods: per-seed sample_wise selection over a candidate pool
-    if method == "selective_cutout":
-        augmenter = lambda im, st: ag.cutout(im, config.cutout_frac, st)
     else:
-        augmenter = ag.rand_lite
-    images, sel_records = ag.selective_expand(
-        [image], augmenter, backends.embedder, backends.head, k, stream,
-        mode="sample_wise", candidate_budget=config.candidate_budget,
-    )
-    embeddings = [backends.embedder.embed(img) for img in images]
-    scores, _ = _per_variant_embedding_scores(
-        backends.head, config.weights, seed_pred, embeddings
-    )
-    records = []
-    for i, (sel, sc) in enumerate(zip(sel_records, scores)):
-        records.append(
-            gd.VariantRecord(
-                seed_index=-1,
-                variant_index=i,
-                method=method,
-                stream_id=sel.stream_id,
-                scores_initial=sc,
-                scores_final=sc,
-                consistent=sel.consistent,
-                retry_count=0,
-                fallback=False,
-                qualified=sel.qualified,
-            )
+        # selective methods: per-seed sample_wise selection over a candidate pool
+        if method == "selective_cutout":
+            augmenter = lambda im, st: ag.cutout(im, config.cutout_frac, st)
+        else:
+            augmenter = ag.rand_lite
+        images, selected = ag.selective_expand(
+            [image], augmenter, backends.embedder, backends.head, config.ratio_k, stream,
+            mode="sample_wise", candidate_budget=config.candidate_budget,
         )
+        stream_ids = [sel.stream_id for sel in selected]
+    records = gd.measured_records(
+        image, images, stream_ids, method, backends.embedder, backends.head, config.weights
+    )
     return images, records
 
 

@@ -153,7 +153,7 @@ def test_zero_weights_freeze_the_variants():
     data, _, embedder, head, _ = _setup()
     e0 = embedder.embed(data.images[0])
     seed = lm.Latent(e0[None, :])
-    path = gd._EmbeddingScorePath(head, (0.0, 0.0, 0.0), head.predict(e0))
+    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0))
     moving = gd.GuidanceConfig(epsilon=0.3, ratio_k=3, steps=5, weights=(0.0, 0.0, 0.0))
     frozen = gd.GuidanceConfig(epsilon=0.3, ratio_k=3, steps=0, weights=(0.0, 0.0, 0.0))
     got, trace = gd.optimize_guidance(seed, path, 3, moving, _stream("zw"))
@@ -168,7 +168,7 @@ def test_divergence_error_names_the_step():
     data, _, embedder, head, _ = _setup()
     e0 = embedder.embed(data.images[0])
     seed = lm.Latent(e0[None, :])
-    path = gd._EmbeddingScorePath(head, (0.0, 0.0, 0.0), head.predict(e0))
+    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0))
     cfg = gd.GuidanceConfig(
         epsilon=0.3, ratio_k=2, steps=5, step_size=float("1e309"), weights=(0.0, 0.0, 0.0)
     )
@@ -205,7 +205,7 @@ def test_embedding_path_gradient_matches_fd():
     e0 = embedder.embed(data.images[0])
     seed = lm.Latent(e0[None, :])
     weights = (1.0, 0.7, 0.3)
-    path = gd._EmbeddingScorePath(head, weights, head.predict(e0))
+    path = gd.ScoreChain(head, weights, head.predict(e0), gd.identity_lift)
     params = gd.init_perturbations(seed.values.shape, 2, "full", _stream("fd-emb"))
     variants = [lm.perturb_and_project(seed, p, np.inf) for p in params]
     _, grads = path(variants)
@@ -246,7 +246,7 @@ def test_latent_path_gradient_matches_fd():
     seed_pred = head.predict(
         embedder.embed_flat(codec.decode_with_mask(f0.flat())[0])
     )
-    path = gd._LatentScorePath(codec, embedder, head, weights, seed_pred)
+    path = gd.ScoreChain(head, weights, seed_pred, gd.decode_lift(codec, embedder))
     _, grads = path(variants)
     for i in range(2):
         def objective(flat, i=i):
@@ -353,7 +353,7 @@ def test_fallback_after_exhausted_retries():
     path = _HostilePath(seed_values)
     seed_pred = lm.Prediction.from_probs(np.array([0.9, 0.1]))
     cfg = gd.GuidanceConfig(epsilon=0.5, ratio_k=3, steps=2, retries=2)
-    emitted, records, _ = gd._expand_with_path(
+    emitted, records, _ = gd._expand_with_chain(
         path, seed, seed_pred, "gif_embed", cfg, _stream("fallback")
     )
     for lat, rec in zip(emitted, records):
