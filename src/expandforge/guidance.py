@@ -9,8 +9,8 @@ evaluation. Both enforce prediction consistency with retries and a fallback
 to the unperturbed seed reconstruction, so every emitted variant keeps the
 seed's predicted class.
 
-The module also owns the manifest record layout: VariantRecord and the one
-builder that makes the records of every method.
+The module also owns the manifest record layout: VariantRecord, its type
+check, and the one builder that makes the records of every method.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import latentmath as lm
 from .backends import EmbeddingDecoder, Embedder, Image, LinearCodec, ZeroShotHead
-from .errors import NumericDivergenceError, NumericInputError, ParameterError
+from .errors import InputError, NumericDivergenceError, NumericInputError, ParameterError
 from .rng import RngStream
 
 
@@ -118,6 +118,60 @@ class VariantRecord:
             "fallback": self.fallback,
             "qualified": self.qualified,
         }
+
+    @staticmethod
+    def check_dict(data, what: str = "record") -> None:
+        """Raise InputError unless data has the layout and types of as_dict()."""
+        check_json_types(what, data, _RECORD_TYPES)
+        for key in ("scores_initial", "scores_final"):
+            scores = data[key]
+            check_json_types(f"{what} {key}", scores, _SCORE_TYPES)
+            weights = scores["weights"]
+            if len(weights) != 3 or not all(_has_type(w, float) for w in weights):
+                raise InputError(f"{what} {key} weights must be three finite reals")
+
+
+_RECORD_TYPES = {
+    "seed_index": int,
+    "variant_index": int,
+    "method": str,
+    "stream_id": str,
+    "scores_initial": dict,
+    "scores_final": dict,
+    "consistent": bool,
+    "retry_count": int,
+    "fallback": bool,
+    "qualified": bool,
+}
+_SCORE_TYPES = {"s_con": float, "s_ent": float, "s_div": float, "total": float, "weights": list}
+
+
+def _has_type(value, kind) -> bool:
+    # a bool is never a number here, though Python counts it as an int
+    if isinstance(value, (bool, np.bool_)) or kind is bool:
+        return kind is bool and isinstance(value, (bool, np.bool_))
+    if isinstance(value, (int, np.integer)):
+        return kind in (int, float)
+    if kind is float:
+        return isinstance(value, (float, np.floating)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def check_json_types(what: str, data, types: dict) -> None:
+    """Raise InputError unless data is a dict with exactly the keys of types,
+    each value of its type; float means a finite real and admits ints."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be an object, got {type(data).__name__}")
+    if data.keys() != types.keys():
+        raise InputError(f"{what} has keys {sorted(data)}, expected {sorted(types)}")
+    for key, kind in types.items():
+        value = data[key]
+        # exact types first, as every manifest this package writes has them;
+        # type(True) is bool, not int
+        if type(value) is kind and (kind is not float or math.isfinite(value)):
+            continue
+        if not _has_type(value, kind):
+            raise InputError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
 
 
 def _draw_params(shape: tuple, noise_mode: str, gen: np.random.Generator) -> lm.PerturbationParams:

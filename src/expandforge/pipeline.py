@@ -204,6 +204,19 @@ def canonical_json(obj) -> str:
 # --------------------------------------------------------------- manifest
 
 
+_MANIFEST_TYPES = {
+    "version": str,
+    "global_seed": int,
+    "method": str,
+    "config": dict,
+    "seed_count": int,
+    "ratio_k": int,
+    "records": list,
+    "original_digest": str,
+    "expanded_digest": str,
+}
+
+
 @dataclass(eq=False)
 class ExpansionManifest:
     """Provenance for one expansion run, one record per synthetic sample."""
@@ -219,6 +232,7 @@ class ExpansionManifest:
     expanded_digest: str
 
     def validate(self) -> None:
+        gd.check_json_types("manifest", self.as_dict(), _MANIFEST_TYPES)
         parse_method(self.method)
         if self.seed_count < 1 or self.ratio_k < 1:
             raise InputError(
@@ -234,6 +248,8 @@ class ExpansionManifest:
         for digest in (self.original_digest, self.expanded_digest):
             if len(digest) != 64 or any(ch not in "0123456789abcdef" for ch in digest):
                 raise InputError(f"malformed sha256 digest {digest!r}")
+        for i, record in enumerate(self.records):
+            gd.VariantRecord.check_dict(record, f"record {i}")
 
     def as_dict(self) -> dict:
         return {
@@ -250,6 +266,8 @@ class ExpansionManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionManifest":
+        if not isinstance(data, dict):
+            raise FormatError("manifest root must be a JSON object")
         try:
             manifest = cls(
                 version=data["version"],
@@ -288,10 +306,8 @@ def read_manifest(path) -> ExpansionManifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"manifest is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise FormatError("manifest root must be a JSON object")
+        except ValueError as err:  # undecodable UTF-8 or malformed JSON
+            raise FormatError(f"manifest is not valid UTF-8 JSON: {err}") from err
     return ExpansionManifest.from_dict(data)
 
 

@@ -1,10 +1,13 @@
 """Tests for the GIFX container, canonical JSON, manifests, and expansion."""
 
+import copy
 import functools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expandforge.backends as bk
 import expandforge.pipeline as pl
@@ -169,6 +172,93 @@ def test_manifest_rejects_bad_contents(tmp_path):
     del missing["method"]
     with pytest.raises(FormatError):
         pl.ExpansionManifest.from_dict(missing)
+
+
+@functools.lru_cache(maxsize=None)
+def _cutout_manifest_dict():
+    _, manifest = pl.expand_dataset(_data(), "cutout", _small_config(), _bundle(), global_seed=0)
+    return manifest.as_dict()
+
+
+def _first_record(change):
+    def apply(m):
+        return {**m, "records": [change(m["records"][0])] + m["records"][1:]}
+    return apply
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda m: {**m, "seed_count": str(m["seed_count"])},
+        # the record counts match, so only the type check can reject these
+        lambda m: {**m, "seed_count": True, "records": m["records"][: m["ratio_k"]]},
+        lambda m: {**m, "seed_count": 1.5, "records": m["records"][: int(1.5 * m["ratio_k"])]},
+        lambda m: {**m, "records": 5},
+        lambda m: {**m, "ratio_k": None},
+        lambda m: {**m, "original_digest": 0},
+        lambda m: {**m, "config": []},
+        lambda m: {**m, "records": [{} for _ in m["records"]]},
+        _first_record(lambda r: {**r, "retry_count": False}),
+        _first_record(lambda r: {**r, "consistent": 1}),
+        _first_record(lambda r: {**r, "extra": 0}),
+        _first_record(lambda r: {**r, "scores_final": {**r["scores_final"], "s_div": "0"}}),
+        _first_record(lambda r: {**r, "scores_initial": {**r["scores_initial"], "weights": [1]}}),
+        lambda m: [m],
+    ],
+    ids=[
+        "seed_count_str", "seed_count_bool", "seed_count_float", "records_int",
+        "ratio_k_null", "digest_int", "config_list", "records_empty",
+        "retry_count_bool", "consistent_int", "record_extra_key", "score_str",
+        "weights_short", "root_list",
+    ],
+)
+def test_manifest_rejects_wrong_types(tamper):
+    assert pl.ExpansionManifest.from_dict(_cutout_manifest_dict())
+    with pytest.raises(FormatError):
+        pl.ExpansionManifest.from_dict(tamper(copy.deepcopy(_cutout_manifest_dict())))
+
+
+@pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{}", b'{"version": "\xe9"}', b"", b"[1, 2]"],
+    ids=["bad_utf8_bom", "bad_utf8_body", "empty", "root_list"],
+)
+def test_read_manifest_rejects_unreadable_bytes(tmp_path, raw):
+    path = tmp_path / "bad.manifest.json"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError):
+        pl.read_manifest(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_manifest_field_mutations_raise_only_format_error(data):
+    # one field, at the top level, in a record or in its scores, is replaced
+    # by an arbitrary JSON value or deleted
+    mutated = copy.deepcopy(_cutout_manifest_dict())
+    target = mutated
+    key = data.draw(st.sampled_from(sorted(target)))
+    while isinstance(target[key], (list, dict)) and target[key] and data.draw(st.booleans()):
+        target = target[key]
+        if isinstance(target, list):
+            key = data.draw(st.integers(0, len(target) - 1))
+        else:
+            key = data.draw(st.sampled_from(sorted(target)))
+    if isinstance(target, dict) and data.draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = data.draw(_JSON_VALUES)
+    try:
+        pl.ExpansionManifest.from_dict(mutated)
+    except FormatError:
+        pass
 
 
 def test_parse_method_closed_set():
