@@ -328,6 +328,12 @@ class Embedder:
             raise ShapeError(f"image shape {image.pixels.shape} vs embedder {self.image_shape}")
         return self.embed_flat(image.flat())
 
+    def embed_dataset(self, dataset: LabeledDataset) -> np.ndarray:
+        """(N, embed_dim) embeddings of every image, in one matrix product."""
+        if dataset.image_shape != self.image_shape:
+            raise ShapeError(f"image shape {dataset.image_shape} vs embedder {self.image_shape}")
+        return (dataset.stacked_flat().astype(np.float64) - 0.5) @ self.projection.T
+
 
 def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:
     """Gram-Schmidt orthonormalization of seeded Gaussian rows."""

@@ -209,9 +209,7 @@ def _cmd_traineval(args) -> int:
     model = ev.train_classifier(train, config)
     metrics = ev.evaluate(model, test)
     embedder = bk.make_embedder(train.image_shape, args.embed_dim, args.embed_seed)
-    cover = [embedder.embed(img) for img in train.images]
-    probe = [embedder.embed(img) for img in test.images]
-    radius = ev.covering_radius(cover, probe)
+    radius = ev.covering_radius(embedder.embed_dataset(train), embedder.embed_dataset(test))
     payload = {
         "method": args.method,
         "ratio": args.ratio,

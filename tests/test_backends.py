@@ -183,6 +183,16 @@ def test_embedder_formula_and_bounds():
         emb.embed(bk.Image(np.zeros((5, 5, 1))))
 
 
+def test_embed_dataset_matches_per_image_embed():
+    # one gemm may sum in another order than per-image gemv: equal to rounding
+    data = _toy(per_class=5)
+    emb = bk.make_embedder(data.image_shape, 16, seed=0)
+    want = np.stack([emb.embed(img) for img in data.images])
+    np.testing.assert_allclose(emb.embed_dataset(data), want, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        bk.make_embedder((8, 8, 1), 16, seed=0).embed_dataset(data)
+
+
 # ---------------------------------------------------------------- head
 
 def test_head_prototypes_unit_norm():
