@@ -298,6 +298,11 @@ def fit_linear_codec(
     )
 
 
+# images per matrix product in Embedder.embed_dataset: a whole 4,200-image
+# 32x32 set at once would add a 34 MB float64 copy to the process peak
+EMBED_BATCH = 256
+
+
 @dataclass(eq=False)
 class Embedder:
     """Orthonormal random projection of centered pixels."""
@@ -329,10 +334,15 @@ class Embedder:
         return self.embed_flat(image.flat())
 
     def embed_dataset(self, dataset: LabeledDataset) -> np.ndarray:
-        """(N, embed_dim) embeddings of every image, in one matrix product."""
+        """(N, embed_dim) embeddings of every image, one matrix product per batch."""
         if dataset.image_shape != self.image_shape:
             raise ShapeError(f"image shape {dataset.image_shape} vs embedder {self.image_shape}")
-        return (dataset.stacked_flat().astype(np.float64) - 0.5) @ self.projection.T
+        images = dataset.images
+        out = np.empty((len(images), self.embed_dim))
+        for start in range(0, len(images), EMBED_BATCH):
+            rows = np.stack([img.flat() for img in images[start : start + EMBED_BATCH]])
+            out[start : start + len(rows)] = (rows.astype(np.float64) - 0.5) @ self.projection.T
+        return out
 
 
 def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:

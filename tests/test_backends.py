@@ -183,8 +183,9 @@ def test_embedder_formula_and_bounds():
         emb.embed(bk.Image(np.zeros((5, 5, 1))))
 
 
-def test_embed_dataset_matches_per_image_embed():
+def test_embed_dataset_matches_per_image_embed(monkeypatch):
     # one gemm may sum in another order than per-image gemv: equal to rounding
+    monkeypatch.setattr(bk, "EMBED_BATCH", 7)  # 20 images: batches of 7, 7 and 6
     data = _toy(per_class=5)
     emb = bk.make_embedder(data.image_shape, 16, seed=0)
     want = np.stack([emb.embed(img) for img in data.images])
