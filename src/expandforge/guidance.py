@@ -120,7 +120,7 @@ class VariantRecord:
         }
 
     @staticmethod
-    def check_dict(data, what: str = "record") -> None:
+    def check_dict(data, what: str) -> None:
         """Raise InputError unless data has the layout and types of as_dict()."""
         check_json_types(what, data, _RECORD_TYPES)
         for key in ("scores_initial", "scores_final"):
