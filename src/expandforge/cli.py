@@ -114,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="softmax temperature of the zero-shot head (default 1.0)")
     expand.add_argument("--exemplars", default=None,
                         help="GIFX file for head prototypes (default: the input dataset)")
-    expand.add_argument("--workers", type=int, default=1,
-                        help="parallel seed tasks, 0 = auto (default 1)")
     expand.add_argument("--seed", type=int, default=None,
                         help=f"global seed (default 0, or ${SEED_ENV} when set)")
     expand.add_argument("--out", required=True, help="expanded GIFX path")
@@ -186,7 +184,6 @@ def _cmd_expand(args) -> int:
         cutout_frac=args.cutout_frac,
         grid_period=args.grid_period,
         grid_keep=args.grid_keep,
-        workers=args.workers,
     )
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)
     pl.write_dataset(expanded, args.out)

@@ -73,18 +73,20 @@ class GuidanceConfig:
 
 @dataclass(eq=False)
 class OptimizationTrace:
-    """Objective and component values, one entry per evaluation (steps + 1)."""
+    """Scores and the K variant predictions, one entry per evaluation (steps + 1)."""
 
     objective: list = field(default_factory=list)
     s_con: list = field(default_factory=list)
     s_ent: list = field(default_factory=list)
     s_div: list = field(default_factory=list)
+    preds: list = field(default_factory=list)
 
-    def append(self, scores: lm.GuidanceScores):
+    def append(self, scores: lm.GuidanceScores, preds: list):
         self.objective.append(scores.total)
         self.s_con.append(scores.s_con)
         self.s_ent.append(scores.s_ent)
         self.s_div.append(scores.s_div)
+        self.preds.append(preds)
 
     def __len__(self) -> int:
         return len(self.objective)
@@ -221,11 +223,11 @@ def optimize_guidance(
 ):
     """Projected gradient ascent on the guidance objective over K variants.
 
-    score_fn maps the list of K projected latents to (GuidanceScores, grads)
-    where grads[i] is the gradient of the weighted total with respect to
-    variant i's values. The clamp uses a straight-through backward: z and b
-    receive the unprojected chain-rule gradient and the projection is
-    re-applied on every forward pass.
+    score_fn maps the list of K projected latents to (GuidanceScores, grads,
+    preds) where grads[i] is the gradient of the weighted total with respect
+    to variant i's values and preds[i] its Prediction, kept in the trace. The
+    clamp uses a straight-through backward: z and b receive the unprojected
+    chain-rule gradient and the projection is re-applied on every forward pass.
     """
     params = initial_params
     if params is None:
@@ -237,12 +239,12 @@ def optimize_guidance(
     for step in range(config.steps + 1):
         try:
             variants = [lm.perturb_and_project(seed_latent, p, config.epsilon) for p in params]
-            scores, grads = score_fn(variants)
+            scores, grads, preds = score_fn(variants)
         except NumericInputError as err:
             raise NumericDivergenceError(f"non-finite values at step {step}: {err}") from err
         if not math.isfinite(scores.total):
             raise NumericDivergenceError(f"objective non-finite at step {step}")
-        trace.append(scores)
+        trace.append(scores, preds)
         if step == config.steps:
             break
         new_params = []
@@ -285,7 +287,9 @@ class ScoreChain:
     """Scores latents: lift to an embedding, classify by cosine, add diversity.
 
     lift maps a flat latent to (embedding, pullback), where pullback carries
-    an embedding gradient back to the latent; diversity needs no lift.
+    an embedding gradient back to the latent; diversity needs no lift. A call
+    returns (scores, grads, preds), preds[i] being head.predict of variant
+    i's lifted embedding.
     """
 
     def __init__(self, head: ZeroShotHead, weights: tuple, seed_pred: lm.Prediction,
@@ -296,18 +300,16 @@ class ScoreChain:
         self.seed_entropy = lm.entropy(seed_pred.probs)
         self.lift = lift
 
-    def predict(self, latent: lm.Latent) -> lm.Prediction:
-        embedding, _ = self.lift(latent.flat())
-        return self.head.predict(embedding)
-
     def __call__(self, variants):
         w_con, w_ent, w_div = self.weights
         target = self.seed_pred.argmax_class
         s_con = s_ent = 0.0
         grads = []
+        preds = []
         for v in variants:
             embedding, pullback = self.lift(v.flat())
             pred, jac = lm.classify_grad(embedding, self.head.prototypes, self.head.tau)
+            preds.append(pred)
             s_con += pred.probs[target]
             s_ent += lm.entropy(pred.probs) - self.seed_entropy
             g_e = lm.consistency_entropy_grad(
@@ -318,7 +320,7 @@ class ScoreChain:
         for i in range(len(variants)):
             grads[i] = grads[i] + w_div * div_grads[i]
         scores = lm.GuidanceScores(s_con=s_con, s_ent=s_ent, s_div=s_div, weights=self.weights)
-        return scores, grads
+        return scores, grads, preds
 
 
 def _per_variant_scores(preds, seed_pred, flats, weights):
@@ -367,19 +369,22 @@ def _expand_with_chain(
     config: GuidanceConfig,
     rng_stream: RngStream,
 ):
-    """Joint ascent, then per-variant consistency retries and seed fallback."""
+    """Joint ascent, then per-variant consistency retries and seed fallback.
+
+    Predictions come from the traces: the first evaluation for the initial
+    scores, the last for emitted variants; the seed's own is seed_pred.
+    """
     k = config.ratio_k
     shape = seed_latent.values.shape
     params = init_perturbations(shape, k, config.noise_mode, rng_stream)
     initial = [lm.perturb_and_project(seed_latent, p, config.epsilon) for p in params]
-    initial_scores = _per_variant_scores(
-        [chain.predict(v) for v in initial], seed_pred, [v.flat() for v in initial],
-        config.weights,
-    )
     emitted, trace = optimize_guidance(
         seed_latent, chain, k, config, rng_stream, initial_params=params
     )
-    preds = [chain.predict(v) for v in emitted]
+    initial_scores = _per_variant_scores(
+        trace.preds[0], seed_pred, [v.flat() for v in initial], config.weights
+    )
+    preds = list(trace.preds[-1])
     target = seed_pred.argmax_class
     retry_counts = [0] * k
     fallbacks = [False] * k
@@ -391,13 +396,13 @@ def _expand_with_chain(
                 shape, config.noise_mode,
                 variant_stream.child("retry", retry_counts[i]).generator(),
             )
-            single, _ = optimize_guidance(
+            single, single_trace = optimize_guidance(
                 seed_latent, chain, 1, config, variant_stream, initial_params=[retry_params]
             )
-            emitted[i], preds[i] = single[0], chain.predict(single[0])
+            emitted[i], preds[i] = single[0], single_trace.preds[-1][0]
         if preds[i].argmax_class != target:
             emitted[i] = lm.Latent(seed_latent.values.copy())
-            preds[i] = chain.predict(emitted[i])
+            preds[i] = seed_pred
             retry_counts[i] += 1
             fallbacks[i] = True
     final_scores = _per_variant_scores(

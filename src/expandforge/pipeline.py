@@ -5,7 +5,7 @@ round trips are bit-exact, and the manifest is canonical JSON so equal
 manifests are byte-equal files. Every synthetic sample is a pure function
 of (global_seed, method, config, seed sample bytes): per-seed RNG streams
 are keyed by a content hash of the seed, never by its position, so
-shuffling the input or changing worker counts cannot change any output.
+shuffling or splitting the input cannot change any seed's variants.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import augment as ag
 from . import guidance as gd
 from .backends import EmbeddingDecoder, Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead
-from .errors import FormatError, InputError, ParameterError
+from .errors import FormatError, InputError, NumericInputError, ParameterError
 from .rng import RngStream
 
 TOOL_VERSION = "0.1.0"
@@ -145,14 +144,13 @@ def dataset_from_bytes(buf: bytes) -> LabeledDataset:
             )
         pixel_offset = cur.pos
         raw = cur.take(4 * pixel_count, f"pixels of sample {i}")
-        pixels = np.frombuffer(raw, dtype="<f4").reshape(h, w, c)
-        if not np.all(np.isfinite(pixels)):
-            raise FormatError(f"non-finite pixels in sample {i} at byte {pixel_offset}")
-        if pixels.min() < 0.0 or pixels.max() > 1.0:
+        try:
+            images.append(Image(np.frombuffer(raw, dtype="<f4").reshape(h, w, c)))
+        except (NumericInputError, ParameterError) as err:
             raise FormatError(
-                f"pixels of sample {i} at byte {pixel_offset} fall outside [0, 1]"
-            )
-        images.append(Image(pixels))
+                f"pixels of sample {i} at byte {pixel_offset} are non-finite or "
+                f"outside [0, 1]: {err}"
+            ) from err
         labels.append(label)
     if cur.pos != len(buf):
         raise FormatError(
@@ -329,13 +327,10 @@ class ExpansionConfig:
     cutout_frac: float = 0.4
     grid_period: int = 8
     grid_keep: float = 0.5
-    workers: int = 1
 
     def __post_init__(self):
         if self.ratio_k < 1:
             raise ParameterError(f"ratio_k must be >= 1, got {self.ratio_k}")
-        if self.workers < 0:
-            raise ParameterError(f"workers must be >= 0 (0 = auto), got {self.workers}")
         if self.candidate_budget is not None and self.candidate_budget < self.ratio_k:
             raise ParameterError(
                 f"candidate_budget {self.candidate_budget} is below ratio_k {self.ratio_k}"
@@ -372,8 +367,6 @@ class ExpansionConfig:
         return base(**overrides)
 
     def as_dict(self) -> dict:
-        # workers is execution plumbing, not content: manifests must be
-        # byte-identical across worker counts, so it is not echoed
         return {
             "ratio_k": self.ratio_k,
             "epsilon": self.epsilon,
@@ -411,7 +404,7 @@ def seed_content_key(image: Image, label: int) -> str:
     return h.hexdigest()
 
 
-def _expand_one_seed(image, label, method, config, backends, stream):
+def _expand_one_seed(image, method, config, backends, stream):
     """All K variants of one seed; pure in (stream id, method, config, seed)."""
     if method in ("gif_embed", "gif_latent"):
         gcfg = config.guidance_config(method)
@@ -470,28 +463,16 @@ def expand_dataset(
     if n == 0:
         raise InputError("cannot expand an empty dataset")
     root = RngStream.root(global_seed)
-
-    def task(j: int):
-        image = dataset.images[j]
-        label = int(dataset.labels[j])
-        stream = root.child("method", method, "seed", seed_content_key(image, label))
-        return _expand_one_seed(image, label, method, config, backends, stream)
-
-    workers = config.workers or None
-    if config.workers == 1:
-        results = [task(j) for j in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(n)))
-
     images = list(dataset.images)
-    labels = list(int(v) for v in dataset.labels)
+    labels = list(dataset.labels)
     all_records = []
-    for j, (variant_images, variant_records) in enumerate(results):
+    for j, (image, label) in enumerate(zip(dataset.images, dataset.labels)):
+        stream = root.child("method", method, "seed", seed_content_key(image, label))
+        variant_images, variant_records = _expand_one_seed(image, method, config, backends, stream)
         for rec in variant_records:
             rec.seed_index = j
         images.extend(variant_images)
-        labels.extend([int(dataset.labels[j])] * len(variant_images))
+        labels.extend([label] * len(variant_images))
         all_records.extend(rec.as_dict() for rec in variant_records)
 
     expanded = LabeledDataset(
@@ -508,5 +489,4 @@ def expand_dataset(
         original_digest=dataset_digest(dataset),
         expanded_digest=dataset_digest(expanded),
     )
-    manifest.validate()
     return expanded, manifest

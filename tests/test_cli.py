@@ -68,6 +68,20 @@ def test_expand_is_idempotent(tmp_path):
     assert (tmp_path / "twice.gifx.manifest.json").read_bytes() == first_manifest
 
 
+def test_expand_validates_the_manifest_once(tmp_path, monkeypatch):
+    calls = []
+    validate = pl.ExpansionManifest.validate
+
+    def counted(manifest):
+        calls.append(manifest)
+        validate(manifest)
+
+    monkeypatch.setattr(pl.ExpansionManifest, "validate", counted)
+    src = _toygen(tmp_path)
+    assert cli.main(_small_expand_args(src, tmp_path / "out.gifx")) == 0
+    assert len(calls) == 1
+
+
 def test_traineval_and_report_round_trip(tmp_path):
     train = _toygen(tmp_path, "train.gifx", per_class=5, seed=7)
     test = _toygen(tmp_path, "test.gifx", per_class=4, seed=99)

@@ -109,7 +109,7 @@ class _LinearPath:
     def __call__(self, variants):
         s_con = sum(float(v.values.sum()) for v in variants)
         scores = lm.GuidanceScores(s_con=s_con, s_ent=0.0, s_div=0.0, weights=(1.0, 0.0, 0.0))
-        return scores, [np.ones_like(v.values) for v in variants]
+        return scores, [np.ones_like(v.values) for v in variants], [None] * len(variants)
 
 
 def test_trace_length_and_steps_zero():
@@ -208,7 +208,7 @@ def test_embedding_path_gradient_matches_fd():
     path = gd.ScoreChain(head, weights, head.predict(e0), gd.identity_lift)
     params = gd.init_perturbations(seed.values.shape, 2, "full", _stream("fd-emb"))
     variants = [lm.perturb_and_project(seed, p, np.inf) for p in params]
-    _, grads = path(variants)
+    _, grads, _ = path(variants)
     for i in range(2):
         for field in ("z", "b"):
             def objective(flat, i=i, field=field):
@@ -247,7 +247,7 @@ def test_latent_path_gradient_matches_fd():
         embedder.embed_flat(codec.decode_with_mask(f0.flat())[0])
     )
     path = gd.ScoreChain(head, weights, seed_pred, gd.decode_lift(codec, embedder))
-    _, grads = path(variants)
+    _, grads, _ = path(variants)
     for i in range(2):
         def objective(flat, i=i):
             vs = list(variants)
@@ -256,6 +256,34 @@ def test_latent_path_gradient_matches_fd():
 
         fd = _fd_grad(objective, variants[i].values.ravel().copy(), h)
         np.testing.assert_allclose(grads[i].ravel(), fd, rtol=1e-4, atol=5e-7)
+
+
+@pytest.mark.parametrize("flow", ["embedding", "latent"])
+def test_chain_predictions_are_the_head_predictions(flow):
+    # the flows take every variant's prediction from the ascent's trace and
+    # use seed_pred for the seed fallback, so both must equal a fresh predict
+    data, codec, embedder, head, _ = _setup()
+    if flow == "embedding":
+        e0 = embedder.embed(data.images[0])
+        seed, seed_pred, lift = lm.Latent(e0[None, :]), head.predict(e0), gd.identity_lift
+        cfg = gd.GuidanceConfig.embedding_defaults(ratio_k=3, steps=4)
+    else:
+        seed = codec.encode(data.images[0])
+        seed_pred = head.predict(embedder.embed_flat(codec.decode_with_mask(seed.flat())[0]))
+        lift = gd.decode_lift(codec, embedder)
+        cfg = gd.GuidanceConfig.latent_defaults(ratio_k=3, steps=4)
+    chain = gd.ScoreChain(head, cfg.weights, seed_pred, lift)
+    params = gd.init_perturbations(seed.values.shape, 3, cfg.noise_mode, _stream("preds", flow))
+    emitted, trace = gd.optimize_guidance(seed, chain, 3, cfg, _stream(), initial_params=params)
+    assert len(trace.preds) == cfg.steps + 1
+    initial = [lm.perturb_and_project(seed, p, cfg.epsilon) for p in params]
+    for latent, got in zip(initial + emitted, trace.preds[0] + trace.preds[-1]):
+        want = head.predict(lift(latent.flat())[0])
+        assert np.array_equal(got.probs, want.probs)
+        assert np.array_equal(got.affinities, want.affinities)
+    _, _, (at_seed,) = chain([lm.Latent(seed.values.copy())])
+    assert np.array_equal(at_seed.probs, seed_pred.probs)
+    assert np.array_equal(at_seed.affinities, seed_pred.affinities)
 
 
 # ---------------------------------------------------------- full flows
@@ -337,14 +365,15 @@ class _HostilePath:
     def __init__(self, seed_values):
         self.seed_values = seed_values
 
-    def predict(self, latent):
-        if np.array_equal(latent.values, self.seed_values):
-            return lm.Prediction.from_probs(np.array([0.9, 0.1]))
-        return lm.Prediction.from_probs(np.array([0.1, 0.9]))
-
     def __call__(self, variants):
         scores = lm.GuidanceScores(s_con=0.5, s_ent=0.0, s_div=0.0)
-        return scores, [np.zeros_like(v.values) for v in variants]
+        preds = [
+            lm.Prediction.from_probs(
+                np.array([0.9, 0.1] if np.array_equal(v.values, self.seed_values) else [0.1, 0.9])
+            )
+            for v in variants
+        ]
+        return scores, [np.zeros_like(v.values) for v in variants], preds
 
 
 def test_fallback_after_exhausted_retries():
