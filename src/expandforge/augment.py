@@ -10,7 +10,7 @@ one global pool (sample_agnostic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,6 +106,8 @@ class SelectionRecord:
     entropy_gain: float
     consistent: bool
     qualified: bool
+    # the candidate's scoring embedding, kept so its records need no second embed
+    embedding: np.ndarray | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -169,7 +171,8 @@ def selective_expand(
         for c in range(candidate_budget):
             stream = rng_stream.child("seed", j, "cand", c)
             img = augmenter(seed, stream)
-            pred = head.predict(embedder.embed(img))
+            embedding = embedder.embed(img)
+            pred = head.predict(embedding)
             gain = lm.entropy(pred.probs) - seed_entropy
             consistent = pred.argmax_class == target
             record = SelectionRecord(
@@ -180,6 +183,7 @@ def selective_expand(
                 entropy_gain=gain,
                 consistent=consistent,
                 qualified=consistent and gain > 0.0,
+                embedding=embedding,
             )
             pool.append((record, img))
 

@@ -242,11 +242,12 @@ class LinearCodec:
         return lm.Latent(self.encode_flat(image.flat()).reshape(self.latent_shape))
 
     def decode_with_mask(self, flat_latent: np.ndarray):
-        """Clamped flat pixels plus the mask of entries the clamp left alone."""
-        flat = np.asarray(flat_latent, dtype=np.float64).ravel()
-        if flat.size != self.latent_dim:
-            raise ShapeError(f"latent size {flat.size} vs codec latent_dim {self.latent_dim}")
-        raw = self.mean_image + self.basis.T @ flat
+        """Clamped flat pixels plus the mask of entries the clamp left alone,
+        for one flat latent or every row of a stack (..., latent_dim)."""
+        flat = np.asarray(flat_latent, dtype=np.float64)
+        if flat.ndim == 0 or flat.shape[-1] != self.latent_dim:
+            raise ShapeError(f"latent shape {flat.shape} vs codec latent_dim {self.latent_dim}")
+        raw = self.mean_image + lm.matvec(self.basis.T, flat)
         mask = (raw > 0.0) & (raw < 1.0)
         return np.clip(raw, 0.0, 1.0), mask
 
@@ -321,12 +322,13 @@ class Embedder:
         return self.projection.shape[0]
 
     def embed_flat(self, flat_pixels: np.ndarray) -> np.ndarray:
-        flat = np.asarray(flat_pixels, dtype=np.float64).ravel()
-        if flat.size != self.projection.shape[1]:
+        """Embedding of one flat image or of every row of a stack (..., pixels)."""
+        flat = np.asarray(flat_pixels, dtype=np.float64)
+        if flat.ndim == 0 or flat.shape[-1] != self.projection.shape[1]:
             raise ShapeError(
-                f"pixel size {flat.size} vs embedder input {self.projection.shape[1]}"
+                f"pixel shape {flat.shape} vs embedder input {self.projection.shape[1]}"
             )
-        return self.projection @ (flat - 0.5)
+        return lm.matvec(self.projection, flat - 0.5)
 
     def embed(self, image: Image) -> np.ndarray:
         if image.pixels.shape != self.image_shape:

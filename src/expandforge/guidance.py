@@ -1,6 +1,6 @@
-"""Guided expansion of a single seed: perturb, score, ascend, filter.
+"""Guided expansion of seeds: perturb, score, ascend, filter.
 
-Two flows share one ascent loop and one scoring chain: latent -> lift ->
+Two flows share one ascent engine and one scoring chain: latent -> lift ->
 embedding -> cosine head, plus diversity over the latents. The embedding
 flow perturbs the seed's scoring embedding directly (identity lift) and
 decodes once at the end; the latent flow perturbs the codec latent, and its
@@ -8,6 +8,25 @@ lift decodes an intermediate image and embeds it for every scoring
 evaluation. Both enforce prediction consistency with retries and a fallback
 to the unperturbed seed reconstruction, so every emitted variant keeps the
 seed's predicted class.
+
+The engine ascends a block of G seeds with K variants each as one
+(G, K, T, D) stack of rows; the per-seed flows are its G = 1 case. A seed's
+variants are bit-identical whatever block it shares, because every stacked
+kernel rounds exactly as its one-vector form (checked on numpy 2.4 with
+OpenBLAS). Nothing in the code shows these conditions. Breaking one moves
+last bits of the ascent, which may leave the digests as they are on one
+input and flip a retry or a digest on another;
+test_row_kernels_are_bit_equal_to_per_vector_calls checks them:
+
+- a matrix-vector product is np.matmul(A, X[..., None])[..., 0]
+  (latentmath.matvec), one gemv per row; X @ A.T is a gemm and rounds
+  differently for every K >= 2
+- a vector norm is the square root of a stacked row dot, as
+  np.linalg.norm computes it for one vector, not np.linalg.norm(X, axis=-1)
+- row max and sum run along the last axis, a group's mean and sum along
+  the K axis
+- each group's s_con, s_ent and s_div totals add over K in variant order
+- a sum masked to p > 0 stays masked for every row with a zero entry
 
 The module also owns the manifest record layout: VariantRecord, its type
 check, and the one builder that makes the records of every method.
@@ -17,12 +36,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import latentmath as lm
 from .backends import EmbeddingDecoder, Embedder, Image, LinearCodec, ZeroShotHead
-from .errors import InputError, NumericDivergenceError, NumericInputError, ParameterError
+from .errors import (
+    InputError,
+    NumericDivergenceError,
+    NumericInputError,
+    ParameterError,
+    ShapeError,
+    SimplexError,
+)
 from .rng import RngStream
 
 
@@ -71,22 +98,48 @@ class GuidanceConfig:
         return cls(**kw)
 
 
+class GroupScores(NamedTuple):
+    """Score terms of each seed group summed over its variants, and their
+    weighted total: (G,) arrays."""
+
+    s_con: np.ndarray
+    s_ent: np.ndarray
+    s_div: np.ndarray
+    total: np.ndarray
+
+    @classmethod
+    def weighted(cls, s_con, s_ent, s_div, weights) -> "GroupScores":
+        w_con, w_ent, w_div = weights
+        return cls(s_con, s_ent, s_div, w_con * s_con + w_ent * s_ent + w_div * s_div)
+
+
 @dataclass(eq=False)
 class OptimizationTrace:
-    """Scores and the K variant predictions, one entry per evaluation (steps + 1)."""
+    """One entry per evaluation (steps + 1): the (G,) group scores and the
+    (G, K, C) variant class probabilities; initial holds the first
+    evaluation's projected variants."""
 
     objective: list = field(default_factory=list)
     s_con: list = field(default_factory=list)
     s_ent: list = field(default_factory=list)
     s_div: list = field(default_factory=list)
-    preds: list = field(default_factory=list)
+    probs: list = field(default_factory=list)
+    initial: np.ndarray | None = None
 
-    def append(self, scores: lm.GuidanceScores, preds: list):
+    def append(self, scores: GroupScores, probs: np.ndarray):
         self.objective.append(scores.total)
         self.s_con.append(scores.s_con)
         self.s_ent.append(scores.s_ent)
         self.s_div.append(scores.s_div)
-        self.preds.append(preds)
+        self.probs.append(probs)
+
+    def group(self, g: int) -> "OptimizationTrace":
+        """The trace of seed group g alone: floats and (K, C) probabilities."""
+        pick = lambda entries: [float(e[g]) for e in entries]
+        return OptimizationTrace(
+            pick(self.objective), pick(self.s_con), pick(self.s_ent), pick(self.s_div),
+            [p[g] for p in self.probs], self.initial[g],
+        )
 
     def __len__(self) -> int:
         return len(self.objective)
@@ -176,94 +229,82 @@ def check_json_types(what: str, data, types: dict) -> None:
             raise InputError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _draw_params(shape: tuple, noise_mode: str, gen: np.random.Generator) -> lm.PerturbationParams:
+def _draw_params(shape: tuple, noise_mode: str, gen: np.random.Generator):
+    """One (z, b) noise draw, each broadcast to shape; tied modes draw one
+    value per channel (constant along tokens) or per token."""
     t, d = shape
-    if noise_mode == "channel":
-        z = np.tile(gen.uniform(0.0, 1.0, (1, d)), (t, 1))
-        b = np.tile(gen.standard_normal((1, d)), (t, 1))
-    elif noise_mode == "token":
-        z = np.tile(gen.uniform(0.0, 1.0, (t, 1)), (1, d))
-        b = np.tile(gen.standard_normal((t, 1)), (1, d))
-    else:
-        z = gen.uniform(0.0, 1.0, (t, d))
-        b = gen.standard_normal((t, d))
-    return lm.PerturbationParams(z=z, b=b, noise_mode=noise_mode)
+    draw = {"channel": (1, d), "token": (t, 1)}.get(noise_mode, (t, d))
+    z = gen.uniform(0.0, 1.0, draw)
+    b = gen.standard_normal(draw)
+    return np.broadcast_to(z, shape), np.broadcast_to(b, shape)
 
 
-def init_perturbations(
-    shape: tuple, k: int, noise_mode: str, rng_stream: RngStream
-) -> list:
-    """One independent uniform/Gaussian noise draw per variant."""
+def init_perturbations(shape: tuple, k: int, noise_mode: str, rng_stream: RngStream):
+    """One independent uniform/Gaussian noise draw per variant: (z, b), each (k, T, D)."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if noise_mode not in lm.NOISE_MODES:
         raise ParameterError(f"noise_mode must be one of {lm.NOISE_MODES}, got {noise_mode!r}")
-    return [
+    return _stacked([
         _draw_params(shape, noise_mode, rng_stream.child("variant", i, "init").generator())
         for i in range(k)
-    ]
+    ])
 
 
-def _tie_reduce(grad: np.ndarray, noise_mode: str) -> np.ndarray:
-    """Gradient of a shared noise value is the sum over its tied entries."""
-    if noise_mode == "channel":
-        return np.tile(grad.sum(axis=0, keepdims=True), (grad.shape[0], 1))
-    if noise_mode == "token":
-        return np.tile(grad.sum(axis=1, keepdims=True), (1, grad.shape[1]))
-    return grad
+def _stacked(draws: list):
+    """A list of (z, b) pairs as one (z, b) pair with a leading axis."""
+    return np.stack([z for z, _ in draws]), np.stack([b for _, b in draws])
 
 
-def optimize_guidance(
-    seed_latent: lm.Latent,
-    score_fn,
-    k: int,
-    config: GuidanceConfig,
-    rng_stream: RngStream,
-    initial_params: list | None = None,
-):
-    """Projected gradient ascent on the guidance objective over K variants.
+# the token axis sums a channel-tied noise gradient, the channel axis a token-tied one
+_TIED_AXIS = {"channel": -2, "token": -1}
 
-    score_fn maps the list of K projected latents to (GuidanceScores, grads,
-    preds) where grads[i] is the gradient of the weighted total with respect
-    to variant i's values and preds[i] its Prediction, kept in the trace. The
-    clamp uses a straight-through backward: z and b receive the unprojected
-    chain-rule gradient and the projection is re-applied on every forward pass.
+
+def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: GuidanceConfig):
+    """Projected gradient ascent of G seed groups of K variants, as one stack.
+
+    seeds is (G, T, D) and params is (z, b), each (G, K, T, D). score_fn maps
+    the (G, K, T, D) projected variants to (GroupScores, grads, probs), where
+    grads[g, i] is the gradient of group g's total with respect to variant
+    i's values and probs[g, i] its class probabilities, kept in the trace.
+    The clamp uses a straight-through backward: z and b receive the
+    unprojected chain-rule gradient and the projection is re-applied on
+    every forward pass. Returns the last projected variants and the trace.
     """
-    params = initial_params
-    if params is None:
-        params = init_perturbations(seed_latent.values.shape, k, config.noise_mode, rng_stream)
-    if len(params) != k:
-        raise ParameterError(f"got {len(params)} parameter sets for k={k}")
+    z, b = params
+    if z.shape != b.shape or z.ndim != 4 or z.shape[:1] + z.shape[2:] != seeds.shape:
+        raise ShapeError(f"noise shapes {z.shape} and {b.shape} do not fit seeds {seeds.shape}")
+    seeds = seeds[:, None]
+    axis = _TIED_AXIS.get(config.noise_mode)
     trace = OptimizationTrace()
-    variants = []
     for step in range(config.steps + 1):
+        values = lm.perturb_and_project_rows(seeds, z, b, config.epsilon)
+        if not np.isfinite(values).all():
+            raise NumericDivergenceError(f"non-finite variant values at step {step}")
         try:
-            variants = [lm.perturb_and_project(seed_latent, p, config.epsilon) for p in params]
-            scores, grads, preds = score_fn(variants)
+            scores, grads, probs = score_fn(values)
         except NumericInputError as err:
             raise NumericDivergenceError(f"non-finite values at step {step}: {err}") from err
-        if not math.isfinite(scores.total):
+        if not np.isfinite(scores.total).all():
             raise NumericDivergenceError(f"objective non-finite at step {step}")
-        trace.append(scores, preds)
+        if step == 0:
+            trace.initial = values
+        trace.append(scores, probs)
         if step == config.steps:
             break
-        new_params = []
         # a non-finite update is flagged here with the step whose evaluation
         # it would have fed, so the nan warnings numpy would raise carry no
         # extra information
         with np.errstate(invalid="ignore", over="ignore"):
-            for p, g in zip(params, grads):
-                gz = _tie_reduce(g * seed_latent.values, p.noise_mode)
-                gb = _tie_reduce(g, p.noise_mode)
-                new_z = p.z + config.step_size * gz
-                new_b = p.b + config.step_size * gb
-                if not (np.all(np.isfinite(new_z)) and np.all(np.isfinite(new_b))):
-                    raise NumericDivergenceError(f"non-finite values at step {step + 1}")
-                new_params.append(
-                    lm.PerturbationParams(z=new_z, b=new_b, noise_mode=p.noise_mode)
-                )
-        params = new_params
-    return variants, trace
+            gz, gb = grads * seeds, grads
+            if axis is not None:
+                # a shared noise value's gradient is the sum over its tied entries
+                gz, gb = gz.sum(axis=axis, keepdims=True), gb.sum(axis=axis, keepdims=True)
+            z = z + config.step_size * gz
+            b = b + config.step_size * gb
+        if not (np.isfinite(z).all() and np.isfinite(b).all()):
+            raise NumericDivergenceError(f"non-finite values at step {step + 1}")
+    return values, trace
 
 
 def identity_lift(flat: np.ndarray):
@@ -277,64 +318,70 @@ def decode_lift(codec: LinearCodec, embedder: Embedder):
     def lift(flat: np.ndarray):
         pixels, mask = codec.decode_with_mask(flat)
         # chain through embed (linear) and the decode pixel clamp (masked)
-        pullback = lambda g: codec.basis @ ((embedder.projection.T @ g) * mask)
+        pullback = lambda g: lm.matvec(codec.basis, lm.matvec(embedder.projection.T, g) * mask)
         return embedder.embed_flat(pixels), pullback
 
     return lift
 
 
 class ScoreChain:
-    """Scores latents: lift to an embedding, classify by cosine, add diversity.
+    """Scores stacked latents: lift to embeddings, classify by cosine, add diversity.
 
-    lift maps a flat latent to (embedding, pullback), where pullback carries
-    an embedding gradient back to the latent; diversity needs no lift. A call
-    returns (scores, grads, preds), preds[i] being head.predict of variant
-    i's lifted embedding.
+    seed_probs is (G, C), the seed prediction of each group. lift maps flat
+    latents (G, K, n) to (embeddings, pullback), where pullback carries
+    embedding gradients back to the latents; diversity needs no lift. A call
+    on (G, K, T, D) variants returns (GroupScores, grads, probs), probs[g, i]
+    being head.predict of variant i's lifted embedding.
     """
 
-    def __init__(self, head: ZeroShotHead, weights: tuple, seed_pred: lm.Prediction,
+    def __init__(self, head: ZeroShotHead, weights: tuple, seed_probs: np.ndarray,
                  lift=identity_lift):
         self.head = head
         self.weights = weights
-        self.seed_pred = seed_pred
-        self.seed_entropy = lm.entropy(seed_pred.probs)
+        self.seed_probs = seed_probs
+        self.target = np.argmax(seed_probs, axis=-1)
+        self.seed_entropy = lm.entropy_rows(seed_probs)
         self.lift = lift
 
-    def __call__(self, variants):
+    def select(self, groups: np.ndarray) -> "ScoreChain":
+        """The chain of the given seed groups, in that order."""
+        return ScoreChain(self.head, self.weights, self.seed_probs[groups], self.lift)
+
+    def __call__(self, values: np.ndarray):
         w_con, w_ent, w_div = self.weights
-        target = self.seed_pred.argmax_class
-        s_con = s_ent = 0.0
-        grads = []
-        preds = []
-        for v in variants:
-            embedding, pullback = self.lift(v.flat())
-            pred, jac = lm.classify_grad(embedding, self.head.prototypes, self.head.tau)
-            preds.append(pred)
-            s_con += pred.probs[target]
-            s_ent += lm.entropy(pred.probs) - self.seed_entropy
-            g_e = lm.consistency_entropy_grad(
-                pred, jac, self.head.tau, target, w_con, w_ent
-            )
-            grads.append(pullback(g_e).reshape(v.values.shape))
-        s_div, div_grads = lm.diversity_score_grad([v.values for v in variants])
-        for i in range(len(variants)):
-            grads[i] = grads[i] + w_div * div_grads[i]
-        scores = lm.GuidanceScores(s_con=s_con, s_ent=s_ent, s_div=s_div, weights=self.weights)
-        return scores, grads, preds
+        g, k = values.shape[:2]
+        flat = values.reshape(g, k, -1)
+        embedding, pullback = self.lift(flat)
+        _, probs, jac = lm.classify_rows(embedding, self.head.prototypes, self.head.tau)
+        if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
+            raise SimplexError("variant probabilities do not sum to 1 within 1e-9")
+        target = self.target[:, None]
+        g_e = lm.consistency_entropy_grad_rows(probs, jac, self.head.tau, target, w_con, w_ent)
+        s_div, div_grads = lm.diversity_rows(flat)
+        grads = (pullback(g_e) + w_div * div_grads).reshape(values.shape)
+        p_t = np.take_along_axis(probs, target[..., None], axis=-1)[..., 0]
+        gains = lm.entropy_rows(probs) - self.seed_entropy[:, None]
+        s_con = s_ent = np.zeros(g)
+        for i in range(k):  # in variant order, as the per-seed sums ran
+            s_con = s_con + p_t[:, i]
+            s_ent = s_ent + gains[:, i]
+        return GroupScores.weighted(s_con, s_ent, s_div, self.weights), grads, probs
 
 
-def _per_variant_scores(preds, seed_pred, flats, weights):
-    """One GuidanceScores per variant from its prediction and flat values."""
-    seed_entropy = lm.entropy(seed_pred.probs)
+def _prediction_terms(probs: np.ndarray, seed_probs: np.ndarray):
+    """Per-variant s_con and s_ent of (K, C) probabilities against the seed's."""
+    target = int(np.argmax(seed_probs))
+    seed_entropy = lm.entropy(seed_probs)
+    return [float(p[target]) for p in probs], [lm.entropy(p) - seed_entropy for p in probs]
+
+
+def _variant_scores(s_con, s_ent, flats, weights):
+    """One GuidanceScores per variant; s_div is its KL to the softmax of the mean."""
     r = lm.softmax(np.mean(np.stack(flats, axis=0), axis=0))
     return [
-        lm.GuidanceScores(
-            s_con=float(pred.probs[seed_pred.argmax_class]),
-            s_ent=lm.entropy(pred.probs) - seed_entropy,
-            s_div=lm.kl_divergence(lm.softmax(flat), r),
-            weights=weights,
-        )
-        for pred, flat in zip(preds, flats)
+        lm.GuidanceScores(s_con=c, s_ent=e, s_div=lm.kl_divergence(lm.softmax(flat), r),
+                          weights=weights)
+        for c, e, flat in zip(s_con, s_ent, flats)
     ]
 
 
@@ -345,74 +392,146 @@ def _records(method, stream_ids, initial, final, consistent, retry_counts, fallb
     return [VariantRecord(-1, i, method, *row) for i, row in enumerate(columns)]
 
 
-def measured_records(seed_image, images, stream_ids, method, embedder, head, weights):
-    """Records for variants generated without guidance: scores measured once.
-
-    A variant qualifies when it keeps the seed's predicted class and gains
-    prediction entropy over the seed.
-    """
-    seed_pred = head.predict(embedder.embed(seed_image))
-    embeddings = [embedder.embed(img) for img in images]
-    preds = [head.predict(e) for e in embeddings]
-    scores = _per_variant_scores(preds, seed_pred, embeddings, weights)
-    consistent = [pred.argmax_class == seed_pred.argmax_class for pred in preds]
+def _unguided_records(method, stream_ids, s_con, s_ent, consistent, embeddings, weights):
+    """A variant qualifies when it keeps the seed's predicted class and gains
+    prediction entropy over the seed."""
+    scores = _variant_scores(s_con, s_ent, embeddings, weights)
     qualified = [c and sc.s_ent > 0.0 for c, sc in zip(consistent, scores)]
-    k = len(images)
+    k = len(stream_ids)
     return _records(method, stream_ids, scores, scores, consistent, [0] * k, [False] * k, qualified)
+
+
+def measured_records(seed_image, images, stream_ids, method, embedder, head, weights):
+    """Records for variants generated without guidance: scores measured once."""
+    seed_probs = head.predict(embedder.embed(seed_image)).probs
+    embeddings = [embedder.embed(img) for img in images]
+    probs = np.stack([head.predict(e).probs for e in embeddings])
+    s_con, s_ent = _prediction_terms(probs, seed_probs)
+    consistent = [bool(c) for c in probs.argmax(axis=-1) == np.argmax(seed_probs)]
+    return _unguided_records(method, stream_ids, s_con, s_ent, consistent, embeddings, weights)
+
+
+def selected_records(selected, method, weights):
+    """Records for selective-expansion picks, from the scores and embeddings
+    their selection measured: nothing is embedded again."""
+    return _unguided_records(
+        method,
+        [sel.stream_id for sel in selected],
+        [sel.s_con for sel in selected],
+        [sel.entropy_gain for sel in selected],
+        [sel.consistent for sel in selected],
+        [sel.embedding for sel in selected],
+        weights,
+    )
 
 
 def _expand_with_chain(
     chain,
-    seed_latent: lm.Latent,
-    seed_pred: lm.Prediction,
+    seeds: np.ndarray,
+    seed_probs: np.ndarray,
     method: str,
     config: GuidanceConfig,
-    rng_stream: RngStream,
+    rng_streams: list,
 ):
-    """Joint ascent, then per-variant consistency retries and seed fallback.
+    """Joint ascent of every seed's K variants, then consistency retries and
+    a fallback to the seed.
 
-    Predictions come from the traces: the first evaluation for the initial
-    scores, the last for emitted variants; the seed's own is seed_pred.
+    seeds is (G, T, D), seed_probs (G, C) and rng_streams one stream per
+    seed. Each retry round ascends every variant that is still off the
+    seed's class as its own one-variant group, drawn from the variant's
+    ("retry", round) stream; a one-variant group's diversity term is zero,
+    so the round equals per-variant retries run one after another.
+    Probabilities come from the traces: the first evaluation for the
+    initial scores, the last for emitted variants; a fallback takes the
+    seed's own. Returns the (G, K, T, D) emitted variants, one record list
+    per seed, and the trace.
     """
     k = config.ratio_k
-    shape = seed_latent.values.shape
-    params = init_perturbations(shape, k, config.noise_mode, rng_stream)
-    initial = [lm.perturb_and_project(seed_latent, p, config.epsilon) for p in params]
-    emitted, trace = optimize_guidance(
-        seed_latent, chain, k, config, rng_stream, initial_params=params
-    )
-    initial_scores = _per_variant_scores(
-        trace.preds[0], seed_pred, [v.flat() for v in initial], config.weights
-    )
-    preds = list(trace.preds[-1])
-    target = seed_pred.argmax_class
-    retry_counts = [0] * k
-    fallbacks = [False] * k
-    for i in range(k):
-        variant_stream = rng_stream.child("variant", i)
-        while preds[i].argmax_class != target and retry_counts[i] < config.retries:
-            retry_counts[i] += 1
-            retry_params = _draw_params(
-                shape, config.noise_mode,
-                variant_stream.child("retry", retry_counts[i]).generator(),
-            )
-            single, single_trace = optimize_guidance(
-                seed_latent, chain, 1, config, variant_stream, initial_params=[retry_params]
-            )
-            emitted[i], preds[i] = single[0], single_trace.preds[-1][0]
-        if preds[i].argmax_class != target:
-            emitted[i] = lm.Latent(seed_latent.values.copy())
-            preds[i] = seed_pred
-            retry_counts[i] += 1
-            fallbacks[i] = True
-    final_scores = _per_variant_scores(
-        preds, seed_pred, [v.flat() for v in emitted], config.weights
-    )
-    stream_ids = [rng_stream.child("variant", i).id for i in range(k)]
-    consistent = [pred.argmax_class == target for pred in preds]
-    records = _records(method, stream_ids, initial_scores, final_scores, consistent,
-                       retry_counts, fallbacks, [True] * k)
+    shape = seeds.shape[1:]
+    params = _stacked([init_perturbations(shape, k, config.noise_mode, s) for s in rng_streams])
+    emitted, trace = optimize_guidance(seeds, chain, params, config)
+    probs = trace.probs[-1].copy()
+    target = np.argmax(seed_probs, axis=-1)[:, None]
+    retry_counts = np.zeros(probs.shape[:2], dtype=int)
+    for r in range(1, config.retries + 1):
+        groups, variants = np.nonzero(probs.argmax(axis=-1) != target)
+        if groups.size == 0:
+            break
+        z, b = _stacked([
+            _draw_params(shape, config.noise_mode,
+                         rng_streams[g].child("variant", int(i), "retry", r).generator())
+            for g, i in zip(groups, variants)
+        ])
+        single, single_trace = optimize_guidance(
+            seeds[groups], chain.select(groups), (z[:, None], b[:, None]), config
+        )
+        emitted[groups, variants] = single[:, 0]
+        probs[groups, variants] = single_trace.probs[-1][:, 0]
+        retry_counts[groups, variants] = r
+    fallbacks = probs.argmax(axis=-1) != target
+    groups, variants = np.nonzero(fallbacks)
+    emitted[groups, variants] = seeds[groups]
+    probs[groups, variants] = seed_probs[groups]
+    retry_counts[fallbacks] += 1
+    consistent = probs.argmax(axis=-1) == target
+    records = []
+    for g, stream in enumerate(rng_streams):
+        initial = _variant_scores(*_prediction_terms(trace.probs[0][g], seed_probs[g]),
+                                  trace.initial[g].reshape(k, -1), config.weights)
+        final = _variant_scores(*_prediction_terms(probs[g], seed_probs[g]),
+                                emitted[g].reshape(k, -1), config.weights)
+        records.append(_records(
+            method, [stream.child("variant", i).id for i in range(k)], initial, final,
+            consistent[g].tolist(), retry_counts[g].tolist(), fallbacks[g].tolist(), [True] * k,
+        ))
     return emitted, records, trace
+
+
+def expand_embedding_block(
+    seed_images: list,
+    embedder: Embedder,
+    head: ZeroShotHead,
+    decoder: EmbeddingDecoder,
+    config: GuidanceConfig,
+    rng_streams: list,
+):
+    """Optimize K perturbed copies of each seed's embedding in one stack, then
+    decode them: one image list and one record list per seed, and the trace."""
+    e0 = np.stack([embedder.embed(img) for img in seed_images])
+    _, seed_probs, _ = lm.classify_rows(e0, head.prototypes, head.tau, need_jacobian=False)
+    chain = ScoreChain(head, config.weights, seed_probs)
+    emitted, records, trace = _expand_with_chain(
+        chain, e0[:, None, :], seed_probs, "gif_embed", config, rng_streams
+    )
+    images = [[decoder(v.ravel()) for v in group] for group in emitted]
+    return images, records, trace
+
+
+def expand_latent_block(
+    seed_images: list,
+    codec: LinearCodec,
+    embedder: Embedder,
+    head: ZeroShotHead,
+    config: GuidanceConfig,
+    rng_streams: list,
+):
+    """Optimize K perturbed codec latents of each seed in one stack, scoring
+    decoded intermediates: one image list and one record list per seed, and
+    the trace."""
+    f0 = np.stack([codec.encode(img).values for img in seed_images])
+    # the reference prediction goes through the same decode/embed path the
+    # variants use, so the seed fallback is consistent by construction
+    recon_pixels, _ = codec.decode_with_mask(f0.reshape(len(f0), -1))
+    _, seed_probs, _ = lm.classify_rows(
+        embedder.embed_flat(recon_pixels), head.prototypes, head.tau, need_jacobian=False
+    )
+    chain = ScoreChain(head, config.weights, seed_probs, decode_lift(codec, embedder))
+    emitted, records, trace = _expand_with_chain(
+        chain, f0, seed_probs, "gif_latent", config, rng_streams
+    )
+    pixels, _ = codec.decode_with_mask(emitted.reshape(emitted.shape[:2] + (-1,)))
+    images = [[Image(p.reshape(codec.image_shape)) for p in group] for group in pixels]
+    return images, records, trace
 
 
 def expand_seed_embedding_flow(
@@ -424,15 +543,10 @@ def expand_seed_embedding_flow(
     rng_stream: RngStream,
 ):
     """Optimize K perturbed copies of the seed's embedding, then decode them."""
-    e0 = embedder.embed(seed_image)
-    seed_latent = lm.Latent(e0[None, :])
-    seed_pred = head.predict(e0)
-    chain = ScoreChain(head, config.weights, seed_pred)
-    emitted, records, trace = _expand_with_chain(
-        chain, seed_latent, seed_pred, "gif_embed", config, rng_stream
+    (images,), (records,), trace = expand_embedding_block(
+        [seed_image], embedder, head, decoder, config, [rng_stream]
     )
-    images = [decoder(v.flat()) for v in emitted]
-    return images, records, trace
+    return images, records, trace.group(0)
 
 
 def expand_seed_latent_flow(
@@ -444,14 +558,7 @@ def expand_seed_latent_flow(
     rng_stream: RngStream,
 ):
     """Optimize K perturbed codec latents, scoring decoded intermediates."""
-    f0 = codec.encode(seed_image)
-    # the reference prediction goes through the same decode/embed path the
-    # variants use, so the seed fallback is consistent by construction
-    recon_pixels, _ = codec.decode_with_mask(f0.flat())
-    seed_pred = head.predict(embedder.embed_flat(recon_pixels))
-    chain = ScoreChain(head, config.weights, seed_pred, decode_lift(codec, embedder))
-    emitted, records, trace = _expand_with_chain(
-        chain, f0, seed_pred, "gif_latent", config, rng_stream
+    (images,), (records,), trace = expand_latent_block(
+        [seed_image], codec, embedder, head, config, [rng_stream]
     )
-    images = [codec.decode(v) for v in emitted]
-    return images, records, trace
+    return images, records, trace.group(0)

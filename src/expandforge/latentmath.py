@@ -38,14 +38,41 @@ def _as_float_vector(v, name: str) -> np.ndarray:
 def softmax(v, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax of a real vector, stabilized by max subtraction."""
     arr = _as_float_vector(v, "softmax input")
-    if not np.all(np.isfinite(arr)):
-        raise NumericInputError("softmax input contains non-finite values")
     if not (tau > 0):
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
-    scaled = arr / tau
-    shifted = scaled - scaled.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax_rows(arr, tau)
+
+
+def softmax_rows(x: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """softmax along the last axis; tau must be > 0."""
+    if not np.isfinite(x).all():
+        raise NumericInputError("softmax input contains non-finite values")
+    scaled = x / tau
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ row for every row of x (..., n): one BLAS gemv per row."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """x[mask].sum() of every row of x (..., n), mask of the same shape.
+
+    A full row is summed in place; a row with a masked-out entry is
+    compacted first, since zeros left in would regroup the pairwise sum.
+    """
+    out = x.sum(axis=-1)
+    partial = ~mask.all(axis=-1)
+    if partial.any():
+        for idx in zip(*np.nonzero(partial)):
+            out[idx] = x[idx][mask[idx]].sum()
+    return out
 
 
 def _check_simplex(p: np.ndarray, name: str) -> np.ndarray:
@@ -62,6 +89,12 @@ def entropy(p) -> float:
     arr = _check_simplex(_as_float_vector(p, "entropy input"), "entropy input")
     nz = arr[arr > 0.0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """entropy of every nonnegative distribution row of p (..., C)."""
+    nz = p > 0.0
+    return -_masked_row_sums(p * np.log(np.where(nz, p, 1.0)), nz)
 
 
 def kl_divergence(p, q) -> float:
@@ -193,16 +226,22 @@ def perturb_and_project(f: Latent, params: PerturbationParams, epsilon: float) -
         raise ShapeError(
             f"noise shape {params.z.shape} does not match latent shape {f.values.shape}"
         )
-    raw = (1.0 + params.z) * f.values + params.b
-    delta = np.clip(raw - f.values, -epsilon, epsilon)
-    out = f.values + delta
+    return Latent(perturb_and_project_rows(f.values, params.z, params.b, epsilon))
+
+
+def perturb_and_project_rows(f: np.ndarray, z: np.ndarray, b: np.ndarray, epsilon: float):
+    """perturb_and_project on arrays: f broadcasts against z and b."""
+    raw = (1.0 + z) * f + b
+    delta = np.clip(raw - f, -epsilon, epsilon)
+    out = f + delta
     # the containment bound is exact, not toleranced: rounding in f + delta can
     # overshoot by an ulp, so nudge offending entries back toward f
-    over = np.abs(out - f.values) > epsilon
+    f = np.broadcast_to(f, out.shape)
+    over = np.abs(out - f) > epsilon
     while np.any(over):
-        out[over] = np.nextafter(out[over], f.values[over])
-        over = np.abs(out - f.values) > epsilon
-    return Latent(out)
+        out[over] = np.nextafter(out[over], f[over])
+        over = np.abs(out - f) > epsilon
+    return out
 
 
 @dataclass(eq=False)
@@ -257,43 +296,28 @@ def entropy_gain(s: Prediction, s_prime: Prediction) -> float:
     return entropy(s_prime.probs) - entropy(s.probs)
 
 
-def _diversity_impl(values: Sequence[np.ndarray], with_grad: bool):
-    k = len(values)
-    shape = values[0].shape
-    flats = [v.ravel() for v in values]
-    mean_flat = np.mean(np.stack(flats, axis=0), axis=0)
-    r = softmax(mean_flat)
-    log_r = np.log(np.maximum(r, KL_FLOOR))
-    qs, log_qs, kls = [], [], []
-    for u in flats:
-        q = softmax(u)
-        log_q = np.log(np.maximum(q, KL_FLOOR))
-        mask = q > 0.0
-        kls.append(float((q[mask] * (log_q[mask] - log_r[mask])).sum()))
-        qs.append(q)
-        log_qs.append(log_q)
-    total = max(float(sum(kls)), 0.0)
-    if not with_grad:
-        return total, None
+def diversity_rows(flats: np.ndarray):
+    """Diversity score of each group of flat variants (..., K, n), plus its
+    gradient with respect to every variant: see diversity_score_grad."""
+    k = flats.shape[-2]
+    r = softmax_rows(np.mean(flats, axis=-2))
+    log_r = np.log(np.maximum(r, KL_FLOOR))[..., None, :]
+    q = softmax_rows(flats)
+    log_q = np.log(np.maximum(q, KL_FLOOR))
+    kls = _masked_row_sums(q * (log_q - log_r), q > 0.0)
+    total = np.zeros(kls.shape[:-1])
+    for i in range(k):  # in variant order, as a Python sum over the variants adds
+        total = total + kls[..., i]
     # d/dv of sum_k KL(q_k || softmax(v)) at v = mean of the flats; each flat
     # contributes 1/K to every coordinate of the mean.
-    d_mean = k * r - np.sum(np.stack(qs, axis=0), axis=0)
-    grads = []
-    for q, log_q, kl_k in zip(qs, log_qs, kls):
-        own = q * ((log_q - log_r) - kl_k)
-        grads.append((own + d_mean / k).reshape(shape))
-    return total, grads
+    d_mean = k * r - np.sum(q, axis=-2)
+    grads = q * ((log_q - log_r) - kls[..., None]) + (d_mean / k)[..., None, :]
+    return np.maximum(total, 0.0), grads
 
 
 def diversity_score(variants: Sequence[Latent]) -> float:
     """Sum over variants of KL(softmax(flat variant) || softmax(flat mean))."""
-    if len(variants) < 1:
-        raise ShapeError("diversity needs at least one variant")
-    shape = variants[0].values.shape
-    for v in variants:
-        if v.values.shape != shape:
-            raise ShapeError(f"variant shape mismatch: {v.values.shape} vs {shape}")
-    total, _ = _diversity_impl([v.values for v in variants], with_grad=False)
+    total, _ = diversity_score_grad([v.values for v in variants])
     return total
 
 
@@ -306,7 +330,8 @@ def diversity_score_grad(values: Sequence[np.ndarray]):
     for a in arrs:
         if a.shape != shape:
             raise ShapeError(f"variant shape mismatch: {a.shape} vs {shape}")
-    return _diversity_impl(arrs, with_grad=True)
+    total, grads = diversity_rows(np.stack([a.ravel() for a in arrs])[None])
+    return float(total[0]), [g.reshape(shape) for g in grads[0]]
 
 
 def guidance_objective(
@@ -374,18 +399,26 @@ def classify_grad(
         )
     if protos.shape[0] < 2:
         raise ShapeError("need at least two class prototypes")
-    if not np.all(np.isfinite(ev)):
+    affinities, probs, jac = classify_rows(ev, protos, tau, need_jacobian)
+    return Prediction(affinities=affinities, probs=probs), jac
+
+
+def classify_rows(e: np.ndarray, prototypes: np.ndarray, tau: float, need_jacobian: bool = True):
+    """classify_grad of every embedding row of e (..., E) against validated
+    prototypes: (affinities, probs, Jacobians or None)."""
+    if not np.isfinite(e).all():
         raise NumericInputError("embedding contains non-finite values")
-    norm = float(np.linalg.norm(ev))
-    if norm <= NORM_FLOOR:
-        raise DegenerateVectorError(f"embedding norm {norm} is below {NORM_FLOOR}")
-    unit = ev / norm
-    affinities = protos @ unit
-    pred = Prediction(affinities=affinities, probs=softmax(affinities, tau))
+    # np.linalg.norm of a vector is sqrt(dot(e, e)); a row dot keeps its rounding
+    norm = np.sqrt(_row_dot(e, e))
+    if (norm <= NORM_FLOOR).any():
+        raise DegenerateVectorError(f"embedding norm {norm.min()} is below {NORM_FLOOR}")
+    unit = e / norm[..., None]
+    affinities = matvec(prototypes, unit)
+    probs = softmax_rows(affinities, tau)
     if not need_jacobian:
-        return pred, None
-    jac = (protos - np.outer(affinities, unit)) / norm
-    return pred, jac
+        return affinities, probs, None
+    jac = (prototypes - affinities[..., :, None] * unit[..., None, :]) / norm[..., None, None]
+    return affinities, probs, jac
 
 
 def consistency_entropy_grad(
@@ -396,20 +429,27 @@ def consistency_entropy_grad(
     lam_con: float,
     lam_ent: float,
 ) -> np.ndarray:
-    """Gradient w.r.t. the embedding of lam_con * p[target] + lam_ent * H(p).
+    """Gradient w.r.t. the embedding of lam_con * p[target] + lam_ent * H(p)."""
+    return consistency_entropy_grad_rows(pred.probs, jac, tau, target_class, lam_con, lam_ent)
+
+
+def consistency_entropy_grad_rows(p, jac, tau, target, lam_con, lam_ent):
+    """consistency_entropy_grad of every probability row of p (..., C) with
+    its Jacobian (..., C, E); target broadcasts against p.shape[:-1].
 
     Uses the softmax-logit identities dp_c/dl_j = p_c (delta_cj - p_j) and
     dH/dl_j = -p_j (ln p_j + H), then maps logits back through tau and the
     affinity Jacobian.
     """
-    p = pred.probs
     logp = np.log(np.maximum(p, 1e-300))
-    h_val = float(-(p * np.where(p > 0, logp, 0.0)).sum())
+    h_val = -(p * np.where(p > 0, logp, 0.0)).sum(axis=-1, keepdims=True)
     d_logits = np.zeros_like(p)
     if lam_con != 0.0:
-        row = -p[target_class] * p
-        row[target_class] += p[target_class]
+        target = np.asarray(target)[..., None]
+        p_t = np.take_along_axis(p, np.broadcast_to(target, p.shape[:-1] + (1,)), axis=-1)
+        row = -p_t * p
+        row = np.where(np.arange(p.shape[-1]) == target, row + p_t, row)
         d_logits += lam_con * row
     if lam_ent != 0.0:
         d_logits += lam_ent * (-(p * (logp + h_val)))
-    return (d_logits / tau) @ jac
+    return np.matmul((d_logits / tau)[..., None, :], jac)[..., 0, :]

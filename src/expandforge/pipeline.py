@@ -5,7 +5,9 @@ round trips are bit-exact, and the manifest is canonical JSON so equal
 manifests are byte-equal files. Every synthetic sample is a pure function
 of (global_seed, method, config, seed sample bytes): per-seed RNG streams
 are keyed by a content hash of the seed, never by its position, so
-shuffling or splitting the input cannot change any seed's variants.
+shuffling or splitting the input cannot change any seed's variants. The
+guided methods ascend blocks of seeds as one stack, and the block layout
+cannot change a byte either.
 """
 
 from __future__ import annotations
@@ -404,20 +406,29 @@ def seed_content_key(image: Image, label: int) -> str:
     return h.hexdigest()
 
 
-def _expand_one_seed(image, method, config, backends, stream):
-    """All K variants of one seed; pure in (stream id, method, config, seed)."""
-    if method in ("gif_embed", "gif_latent"):
-        gcfg = config.guidance_config(method)
-        if method == "gif_embed":
-            images, records, _ = gd.expand_seed_embedding_flow(
-                image, backends.embedder, backends.head, backends.decoder, gcfg, stream
-            )
-        else:
-            images, records, _ = gd.expand_seed_latent_flow(
-                image, backends.codec, backends.embedder, backends.head, gcfg, stream
-            )
-        return images, records
+# variant rows (seeds x K) per guided ascent stack: 32 seeds at K=5. A
+# block's stacked Jacobians and decoded pixels stay a few hundred kB each,
+# so peak memory does not grow with the dataset
+ASCENT_BLOCK_ROWS = 160
 
+
+def _expand_guided_block(images, method, config, backends, streams):
+    """All K variants of a block of seeds, ascended as one stack; a seed's
+    variants are pure in (its stream id, method, config, seed)."""
+    gcfg = config.guidance_config(method)
+    if method == "gif_embed":
+        variants, records, _ = gd.expand_embedding_block(
+            images, backends.embedder, backends.head, backends.decoder, gcfg, streams
+        )
+    else:
+        variants, records, _ = gd.expand_latent_block(
+            images, backends.codec, backends.embedder, backends.head, gcfg, streams
+        )
+    return list(zip(variants, records))
+
+
+def _expand_one_seed(image, method, config, backends, stream):
+    """All K variants of one seed by an augmentation baseline."""
     if method in ("cutout", "gridmask", "randlite"):
         images = []
         stream_ids = []
@@ -433,21 +444,20 @@ def _expand_one_seed(image, method, config, backends, stream):
                 img = ag.gridmask(image, config.grid_period, config.grid_keep, phase)
             images.append(img)
             stream_ids.append(sub.id)
-    else:
-        # selective methods: per-seed sample_wise selection over a candidate pool
-        if method == "selective_cutout":
-            augmenter = lambda im, st: ag.cutout(im, config.cutout_frac, st)
-        else:
-            augmenter = ag.rand_lite
-        images, selected = ag.selective_expand(
-            [image], augmenter, backends.embedder, backends.head, config.ratio_k, stream,
-            mode="sample_wise", candidate_budget=config.candidate_budget,
+        records = gd.measured_records(
+            image, images, stream_ids, method, backends.embedder, backends.head, config.weights
         )
-        stream_ids = [sel.stream_id for sel in selected]
-    records = gd.measured_records(
-        image, images, stream_ids, method, backends.embedder, backends.head, config.weights
+        return images, records
+    # selective methods: per-seed sample_wise selection over a candidate pool
+    if method == "selective_cutout":
+        augmenter = lambda im, st: ag.cutout(im, config.cutout_frac, st)
+    else:
+        augmenter = ag.rand_lite
+    images, selected = ag.selective_expand(
+        [image], augmenter, backends.embedder, backends.head, config.ratio_k, stream,
+        mode="sample_wise", candidate_budget=config.candidate_budget,
     )
-    return images, records
+    return images, gd.selected_records(selected, method, config.weights)
 
 
 def expand_dataset(
@@ -463,12 +473,27 @@ def expand_dataset(
     if n == 0:
         raise InputError("cannot expand an empty dataset")
     root = RngStream.root(global_seed)
+    streams = [
+        root.child("method", method, "seed", seed_content_key(image, label))
+        for image, label in zip(dataset.images, dataset.labels)
+    ]
+    if method in ("gif_embed", "gif_latent"):
+        per_block = max(1, ASCENT_BLOCK_ROWS // config.ratio_k)
+        per_seed = []
+        for start in range(0, n, per_block):
+            block = slice(start, start + per_block)
+            per_seed += _expand_guided_block(
+                dataset.images[block], method, config, backends, streams[block]
+            )
+    else:
+        per_seed = [
+            _expand_one_seed(image, method, config, backends, stream)
+            for image, stream in zip(dataset.images, streams)
+        ]
     images = list(dataset.images)
     labels = list(dataset.labels)
     all_records = []
-    for j, (image, label) in enumerate(zip(dataset.images, dataset.labels)):
-        stream = root.child("method", method, "seed", seed_content_key(image, label))
-        variant_images, variant_records = _expand_one_seed(image, method, config, backends, stream)
+    for j, ((variant_images, variant_records), label) in enumerate(zip(per_seed, dataset.labels)):
         for rec in variant_records:
             rec.seed_index = j
         images.extend(variant_images)

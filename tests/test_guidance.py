@@ -14,7 +14,7 @@ import pytest
 import expandforge.backends as bk
 import expandforge.guidance as gd
 import expandforge.latentmath as lm
-from expandforge.errors import NumericDivergenceError, ParameterError
+from expandforge.errors import NumericDivergenceError, ParameterError, ShapeError
 from expandforge.rng import RngStream
 
 
@@ -31,6 +31,12 @@ def _setup(classes=4, per_class=25, side=16, embed_dim=64, latent_dim=32, latent
 
 def _stream(*parts):
     return RngStream.root(0).child("test", *parts)
+
+
+def _params(shape, k, mode, stream):
+    """One seed group's (z, b) stack, each (1, k, T, D)."""
+    z, b = gd.init_perturbations(shape, k, mode, stream)
+    return z[None], b[None]
 
 
 # ---------------------------------------------------------------- config
@@ -73,27 +79,25 @@ def test_config_flow_defaults():
 
 
 def test_init_perturbations_shapes_and_ranges():
-    params = gd.init_perturbations((3, 5), 4, "full", _stream("init"))
-    assert len(params) == 4
-    for p in params:
-        assert p.z.shape == (3, 5) and p.b.shape == (3, 5)
-        assert np.all(p.z >= 0.0) and np.all(p.z < 1.0)
-        assert np.all(np.isfinite(p.b))
+    z, b = gd.init_perturbations((3, 5), 4, "full", _stream("init"))
+    assert z.shape == (4, 3, 5) and b.shape == (4, 3, 5)
+    assert np.all(z >= 0.0) and np.all(z < 1.0)
+    assert np.all(np.isfinite(b))
 
 
 def test_init_perturbations_deterministic_and_independent():
-    a = gd.init_perturbations((3, 5), 2, "full", _stream("det"))
-    b = gd.init_perturbations((3, 5), 2, "full", _stream("det"))
-    assert np.array_equal(a[0].z, b[0].z) and np.array_equal(a[1].b, b[1].b)
-    assert not np.array_equal(a[0].z, a[1].z)
+    za, ba = gd.init_perturbations((3, 5), 2, "full", _stream("det"))
+    zb, bb = gd.init_perturbations((3, 5), 2, "full", _stream("det"))
+    assert np.array_equal(za[0], zb[0]) and np.array_equal(ba[1], bb[1])
+    assert not np.array_equal(za[0], za[1])
 
 
 def test_init_perturbations_tied_modes():
-    chan = gd.init_perturbations((4, 6), 1, "channel", _stream("chan"))[0]
-    assert np.array_equal(chan.z, np.tile(chan.z[:1], (4, 1)))
-    assert np.array_equal(chan.b, np.tile(chan.b[:1], (4, 1)))
-    tok = gd.init_perturbations((4, 6), 1, "token", _stream("tok"))[0]
-    assert np.array_equal(tok.z, np.tile(tok.z[:, :1], (1, 6)))
+    z, b = gd.init_perturbations((4, 6), 1, "channel", _stream("chan"))
+    assert np.array_equal(z[0], np.tile(z[0, :1], (4, 1)))
+    assert np.array_equal(b[0], np.tile(b[0, :1], (4, 1)))
+    z, _ = gd.init_perturbations((4, 6), 1, "token", _stream("tok"))
+    assert np.array_equal(z[0], np.tile(z[0, :, :1], (1, 6)))
     with pytest.raises(ParameterError):
         gd.init_perturbations((4, 6), 0, "full", _stream("bad"))
     with pytest.raises(ParameterError):
@@ -106,60 +110,69 @@ def test_init_perturbations_tied_modes():
 class _LinearPath:
     """Objective sum over variants of sum(values): gradient is all ones."""
 
-    def __call__(self, variants):
-        s_con = sum(float(v.values.sum()) for v in variants)
-        scores = lm.GuidanceScores(s_con=s_con, s_ent=0.0, s_div=0.0, weights=(1.0, 0.0, 0.0))
-        return scores, [np.ones_like(v.values) for v in variants], [None] * len(variants)
+    def __call__(self, values):
+        s_con = values.sum(axis=(1, 2, 3))
+        zero = np.zeros_like(s_con)
+        scores = gd.GroupScores.weighted(s_con, zero, zero, (1.0, 0.0, 0.0))
+        return scores, np.ones_like(values), np.full(values.shape[:2] + (2,), 0.5)
 
 
 def test_trace_length_and_steps_zero():
     seed = lm.Latent(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
     cfg = gd.GuidanceConfig(epsilon=np.inf, ratio_k=2, steps=0, step_size=0.05)
-    variants, trace = gd.optimize_guidance(seed, _LinearPath(), 2, cfg, _stream("t0"))
-    assert len(trace) == 1
-    params = gd.init_perturbations((3, 4), 2, "full", _stream("t0"))
-    expected = [lm.perturb_and_project(seed, p, np.inf) for p in params]
-    for got, want in zip(variants, expected):
-        assert np.array_equal(got.values, want.values)
+    z, b = _params((3, 4), 2, "full", _stream("t0"))
+    variants, trace = gd.optimize_guidance(seed.values[None], _LinearPath(), (z, b), cfg)
+    assert len(trace) == 1 and variants.shape == (1, 2, 3, 4)
+    with pytest.raises(ShapeError):
+        gd.optimize_guidance(seed.values[None], _LinearPath(), (z, b[..., :3]), cfg)
+    for i in range(2):
+        want = lm.perturb_and_project(seed, lm.PerturbationParams(z[0, i], b[0, i]), np.inf)
+        assert np.array_equal(variants[0, i], want.values)
+        assert np.array_equal(trace.initial[0, i], want.values)
 
 
 def test_linear_objective_gains_match_update_rule():
     # with gradient all ones, one step moves z by eta*f and b by eta, so the
     # objective gains exactly k * eta * (sum(f^2) + f.size) per step
     seed_values = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    seed = lm.Latent(seed_values)
     eta, k, steps = 0.05, 3, 4
     cfg = gd.GuidanceConfig(epsilon=np.inf, ratio_k=k, steps=steps, step_size=eta)
-    _, trace = gd.optimize_guidance(seed, _LinearPath(), k, cfg, _stream("lin"))
+    params = _params((3, 4), k, "full", _stream("lin"))
+    _, trace = gd.optimize_guidance(seed_values[None], _LinearPath(), params, cfg)
     assert len(trace) == steps + 1
     gain = k * eta * (float(np.sum(seed_values**2)) + seed_values.size)
-    diffs = np.diff(trace.objective)
+    diffs = np.diff(trace.group(0).objective)
     assert np.allclose(diffs, gain, rtol=1e-12)
 
 
 def test_tied_modes_survive_updates():
-    # PerturbationParams re-validates the tie on every construction, so a
-    # multi-step run in a tied mode only completes if updates preserve it
-    seed = lm.Latent(np.linspace(-1.0, 1.0, 20).reshape(4, 5))
-    for mode in ("channel", "token"):
+    # with gradient all ones, a tied noise value moves by eta times the sum of
+    # f (for z) or the count (for b) over its tied entries, and stays tied
+    f = np.linspace(-1.0, 1.0, 20).reshape(4, 5)
+    eta, steps = 0.01, 3
+    for mode, axis in (("channel", 0), ("token", 1)):
         cfg = gd.GuidanceConfig(
-            epsilon=np.inf, ratio_k=2, steps=3, step_size=0.01, noise_mode=mode
+            epsilon=np.inf, ratio_k=2, steps=steps, step_size=eta, noise_mode=mode
         )
-        _, trace = gd.optimize_guidance(seed, _LinearPath(), 2, cfg, _stream("tie", mode))
-        assert len(trace) == 4
+        z, b = _params(f.shape, 2, mode, _stream("tie", mode))
+        variants, trace = gd.optimize_guidance(f[None], _LinearPath(), (z, b), cfg)
+        assert len(trace) == steps + 1
+        z_end = z + steps * eta * f.sum(axis=axis, keepdims=True)
+        b_end = b + steps * eta * f.shape[axis]
+        np.testing.assert_allclose(variants, (1.0 + z_end) * f + b_end, rtol=1e-12, atol=1e-12)
 
 
 def test_zero_weights_freeze_the_variants():
     data, _, embedder, head, _ = _setup()
     e0 = embedder.embed(data.images[0])
-    seed = lm.Latent(e0[None, :])
-    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0))
+    seed = e0[None, None, :]
+    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
     moving = gd.GuidanceConfig(epsilon=0.3, ratio_k=3, steps=5, weights=(0.0, 0.0, 0.0))
     frozen = gd.GuidanceConfig(epsilon=0.3, ratio_k=3, steps=0, weights=(0.0, 0.0, 0.0))
-    got, trace = gd.optimize_guidance(seed, path, 3, moving, _stream("zw"))
-    want, _ = gd.optimize_guidance(seed, path, 3, frozen, _stream("zw"))
-    for g, w in zip(got, want):
-        assert np.array_equal(g.values, w.values)
+    params = _params((1, e0.size), 3, "full", _stream("zw"))
+    got, trace = gd.optimize_guidance(seed, path, params, moving)
+    want, _ = gd.optimize_guidance(seed, path, params, frozen)
+    assert np.array_equal(got, want)
     assert np.allclose(trace.objective, 0.0)
 
 
@@ -167,13 +180,13 @@ def test_divergence_error_names_the_step():
     # zero gradients times an infinite step size make the noise fields nan
     data, _, embedder, head, _ = _setup()
     e0 = embedder.embed(data.images[0])
-    seed = lm.Latent(e0[None, :])
-    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0))
+    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
     cfg = gd.GuidanceConfig(
         epsilon=0.3, ratio_k=2, steps=5, step_size=float("1e309"), weights=(0.0, 0.0, 0.0)
     )
+    params = _params((1, e0.size), 2, "full", _stream("div"))
     with pytest.raises(NumericDivergenceError) as err:
-        gd.optimize_guidance(seed, path, 2, cfg, _stream("div"))
+        gd.optimize_guidance(e0[None, None, :], path, params, cfg)
     assert "step 1" in str(err.value)
 
 
@@ -205,21 +218,19 @@ def test_embedding_path_gradient_matches_fd():
     e0 = embedder.embed(data.images[0])
     seed = lm.Latent(e0[None, :])
     weights = (1.0, 0.7, 0.3)
-    path = gd.ScoreChain(head, weights, head.predict(e0), gd.identity_lift)
-    params = gd.init_perturbations(seed.values.shape, 2, "full", _stream("fd-emb"))
-    variants = [lm.perturb_and_project(seed, p, np.inf) for p in params]
-    _, grads, _ = path(variants)
+    path = gd.ScoreChain(head, weights, head.predict(e0).probs[None], gd.identity_lift)
+    params = _params(seed.values.shape, 2, "full", _stream("fd-emb"))
+    project = lambda z, b: lm.perturb_and_project_rows(seed.values, z, b, np.inf)
+    _, grads, _ = path(project(*params))
     for i in range(2):
-        for field in ("z", "b"):
-            def objective(flat, i=i, field=field):
-                trial = [lm.PerturbationParams(p.z.copy(), p.b.copy(), p.noise_mode)
-                         for p in params]
-                setattr(trial[i], field, flat.reshape(seed.values.shape))
-                vs = [lm.perturb_and_project(seed, p, np.inf) for p in trial]
-                return path(vs)[0].total
+        for j, field in enumerate(("z", "b")):
+            def objective(flat, i=i, j=j):
+                trial = [params[0].copy(), params[1].copy()]
+                trial[j][0, i] = flat.reshape(seed.values.shape)
+                return path(project(*trial))[0].total[0]
 
-            fd = _fd_grad(objective, getattr(params[i], field).ravel().copy(), 1e-5)
-            chain = grads[i] * seed.values if field == "z" else grads[i]
+            fd = _fd_grad(objective, params[j][0, i].ravel().copy(), 1e-5)
+            chain = grads[0, i] * seed.values if field == "z" else grads[0, i]
             np.testing.assert_allclose(chain.ravel(), fd, rtol=1e-5, atol=1e-8)
 
 
@@ -230,13 +241,13 @@ def test_latent_path_gradient_matches_fd():
     chosen = None
     for idx in range(len(data.labels)):
         f0 = codec.encode(data.images[idx])
-        params = gd.init_perturbations(f0.values.shape, 2, "full", _stream("fd-lat", idx))
-        variants = [lm.perturb_and_project(f0, p, np.inf) for p in params]
+        z, b = _params(f0.values.shape, 2, "full", _stream("fd-lat", idx))
+        variants = lm.perturb_and_project_rows(f0.values, z, b, np.inf)
         # FD across the decode clamp is only valid when no raw pixel sits
         # within the difference window of a clamp boundary
         margins = []
-        for v in variants:
-            raw = codec.mean_image + codec.basis.T @ v.flat()
+        for v in variants[0]:
+            raw = codec.mean_image + codec.basis.T @ v.ravel()
             margins.append(min(np.min(np.abs(raw)), np.min(np.abs(raw - 1.0))))
         if min(margins) > 50.0 * h:
             chosen = (f0, variants)
@@ -246,22 +257,22 @@ def test_latent_path_gradient_matches_fd():
     seed_pred = head.predict(
         embedder.embed_flat(codec.decode_with_mask(f0.flat())[0])
     )
-    path = gd.ScoreChain(head, weights, seed_pred, gd.decode_lift(codec, embedder))
+    path = gd.ScoreChain(head, weights, seed_pred.probs[None], gd.decode_lift(codec, embedder))
     _, grads, _ = path(variants)
     for i in range(2):
         def objective(flat, i=i):
-            vs = list(variants)
-            vs[i] = lm.Latent(flat.reshape(f0.values.shape))
-            return path(vs)[0].total
+            vs = variants.copy()
+            vs[0, i] = flat.reshape(f0.values.shape)
+            return path(vs)[0].total[0]
 
-        fd = _fd_grad(objective, variants[i].values.ravel().copy(), h)
-        np.testing.assert_allclose(grads[i].ravel(), fd, rtol=1e-4, atol=5e-7)
+        fd = _fd_grad(objective, variants[0, i].ravel().copy(), h)
+        np.testing.assert_allclose(grads[0, i].ravel(), fd, rtol=1e-4, atol=5e-7)
 
 
 @pytest.mark.parametrize("flow", ["embedding", "latent"])
 def test_chain_predictions_are_the_head_predictions(flow):
-    # the flows take every variant's prediction from the ascent's trace and
-    # use seed_pred for the seed fallback, so both must equal a fresh predict
+    # the flows take every variant's probabilities from the ascent's trace
+    # and the seed's for the seed fallback, so both must equal a fresh predict
     data, codec, embedder, head, _ = _setup()
     if flow == "embedding":
         e0 = embedder.embed(data.images[0])
@@ -272,18 +283,21 @@ def test_chain_predictions_are_the_head_predictions(flow):
         seed_pred = head.predict(embedder.embed_flat(codec.decode_with_mask(seed.flat())[0]))
         lift = gd.decode_lift(codec, embedder)
         cfg = gd.GuidanceConfig.latent_defaults(ratio_k=3, steps=4)
-    chain = gd.ScoreChain(head, cfg.weights, seed_pred, lift)
-    params = gd.init_perturbations(seed.values.shape, 3, cfg.noise_mode, _stream("preds", flow))
-    emitted, trace = gd.optimize_guidance(seed, chain, 3, cfg, _stream(), initial_params=params)
-    assert len(trace.preds) == cfg.steps + 1
-    initial = [lm.perturb_and_project(seed, p, cfg.epsilon) for p in params]
-    for latent, got in zip(initial + emitted, trace.preds[0] + trace.preds[-1]):
-        want = head.predict(lift(latent.flat())[0])
-        assert np.array_equal(got.probs, want.probs)
-        assert np.array_equal(got.affinities, want.affinities)
-    _, _, (at_seed,) = chain([lm.Latent(seed.values.copy())])
-    assert np.array_equal(at_seed.probs, seed_pred.probs)
-    assert np.array_equal(at_seed.affinities, seed_pred.affinities)
+    chain = gd.ScoreChain(head, cfg.weights, seed_pred.probs[None], lift)
+    z, b = _params(seed.values.shape, 3, cfg.noise_mode, _stream("preds", flow))
+    emitted, trace = gd.optimize_guidance(seed.values[None], chain, (z, b), cfg)
+    assert len(trace.probs) == cfg.steps + 1
+    for i in range(3):
+        params = lm.PerturbationParams(z[0, i], b[0, i], cfg.noise_mode)
+        assert np.array_equal(
+            trace.initial[0, i], lm.perturb_and_project(seed, params, cfg.epsilon).values
+        )
+    latents = np.concatenate([trace.initial[0], emitted[0]])
+    for latent, got in zip(latents, np.concatenate([trace.probs[0][0], trace.probs[-1][0]])):
+        want = head.predict(lift(latent.ravel())[0])
+        assert np.array_equal(got, want.probs)
+    _, _, at_seed = chain(seed.values[None, None])
+    assert np.array_equal(at_seed[0, 0], seed_pred.probs)
 
 
 # ---------------------------------------------------------- full flows
@@ -365,28 +379,27 @@ class _HostilePath:
     def __init__(self, seed_values):
         self.seed_values = seed_values
 
-    def __call__(self, variants):
-        scores = lm.GuidanceScores(s_con=0.5, s_ent=0.0, s_div=0.0)
-        preds = [
-            lm.Prediction.from_probs(
-                np.array([0.9, 0.1] if np.array_equal(v.values, self.seed_values) else [0.1, 0.9])
-            )
-            for v in variants
-        ]
-        return scores, [np.zeros_like(v.values) for v in variants], preds
+    def select(self, groups):
+        return self
+
+    def __call__(self, values):
+        at_seed = np.all(values == self.seed_values, axis=(2, 3))
+        probs = np.where(at_seed[..., None], [0.9, 0.1], [0.1, 0.9])
+        half, zero = np.full(len(values), 0.5), np.zeros(len(values))
+        scores = gd.GroupScores.weighted(half, zero, zero, (1.0, 1.0, 1.0))
+        return scores, np.zeros_like(values), probs
 
 
 def test_fallback_after_exhausted_retries():
     seed_values = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
-    seed = lm.Latent(seed_values)
     path = _HostilePath(seed_values)
-    seed_pred = lm.Prediction.from_probs(np.array([0.9, 0.1]))
+    seed_probs = np.array([[0.9, 0.1]])
     cfg = gd.GuidanceConfig(epsilon=0.5, ratio_k=3, steps=2, retries=2)
-    emitted, records, _ = gd._expand_with_chain(
-        path, seed, seed_pred, "gif_embed", cfg, _stream("fallback")
+    emitted, (records,), _ = gd._expand_with_chain(
+        path, seed_values[None], seed_probs, "gif_embed", cfg, [_stream("fallback")]
     )
-    for lat, rec in zip(emitted, records):
-        assert np.array_equal(lat.values, seed_values)
+    for lat, rec in zip(emitted[0], records):
+        assert np.array_equal(lat, seed_values)
         assert rec.fallback
         assert rec.retry_count == cfg.retries + 1
         assert rec.consistent

@@ -377,6 +377,54 @@ def test_classify_matches_cosine_and_softmax():
         lm.classify(np.zeros(6), protos)
 
 
+def _reference_diversity(flats):
+    """The per-variant loop that diversity_rows stacks, masked sums and all."""
+    r = lm.softmax(np.mean(flats, axis=0))
+    log_r = np.log(np.maximum(r, lm.KL_FLOOR))
+    total = 0
+    for u in flats:
+        q = lm.softmax(u)
+        log_q = np.log(np.maximum(q, lm.KL_FLOOR))
+        m = q > 0.0
+        total += float((q[m] * (log_q[m] - log_r[m])).sum())
+    return max(total, 0.0)
+
+
+def test_row_kernels_are_bit_equal_to_per_vector_calls():
+    # the stacked ascent relies on these: a stacked gemv, row dot, row or
+    # K-axis reduction must round exactly as the one-vector call does
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((7, 12))
+    x = rng.standard_normal((3, 4, 12))
+    protos = rng.standard_normal((5, 12))
+    protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+    mv = lm.matvec(a, x)
+    affinities, probs, jac = lm.classify_rows(x, protos, 0.7)
+    target = np.array([[0], [3], [4]])
+    grads = lm.consistency_entropy_grad_rows(probs, jac, 0.7, target, 1.0, 0.6)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(mv[idx], a @ x[idx])
+        pred, want_jac = lm.classify_grad(x[idx], protos, 0.7)
+        assert np.array_equal(affinities[idx], pred.affinities)
+        assert np.array_equal(probs[idx], pred.probs)
+        assert np.array_equal(jac[idx], want_jac)
+        want = lm.consistency_entropy_grad(pred, want_jac, 0.7, int(target[idx[0], 0]), 1.0, 0.6)
+        assert np.array_equal(grads[idx], want)
+    # rows with exact zeros take the masked sums
+    p = rng.dirichlet(np.ones(20), size=(3, 4))
+    p[1, 2, ::3] = 0.0
+    p[1, 2] /= p[1, 2].sum()
+    h = lm.entropy_rows(p)
+    flats = rng.standard_normal((3, 4, 20))
+    flats[2, 1, :5] = -900.0  # softmax underflows to exact zeros
+    total, div_grads = lm.diversity_rows(flats)
+    for g in range(3):
+        want_total, want_grads = lm.diversity_score_grad(list(flats[g]))
+        assert total[g] == want_total == _reference_diversity(flats[g])
+        assert all(np.array_equal(div_grads[g, i], w) for i, w in enumerate(want_grads))
+        assert all(h[g, i] == lm.entropy(p[g, i]) for i in range(4))
+
+
 def test_consistency_entropy_grad_matches_fd():
     rng = np.random.default_rng(14)
     for _ in range(20):

@@ -345,6 +345,36 @@ def test_expansion_is_pure_per_seed_content(method):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("method", ["gif_embed", "gif_latent"])
+def test_ascent_block_layout_keeps_the_bytes(method, monkeypatch):
+    # the golden config: gif_latent retries 7 variants and falls back on one,
+    # so retry rounds and a fallback run inside multi-seed blocks as well
+    data, bundle = _data(seed=0), _bundle(seed=0)
+    config = pl.ExpansionConfig(ratio_k=3, steps=4)
+
+    def run():
+        expanded, manifest = pl.expand_dataset(data, method, config, bundle, global_seed=0)
+        return pl.dataset_bytes(expanded), pl.canonical_json(manifest.as_dict())
+
+    want = run()  # all 12 seeds in one block
+    for seeds_per_block in (1, 3):
+        monkeypatch.setattr(pl, "ASCENT_BLOCK_ROWS", config.ratio_k * seeds_per_block)
+        assert run() == want
+
+
+@pytest.mark.parametrize("method", ["selective_cutout", "selective_randlite"])
+def test_selective_methods_embed_each_image_once(method, monkeypatch):
+    data, config, bundle = _data(), _small_config(), _bundle()
+    calls = []
+    embed_flat = bk.Embedder.embed_flat
+    monkeypatch.setattr(
+        bk.Embedder, "embed_flat", lambda self, flat: calls.append(1) or embed_flat(self, flat)
+    )
+    pl.expand_dataset(data, method, config, bundle, global_seed=0)
+    # each seed and each of its default 4K candidates, once
+    assert len(calls) == len(data) * (1 + 4 * config.ratio_k)
+
+
 def test_expand_rejects_empty_dataset():
     with pytest.raises(InputError):
         pl.expand_dataset(
