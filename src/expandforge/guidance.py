@@ -100,7 +100,7 @@ class GuidanceConfig:
 
 class GroupScores(NamedTuple):
     """Score terms of each seed group summed over its variants, and their
-    weighted total: (G,) arrays."""
+    weighted total (lm.weighted_total, as in a record's scores): (G,) arrays."""
 
     s_con: np.ndarray
     s_ent: np.ndarray
@@ -109,8 +109,7 @@ class GroupScores(NamedTuple):
 
     @classmethod
     def weighted(cls, s_con, s_ent, s_div, weights) -> "GroupScores":
-        w_con, w_ent, w_div = weights
-        return cls(s_con, s_ent, s_div, w_con * s_con + w_ent * s_ent + w_div * s_div)
+        return cls(s_con, s_ent, s_div, lm.weighted_total(s_con, s_ent, s_div, weights))
 
 
 @dataclass(eq=False)
@@ -288,7 +287,9 @@ def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: Guidan
         if not np.isfinite(scores.total).all():
             raise NumericDivergenceError(f"objective non-finite at step {step}")
         if step == 0:
-            trace.initial = values
+            # a copy: at steps 0 values is also returned, and callers write
+            # retried and fallback variants into it
+            trace.initial = values.copy()
         trace.append(scores, probs)
         if step == config.steps:
             break

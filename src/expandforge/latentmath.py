@@ -244,6 +244,12 @@ def perturb_and_project_rows(f: np.ndarray, z: np.ndarray, b: np.ndarray, epsilo
     return out
 
 
+def weighted_total(s_con, s_ent, s_div, weights):
+    """The guidance objective from its terms, floats or arrays alike."""
+    w_con, w_ent, w_div = weights
+    return w_con * s_con + w_ent * s_ent + w_div * s_div
+
+
 @dataclass(eq=False)
 class GuidanceScores:
     """Component scores of the guidance objective and their weighted total."""
@@ -266,7 +272,7 @@ class GuidanceScores:
         self.s_div = float(self.s_div)
         if self.s_div < 0:
             raise ParameterError(f"s_div must be >= 0, got {self.s_div}")
-        self.total = w[0] * self.s_con + w[1] * self.s_ent + w[2] * self.s_div
+        self.total = weighted_total(self.s_con, self.s_ent, self.s_div, w)
 
     def as_dict(self) -> dict:
         return {

@@ -394,17 +394,32 @@ def test_fallback_after_exhausted_retries():
     seed_values = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
     path = _HostilePath(seed_values)
     seed_probs = np.array([[0.9, 0.1]])
-    cfg = gd.GuidanceConfig(epsilon=0.5, ratio_k=3, steps=2, retries=2)
-    emitted, (records,), _ = gd._expand_with_chain(
-        path, seed_values[None], seed_probs, "gif_embed", cfg, [_stream("fallback")]
-    )
-    for lat, rec in zip(emitted[0], records):
-        assert np.array_equal(lat, seed_values)
-        assert rec.fallback
-        assert rec.retry_count == cfg.retries + 1
-        assert rec.consistent
-        # identical emitted latents: diversity is zero up to mean rounding
-        assert abs(rec.scores_final.s_div) < 1e-12
+    stream = _stream("fallback")
+    for steps in (0, 2):
+        cfg = gd.GuidanceConfig(epsilon=0.5, ratio_k=3, steps=steps, retries=2)
+        emitted, (records,), trace = gd._expand_with_chain(
+            path, seed_values[None], seed_probs, "gif_embed", cfg, [stream]
+        )
+        # the initial scores are those of the init draw, whatever the retries
+        # and the fallback wrote over the emitted variants (at steps 0 the
+        # same rows)
+        z, b = gd.init_perturbations((2, 4), 3, cfg.noise_mode, stream)
+        initial = [
+            lm.perturb_and_project(lm.Latent(seed_values), lm.PerturbationParams(z[i], b[i]), 0.5)
+            for i in range(3)
+        ]
+        assert np.array_equal(trace.initial[0], np.stack([v.values for v in initial]))
+        r = lm.softmax(np.mean([v.values.ravel() for v in initial], axis=0))
+        for v, rec in zip(initial, records):
+            assert rec.scores_initial.s_div == lm.kl_divergence(lm.softmax(v.values.ravel()), r)
+            assert rec.scores_initial.s_div > 0
+        for lat, rec in zip(emitted[0], records):
+            assert np.array_equal(lat, seed_values)
+            assert rec.fallback
+            assert rec.retry_count == cfg.retries + 1
+            assert rec.consistent
+            # identical emitted latents: diversity is zero up to mean rounding
+            assert abs(rec.scores_final.s_div) < 1e-12
 
 
 def test_record_stream_ids_name_the_variant():

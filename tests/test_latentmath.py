@@ -377,26 +377,57 @@ def test_classify_matches_cosine_and_softmax():
         lm.classify(np.zeros(6), protos)
 
 
+# Inline copies of the per-vector formulas the row kernels replaced: the
+# stacked kernels must round exactly as these do, not merely agree with
+# their own one-row case.
+
+
+def _reference_classify(e, protos, tau):
+    norm = float(np.linalg.norm(e))
+    unit = e / norm
+    affinities = protos @ unit
+    scaled = affinities / tau
+    ex = np.exp(scaled - scaled.max())
+    jac = (protos - np.outer(affinities, unit)) / norm
+    return affinities, ex / ex.sum(), jac
+
+
+def _reference_consistency_entropy_grad(p, jac, tau, target, lam_con, lam_ent):
+    logp = np.log(np.maximum(p, 1e-300))
+    h_val = float(-(p * np.where(p > 0, logp, 0.0)).sum())
+    row = -p[target] * p
+    row[target] += p[target]
+    d_logits = np.zeros_like(p)
+    d_logits += lam_con * row
+    d_logits += lam_ent * (-(p * (logp + h_val)))
+    return (d_logits / tau) @ jac
+
+
 def _reference_diversity(flats):
     """The per-variant loop that diversity_rows stacks, masked sums and all."""
+    k = len(flats)
     r = lm.softmax(np.mean(flats, axis=0))
     log_r = np.log(np.maximum(r, lm.KL_FLOOR))
-    total = 0
+    qs, log_qs, kls = [], [], []
     for u in flats:
         q = lm.softmax(u)
         log_q = np.log(np.maximum(q, lm.KL_FLOOR))
         m = q > 0.0
-        total += float((q[m] * (log_q[m] - log_r[m])).sum())
-    return max(total, 0.0)
+        kls.append(float((q[m] * (log_q[m] - log_r[m])).sum()))
+        qs.append(q)
+        log_qs.append(log_q)
+    d_mean = k * r - np.sum(np.stack(qs, axis=0), axis=0)
+    grads = [q * ((lq - log_r) - kl) + d_mean / k for q, lq, kl in zip(qs, log_qs, kls)]
+    return max(float(sum(kls)), 0.0), grads
 
 
 def test_row_kernels_are_bit_equal_to_per_vector_calls():
     # the stacked ascent relies on these: a stacked gemv, row dot, row or
-    # K-axis reduction must round exactly as the one-vector call does
+    # K-axis reduction must round exactly as the one-vector formula does
     rng = np.random.default_rng(15)
-    a = rng.standard_normal((7, 12))
-    x = rng.standard_normal((3, 4, 12))
-    protos = rng.standard_normal((5, 12))
+    a = rng.standard_normal((7, 64))
+    x = rng.standard_normal((3, 4, 64))
+    protos = rng.standard_normal((5, 64))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
     mv = lm.matvec(a, x)
     affinities, probs, jac = lm.classify_rows(x, protos, 0.7)
@@ -404,12 +435,17 @@ def test_row_kernels_are_bit_equal_to_per_vector_calls():
     grads = lm.consistency_entropy_grad_rows(probs, jac, 0.7, target, 1.0, 0.6)
     for idx in np.ndindex(3, 4):
         assert np.array_equal(mv[idx], a @ x[idx])
-        pred, want_jac = lm.classify_grad(x[idx], protos, 0.7)
-        assert np.array_equal(affinities[idx], pred.affinities)
-        assert np.array_equal(probs[idx], pred.probs)
+        want_aff, want_probs, want_jac = _reference_classify(x[idx], protos, 0.7)
+        assert np.array_equal(affinities[idx], want_aff)
+        assert np.array_equal(probs[idx], want_probs)
         assert np.array_equal(jac[idx], want_jac)
-        want = lm.consistency_entropy_grad(pred, want_jac, 0.7, int(target[idx[0], 0]), 1.0, 0.6)
+        want = _reference_consistency_entropy_grad(
+            want_probs, want_jac, 0.7, int(target[idx[0], 0]), 1.0, 0.6
+        )
         assert np.array_equal(grads[idx], want)
+        # the one-vector entry points are the one-row case
+        pred, one_jac = lm.classify_grad(x[idx], protos, 0.7)
+        assert np.array_equal(pred.probs, want_probs) and np.array_equal(one_jac, want_jac)
     # rows with exact zeros take the masked sums
     p = rng.dirichlet(np.ones(20), size=(3, 4))
     p[1, 2, ::3] = 0.0
@@ -419,8 +455,8 @@ def test_row_kernels_are_bit_equal_to_per_vector_calls():
     flats[2, 1, :5] = -900.0  # softmax underflows to exact zeros
     total, div_grads = lm.diversity_rows(flats)
     for g in range(3):
-        want_total, want_grads = lm.diversity_score_grad(list(flats[g]))
-        assert total[g] == want_total == _reference_diversity(flats[g])
+        want_total, want_grads = _reference_diversity(flats[g])
+        assert total[g] == want_total == lm.diversity_score_grad(list(flats[g]))[0]
         assert all(np.array_equal(div_grads[g, i], w) for i, w in enumerate(want_grads))
         assert all(h[g, i] == lm.entropy(p[g, i]) for i in range(4))
 

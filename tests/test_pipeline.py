@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import struct
 
 import numpy as np
@@ -360,6 +361,23 @@ def test_ascent_block_layout_keeps_the_bytes(method, monkeypatch):
     for seeds_per_block in (1, 3):
         monkeypatch.setattr(pl, "ASCENT_BLOCK_ROWS", config.ratio_k * seeds_per_block)
         assert run() == want
+
+
+def test_steps_zero_keeps_the_initial_scores():
+    # at steps 0 the ascent emits its step-0 rows, and retries and the
+    # fallback overwrite some of them (6 retries, 1 fallback here); the
+    # digests are those of the per-variant ascent, which scored its initial
+    # variants before any retry
+    data, bundle = _data(seed=0), _bundle(seed=0)
+    config = pl.ExpansionConfig(ratio_k=3, steps=0)
+    expanded, manifest = pl.expand_dataset(data, "gif_latent", config, bundle, global_seed=0)
+    assert sum(rec["fallback"] for rec in manifest.as_dict()["records"]) == 1
+    assert hashlib.sha256(pl.dataset_bytes(expanded)).hexdigest() == (
+        "98390069b591750becc80e59b4c969f04f9a401d3f34cf5529e16bedce8ce66f"
+    )
+    assert hashlib.sha256(pl.canonical_json(manifest.as_dict()).encode()).hexdigest() == (
+        "3965ec8ee557656cea95ba75bca2e5ba3611dd9c67ab5d1bf2f0e88fe3a9aafc"
+    )
 
 
 @pytest.mark.parametrize("method", ["selective_cutout", "selective_randlite"])
