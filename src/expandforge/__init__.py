@@ -2,21 +2,12 @@
 against a consistency + entropy-gain + diversity objective, with augmentation
 and selective-expansion baselines, a deterministic dataset container, and a
 downstream evaluation harness.
+
+The package root holds the names the README documents; every other name is
+imported from its own module (expandforge.latentmath, expandforge.guidance, ...).
 """
 
-from .augment import SelectionRecord, cutout, gridmask, rand_lite, selective_expand
-from .backends import (
-    EmbeddingDecoder,
-    Embedder,
-    Image,
-    LabeledDataset,
-    LinearCodec,
-    ZeroShotHead,
-    fit_linear_codec,
-    fit_prototype_head,
-    gen_toy_dataset,
-    make_embedder,
-)
+from .backends import fit_linear_codec, fit_prototype_head, gen_toy_dataset, make_embedder
 from .errors import (
     CoverageError,
     DegenerateVectorError,
@@ -30,54 +21,19 @@ from .errors import (
     ShapeError,
     SimplexError,
 )
-from .evaluation import (
-    ClassifierConfig,
-    Metrics,
-    MLPClassifier,
-    covering_radius,
-    evaluate,
-    train_classifier,
-)
-from .guidance import (
-    GuidanceConfig,
-    OptimizationTrace,
-    VariantRecord,
-    expand_seed_embedding_flow,
-    expand_seed_latent_flow,
-    init_perturbations,
-    optimize_guidance,
-)
-from .latentmath import (
-    GuidanceScores,
-    Latent,
-    PerturbationParams,
-    Prediction,
-    consistency_score,
-    cosine,
-    diversity_score,
-    entropy,
-    entropy_gain,
-    guidance_objective,
-    kl_divergence,
-    perturb_and_project,
-    softmax,
-)
+from .evaluation import ClassifierConfig, evaluate, train_classifier
 from .pipeline import (
     METHOD_IDS,
     TOOL_VERSION,
     BackendBundle,
     ExpansionConfig,
     ExpansionManifest,
-    canonical_json,
-    dataset_digest,
     expand_dataset,
-    parse_method,
     read_dataset,
     read_manifest,
     write_dataset,
     write_manifest,
 )
-from .rng import RngStream, derive_key
 
 __version__ = TOOL_VERSION
 
@@ -86,65 +42,26 @@ __all__ = [
     "ClassifierConfig",
     "CoverageError",
     "DegenerateVectorError",
-    "Embedder",
-    "EmbeddingDecoder",
     "ExpandForgeError",
     "ExpansionConfig",
     "ExpansionManifest",
     "FormatError",
-    "GuidanceConfig",
-    "GuidanceScores",
-    "Image",
     "InputError",
-    "LabeledDataset",
-    "Latent",
-    "LinearCodec",
     "METHOD_IDS",
-    "Metrics",
-    "MLPClassifier",
     "NumericDivergenceError",
     "NumericInputError",
-    "OptimizationTrace",
     "ParameterError",
-    "PerturbationParams",
-    "Prediction",
     "RankError",
-    "RngStream",
-    "SelectionRecord",
     "ShapeError",
     "SimplexError",
-    "VariantRecord",
-    "ZeroShotHead",
-    "canonical_json",
-    "consistency_score",
-    "cosine",
-    "covering_radius",
-    "cutout",
-    "dataset_digest",
-    "derive_key",
-    "diversity_score",
-    "entropy",
-    "entropy_gain",
     "evaluate",
     "expand_dataset",
-    "expand_seed_embedding_flow",
-    "expand_seed_latent_flow",
     "fit_linear_codec",
     "fit_prototype_head",
     "gen_toy_dataset",
-    "gridmask",
-    "guidance_objective",
-    "init_perturbations",
-    "kl_divergence",
     "make_embedder",
-    "optimize_guidance",
-    "parse_method",
-    "perturb_and_project",
-    "rand_lite",
     "read_dataset",
     "read_manifest",
-    "selective_expand",
-    "softmax",
     "train_classifier",
     "write_dataset",
     "write_manifest",

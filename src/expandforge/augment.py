@@ -109,17 +109,6 @@ class SelectionRecord:
     # the candidate's scoring embedding, kept so its records need no second embed
     embedding: np.ndarray | None = field(default=None, repr=False)
 
-    def as_dict(self) -> dict:
-        return {
-            "seed_index": self.seed_index,
-            "candidate_index": self.candidate_index,
-            "stream_id": self.stream_id,
-            "s_con": self.s_con,
-            "entropy_gain": self.entropy_gain,
-            "consistent": self.consistent,
-            "qualified": self.qualified,
-        }
-
 
 def _rank_key(record: SelectionRecord):
     # qualified candidates first, then consistent ones, each by gain

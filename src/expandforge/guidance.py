@@ -341,7 +341,6 @@ class ScoreChain:
         self.weights = weights
         self.seed_probs = seed_probs
         self.target = np.argmax(seed_probs, axis=-1)
-        self.seed_entropy = lm.entropy_rows(seed_probs)
         self.lift = lift
 
     def select(self, groups: np.ndarray) -> "ScoreChain":
@@ -360,8 +359,7 @@ class ScoreChain:
         g_e = lm.consistency_entropy_grad_rows(probs, jac, self.head.tau, target, w_con, w_ent)
         s_div, div_grads = lm.diversity_rows(flat)
         grads = (pullback(g_e) + w_div * div_grads).reshape(values.shape)
-        p_t = np.take_along_axis(probs, target[..., None], axis=-1)[..., 0]
-        gains = lm.entropy_rows(probs) - self.seed_entropy[:, None]
+        p_t, gains = lm.consistency_entropy_rows(probs, self.seed_probs)
         s_con = s_ent = np.zeros(g)
         for i in range(k):  # in variant order, as the per-seed sums ran
             s_con = s_con + p_t[:, i]
@@ -369,21 +367,9 @@ class ScoreChain:
         return GroupScores.weighted(s_con, s_ent, s_div, self.weights), grads, probs
 
 
-def _prediction_terms(probs: np.ndarray, seed_probs: np.ndarray):
-    """Per-variant s_con and s_ent of (K, C) probabilities against the seed's."""
-    target = int(np.argmax(seed_probs))
-    seed_entropy = lm.entropy(seed_probs)
-    return [float(p[target]) for p in probs], [lm.entropy(p) - seed_entropy for p in probs]
-
-
-def _variant_scores(s_con, s_ent, flats, weights):
-    """One GuidanceScores per variant; s_div is its KL to the softmax of the mean."""
-    r = lm.softmax(np.mean(np.stack(flats, axis=0), axis=0))
-    return [
-        lm.GuidanceScores(s_con=c, s_ent=e, s_div=lm.kl_divergence(lm.softmax(flat), r),
-                          weights=weights)
-        for c, e, flat in zip(s_con, s_ent, flats)
-    ]
+def _scores(s_con, s_ent, s_div, weights):
+    """One GuidanceScores per variant from (K,) arrays of its score terms."""
+    return [lm.GuidanceScores(*terms, weights=weights) for terms in zip(s_con, s_ent, s_div)]
 
 
 def _records(method, stream_ids, initial, final, consistent, retry_counts, fallbacks, qualified):
@@ -393,37 +379,33 @@ def _records(method, stream_ids, initial, final, consistent, retry_counts, fallb
     return [VariantRecord(-1, i, method, *row) for i, row in enumerate(columns)]
 
 
-def _unguided_records(method, stream_ids, s_con, s_ent, consistent, embeddings, weights):
-    """A variant qualifies when it keeps the seed's predicted class and gains
-    prediction entropy over the seed."""
-    scores = _variant_scores(s_con, s_ent, embeddings, weights)
-    qualified = [c and sc.s_ent > 0.0 for c, sc in zip(consistent, scores)]
+def _unguided_records(method, stream_ids, scores, consistent, qualified):
     k = len(stream_ids)
     return _records(method, stream_ids, scores, scores, consistent, [0] * k, [False] * k, qualified)
 
 
 def measured_records(seed_image, images, stream_ids, method, embedder, head, weights):
-    """Records for variants generated without guidance: scores measured once."""
-    seed_probs = head.predict(embedder.embed(seed_image)).probs
-    embeddings = [embedder.embed(img) for img in images]
-    probs = np.stack([head.predict(e).probs for e in embeddings])
-    s_con, s_ent = _prediction_terms(probs, seed_probs)
-    consistent = [bool(c) for c in probs.argmax(axis=-1) == np.argmax(seed_probs)]
-    return _unguided_records(method, stream_ids, s_con, s_ent, consistent, embeddings, weights)
+    """Records for variants generated without guidance: the seed and its
+    variants are embedded and classified as one stack. A variant qualifies
+    when it keeps the seed's predicted class and gains prediction entropy."""
+    embeddings = embedder.embed_flat(np.stack([img.flat() for img in (seed_image, *images)]))
+    _, probs, _ = lm.classify_rows(embeddings, head.prototypes, head.tau, need_jacobian=False)
+    s_con, s_ent = lm.consistency_entropy_rows(probs[1:], probs[0])
+    scores = _scores(s_con, s_ent, lm.mean_kl_rows(embeddings[1:]), weights)
+    consistent = probs[1:].argmax(axis=-1) == probs[0].argmax()
+    qualified = consistent & (s_ent > 0.0)
+    return _unguided_records(method, stream_ids, scores, consistent.tolist(), qualified.tolist())
 
 
 def selected_records(selected, method, weights):
-    """Records for selective-expansion picks, from the scores and embeddings
-    their selection measured: nothing is embedded again."""
-    return _unguided_records(
-        method,
-        [sel.stream_id for sel in selected],
-        [sel.s_con for sel in selected],
-        [sel.entropy_gain for sel in selected],
-        [sel.consistent for sel in selected],
-        [sel.embedding for sel in selected],
-        weights,
-    )
+    """Records for selective-expansion picks, from the scores, embeddings and
+    qualification their selection measured: nothing is embedded again."""
+    s_div = lm.mean_kl_rows(np.stack([sel.embedding for sel in selected]))
+    scores = _scores([sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
+                     s_div, weights)
+    return _unguided_records(method, [sel.stream_id for sel in selected], scores,
+                             [sel.consistent for sel in selected],
+                             [sel.qualified for sel in selected])
 
 
 def _expand_with_chain(
@@ -475,12 +457,14 @@ def _expand_with_chain(
     probs[groups, variants] = seed_probs[groups]
     retry_counts[fallbacks] += 1
     consistent = probs.argmax(axis=-1) == target
+    # (s_con, s_ent, s_div) of the step-0 and of the emitted variants, (G, K) each
+    terms = [
+        (*lm.consistency_entropy_rows(p, seed_probs), lm.mean_kl_rows(v.reshape(len(v), k, -1)))
+        for p, v in ((trace.probs[0], trace.initial), (probs, emitted))
+    ]
     records = []
     for g, stream in enumerate(rng_streams):
-        initial = _variant_scores(*_prediction_terms(trace.probs[0][g], seed_probs[g]),
-                                  trace.initial[g].reshape(k, -1), config.weights)
-        final = _variant_scores(*_prediction_terms(probs[g], seed_probs[g]),
-                                emitted[g].reshape(k, -1), config.weights)
+        initial, final = (_scores(*(t[g] for t in ts), config.weights) for ts in terms)
         records.append(_records(
             method, [stream.child("variant", i).id for i in range(k)], initial, final,
             consistent[g].tolist(), retry_counts[g].tolist(), fallbacks[g].tolist(), [True] * k,

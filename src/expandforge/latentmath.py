@@ -67,10 +67,10 @@ def _masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     A full row is summed in place; a row with a masked-out entry is
     compacted first, since zeros left in would regroup the pairwise sum.
     """
-    out = x.sum(axis=-1)
+    out = np.asarray(x.sum(axis=-1))  # a single row sums to a 0-d array
     partial = ~mask.all(axis=-1)
     if partial.any():
-        for idx in zip(*np.nonzero(partial)):
+        for idx in map(tuple, np.argwhere(partial)):
             out[idx] = x[idx][mask[idx]].sum()
     return out
 
@@ -87,8 +87,7 @@ def _check_simplex(p: np.ndarray, name: str) -> np.ndarray:
 def entropy(p) -> float:
     """Shannon entropy in nats, with 0 * ln 0 taken as 0."""
     arr = _check_simplex(_as_float_vector(p, "entropy input"), "entropy input")
-    nz = arr[arr > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(entropy_rows(arr))
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -103,14 +102,18 @@ def kl_divergence(p, q) -> float:
     qarr = _as_float_vector(q, "kl q")
     if parr.shape != qarr.shape:
         raise ShapeError(f"kl length mismatch: {parr.shape} vs {qarr.shape}")
-    parr = _check_simplex(parr, "kl p")
-    qarr = _check_simplex(qarr, "kl q")
-    qarr = np.maximum(qarr, KL_FLOOR)
-    mask = parr > 0.0
-    val = float((parr[mask] * (np.log(parr[mask]) - np.log(qarr[mask]))).sum())
+    return float(kl_rows(_check_simplex(parr, "kl p"), _check_simplex(qarr, "kl q")))
+
+
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """kl_divergence of every distribution row of p (..., C) against the
+    matching row of q, which broadcasts against p."""
+    q = np.maximum(q, KL_FLOOR)
+    nz = p > 0.0
+    kl = _masked_row_sums(p * (np.log(np.where(nz, p, 1.0)) - np.log(q)), nz)
     # Gibbs' inequality puts KL at >= 0; near-identical inputs can round a
     # hair below, so clamp rather than report an impossible negative
-    return max(val, 0.0)
+    return np.maximum(kl, 0.0)
 
 
 def cosine(a, b) -> float:
@@ -300,6 +303,23 @@ def entropy_gain(s: Prediction, s_prime: Prediction) -> float:
             f"class count mismatch: {s.class_count} vs {s_prime.class_count}"
         )
     return entropy(s_prime.probs) - entropy(s.probs)
+
+
+def consistency_entropy_rows(probs: np.ndarray, seed_probs: np.ndarray):
+    """Each variant's s_con and entropy gain over its seed, as (..., K)
+    arrays, from probs (..., K, C) and the seed's seed_probs (..., C); s_con
+    is the probability of the seed's predicted class."""
+    target = np.argmax(seed_probs, axis=-1)[..., None, None]
+    s_con = np.take_along_axis(probs, target, axis=-1)[..., 0]
+    return s_con, entropy_rows(probs) - entropy_rows(seed_probs)[..., None]
+
+
+def mean_kl_rows(flats: np.ndarray) -> np.ndarray:
+    """Each variant's s_div, (..., K): the KL of softmax(flat) to the softmax
+    of the mean of the K flats (..., K, n). Unlike diversity_rows, it leaves
+    log softmax(flat) unfloored."""
+    r = softmax_rows(np.mean(flats, axis=-2))[..., None, :]
+    return kl_rows(softmax_rows(flats), r)
 
 
 def diversity_rows(flats: np.ndarray):

@@ -179,7 +179,7 @@ def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 9-significant-digit floats."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))

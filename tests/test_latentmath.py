@@ -421,6 +421,28 @@ def _reference_diversity(flats):
     return max(float(sum(kls)), 0.0), grads
 
 
+def _reference_softmax(u):
+    ex = np.exp(u - u.max())
+    return ex / ex.sum()
+
+
+def _reference_entropy(p):
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def _reference_kl(p, q):
+    q = np.maximum(q, lm.KL_FLOOR)
+    m = p > 0.0
+    return max(float((p[m] * (np.log(p[m]) - np.log(q[m]))).sum()), 0.0)
+
+
+def _reference_mean_kl(flats):
+    """Per variant: KL of its softmax to the softmax of the mean of the flats."""
+    r = _reference_softmax(np.mean(flats, axis=0))
+    return [_reference_kl(_reference_softmax(u), r) for u in flats]
+
+
 def test_row_kernels_are_bit_equal_to_per_vector_calls():
     # the stacked ascent relies on these: a stacked gemv, row dot, row or
     # K-axis reduction must round exactly as the one-vector formula does
@@ -446,19 +468,40 @@ def test_row_kernels_are_bit_equal_to_per_vector_calls():
         # the one-vector entry points are the one-row case
         pred, one_jac = lm.classify_grad(x[idx], protos, 0.7)
         assert np.array_equal(pred.probs, want_probs) and np.array_equal(one_jac, want_jac)
-    # rows with exact zeros take the masked sums
+    # rows with exact zeros take the masked sums, and entries below KL_FLOOR
+    # take the floor
     p = rng.dirichlet(np.ones(20), size=(3, 4))
     p[1, 2, ::3] = 0.0
-    p[1, 2] /= p[1, 2].sum()
+    p[0, 3, 1::4] = 1e-14
+    q = rng.dirichlet(np.ones(20), size=(3, 4))
+    q[1, 2, 1::3] = 0.0
+    q[2, 0, ::5] = 1e-15
+    p /= p.sum(axis=-1, keepdims=True)
+    q /= q.sum(axis=-1, keepdims=True)
     h = lm.entropy_rows(p)
+    kl = lm.kl_rows(p, q)
+    kl_first = lm.kl_rows(p, q[:, :1])  # one q row per group, as the record terms use
+    s_con, gains = lm.consistency_entropy_rows(p, q[:, 0])
     flats = rng.standard_normal((3, 4, 20))
     flats[2, 1, :5] = -900.0  # softmax underflows to exact zeros
+    flats[0, 2, :3] = -40.0  # softmax entries below KL_FLOOR
     total, div_grads = lm.diversity_rows(flats)
+    s_div = lm.mean_kl_rows(flats)
     for g in range(3):
         want_total, want_grads = _reference_diversity(flats[g])
         assert total[g] == want_total == lm.diversity_score_grad(list(flats[g]))[0]
         assert all(np.array_equal(div_grads[g, i], w) for i, w in enumerate(want_grads))
-        assert all(h[g, i] == lm.entropy(p[g, i]) for i in range(4))
+        assert s_div[g].tolist() == _reference_mean_kl(flats[g])
+        seed_class = int(np.argmax(q[g, 0]))
+        for i in range(4):
+            assert h[g, i] == _reference_entropy(p[g, i]) == lm.entropy(p[g, i])
+            assert kl[g, i] == _reference_kl(p[g, i], q[g, i]) == lm.kl_divergence(p[g, i], q[g, i])
+            assert kl_first[g, i] == _reference_kl(p[g, i], q[g, 0])
+            assert s_con[g, i] == p[g, i, seed_class]
+            assert gains[g, i] == _reference_entropy(p[g, i]) - _reference_entropy(q[g, 0])
+    # a single 1-d row is the one-row case
+    assert lm.entropy_rows(p[1, 2]) == _reference_entropy(p[1, 2])
+    assert lm.kl_rows(p[1, 2], q[1, 2]) == _reference_kl(p[1, 2], q[1, 2])
 
 
 def test_consistency_entropy_grad_matches_fd():

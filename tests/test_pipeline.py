@@ -152,6 +152,7 @@ def test_canonical_json_float_formatting():
     assert pl.canonical_json(1.0) == "1"
     assert pl.canonical_json(np.float64(2.5)) == "2.5"
     assert pl.canonical_json(np.int64(7)) == "7"
+    assert pl.canonical_json([np.True_, np.False_]) == "[true,false]"
     with pytest.raises(InputError):
         pl.canonical_json(float("nan"))
     with pytest.raises(InputError):
@@ -196,6 +197,16 @@ def test_manifest_rejects_bad_contents(tmp_path):
     del missing["method"]
     with pytest.raises(FormatError):
         pl.ExpansionManifest.from_dict(missing)
+
+
+def test_manifest_with_numpy_bools_validates_and_writes(tmp_path):
+    # whatever validate() accepts, write_manifest must be able to write
+    data = _cutout_manifest_dict()
+    records = [{**r, "consistent": np.bool_(r["consistent"]), "fallback": np.False_}
+               for r in data["records"]]
+    pl.write_manifest(pl.ExpansionManifest(**data), tmp_path / "plain.json")
+    pl.write_manifest(pl.ExpansionManifest(**{**data, "records": records}), tmp_path / "numpy.json")
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "numpy.json").read_bytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,17 +391,25 @@ def test_steps_zero_keeps_the_initial_scores():
     )
 
 
-@pytest.mark.parametrize("method", ["selective_cutout", "selective_randlite"])
+@pytest.mark.parametrize(
+    "method", ["cutout", "gridmask", "randlite", "selective_cutout", "selective_randlite"]
+)
 def test_selective_methods_embed_each_image_once(method, monkeypatch):
     data, config, bundle = _data(), _small_config(), _bundle()
-    calls = []
+    rows = []  # rows embedded by each call
     embed_flat = bk.Embedder.embed_flat
     monkeypatch.setattr(
-        bk.Embedder, "embed_flat", lambda self, flat: calls.append(1) or embed_flat(self, flat)
+        bk.Embedder, "embed_flat",
+        lambda self, flat: rows.append(np.shape(flat)[:-1]) or embed_flat(self, flat),
     )
     pl.expand_dataset(data, method, config, bundle, global_seed=0)
-    # each seed and each of its default 4K candidates, once
-    assert len(calls) == len(data) * (1 + 4 * config.ratio_k)
+    n, k = len(data), config.ratio_k
+    if method.startswith("selective_"):
+        # each seed and each of its default 4K candidates, one call each
+        assert rows == [()] * (n * (1 + 4 * k))
+    else:
+        # each seed with its K variants, in one call
+        assert rows == [(1 + k,)] * n
 
 
 def test_expand_rejects_empty_dataset():
