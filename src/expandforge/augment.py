@@ -135,6 +135,8 @@ def selective_expand(
     from that seed's own pool to hit the quota exactly; sample_agnostic
     ranks only the qualified candidates globally and takes at most
     len(seeds) * quota_k of them, which can starve or skip seeds entirely.
+    Each seed and its candidates are embedded as one stack
+    (embedder.embed_images) and classified as one (head.predict_rows).
     Accepts a labeled dataset or a plain sequence of images. Returns the
     selected images and their records, ordered by seed.
     """
@@ -152,39 +154,39 @@ def selective_expand(
     if len(images_in) == 0:
         raise ParameterError("selective expansion needs at least one seed")
 
-    pool = []
+    pools = []  # one list of (record, image) per seed
     for j, seed in enumerate(images_in):
-        seed_pred = head.predict(embedder.embed(seed))
-        seed_entropy = lm.entropy(seed_pred.probs)
-        target = seed_pred.argmax_class
-        for c in range(candidate_budget):
-            stream = rng_stream.child("seed", j, "cand", c)
-            img = augmenter(seed, stream)
-            embedding = embedder.embed(img)
-            pred = head.predict(embedding)
-            gain = lm.entropy(pred.probs) - seed_entropy
-            consistent = pred.argmax_class == target
+        streams = [rng_stream.child("seed", j, "cand", c) for c in range(candidate_budget)]
+        candidates = [augmenter(seed, stream) for stream in streams]
+        # row 0 is the seed, row 1 + c candidate c
+        embeddings = embedder.embed_images([seed, *candidates])
+        probs = head.predict_rows(embeddings)
+        s_con, gains = lm.consistency_entropy_rows(probs[1:], probs[0])
+        consistent = (probs[1:].argmax(axis=-1) == probs[0].argmax()).tolist()
+        pool = []
+        for c, (stream, img) in enumerate(zip(streams, candidates)):
+            gain = float(gains[c])
             record = SelectionRecord(
                 seed_index=j,
                 candidate_index=c,
                 stream_id=stream.id,
-                s_con=float(pred.probs[target]),
+                s_con=float(s_con[c]),
                 entropy_gain=gain,
-                consistent=consistent,
-                qualified=consistent and gain > 0.0,
-                embedding=embedding,
+                consistent=consistent[c],
+                qualified=consistent[c] and gain > 0.0,
+                embedding=embeddings[1 + c],
             )
             pool.append((record, img))
+        pools.append(pool)
 
     if mode == "sample_wise":
         selected = []
-        for j in range(len(images_in)):
-            mine = sorted(
-                (p for p in pool if p[0].seed_index == j), key=lambda p: _rank_key(p[0])
-            )
-            selected.extend(mine[:quota_k])
+        for pool in pools:
+            selected.extend(sorted(pool, key=lambda p: _rank_key(p[0]))[:quota_k])
     else:
-        ranked = sorted((p for p in pool if p[0].qualified), key=lambda p: _rank_key(p[0]))
+        ranked = sorted(
+            (p for pool in pools for p in pool if p[0].qualified), key=lambda p: _rank_key(p[0])
+        )
         selected = ranked[: quota_k * len(images_in)]
         selected.sort(key=lambda p: (p[0].seed_index, _rank_key(p[0])))
 

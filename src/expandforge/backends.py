@@ -331,9 +331,15 @@ class Embedder:
         return lm.matvec(self.projection, flat - 0.5)
 
     def embed(self, image: Image) -> np.ndarray:
-        if image.pixels.shape != self.image_shape:
-            raise ShapeError(f"image shape {image.pixels.shape} vs embedder {self.image_shape}")
-        return self.embed_flat(image.flat())
+        return self.embed_images([image])[0]
+
+    def embed_images(self, images) -> np.ndarray:
+        """(N, embed_dim) embeddings of a sequence of images, one embed_flat
+        call: one gemv per row, so each row equals the image's own embed."""
+        for img in images:
+            if img.pixels.shape != self.image_shape:
+                raise ShapeError(f"image shape {img.pixels.shape} vs embedder {self.image_shape}")
+        return self.embed_flat(np.stack([img.flat() for img in images]))
 
     def embed_dataset(self, dataset: LabeledDataset) -> np.ndarray:
         """(N, embed_dim) embeddings of every image, one matrix product per batch."""
@@ -396,6 +402,11 @@ class ZeroShotHead:
     def predict(self, embedding: np.ndarray) -> lm.Prediction:
         return lm.classify(embedding, self.prototypes, self.tau)
 
+    def predict_rows(self, embeddings: np.ndarray) -> np.ndarray:
+        """Class probabilities (..., C) of every embedding row (..., E)."""
+        _, probs, _ = lm.classify_rows(embeddings, self.prototypes, self.tau, need_jacobian=False)
+        return probs
+
 
 def fit_prototype_head(
     exemplars: LabeledDataset, embedder: Embedder, tau: float = 1.0
@@ -407,9 +418,7 @@ def fit_prototype_head(
         idx = np.flatnonzero(labels == c)
         if idx.size == 0:
             raise CoverageError(f"class {c} ({name}) has no exemplars")
-        mean_emb = np.mean(
-            [embedder.embed(exemplars.images[i]) for i in idx], axis=0
-        )
+        mean_emb = np.mean(embedder.embed_images([exemplars.images[i] for i in idx]), axis=0)
         norm = np.linalg.norm(mean_emb)
         if norm <= 1e-12:
             raise DegenerateVectorError(f"class {c} ({name}) mean embedding is zero")

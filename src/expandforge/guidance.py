@@ -388,8 +388,8 @@ def measured_records(seed_image, images, stream_ids, method, embedder, head, wei
     """Records for variants generated without guidance: the seed and its
     variants are embedded and classified as one stack. A variant qualifies
     when it keeps the seed's predicted class and gains prediction entropy."""
-    embeddings = embedder.embed_flat(np.stack([img.flat() for img in (seed_image, *images)]))
-    _, probs, _ = lm.classify_rows(embeddings, head.prototypes, head.tau, need_jacobian=False)
+    embeddings = embedder.embed_images([seed_image, *images])
+    probs = head.predict_rows(embeddings)
     s_con, s_ent = lm.consistency_entropy_rows(probs[1:], probs[0])
     scores = _scores(s_con, s_ent, lm.mean_kl_rows(embeddings[1:]), weights)
     consistent = probs[1:].argmax(axis=-1) == probs[0].argmax()
@@ -482,8 +482,8 @@ def expand_embedding_block(
 ):
     """Optimize K perturbed copies of each seed's embedding in one stack, then
     decode them: one image list and one record list per seed, and the trace."""
-    e0 = np.stack([embedder.embed(img) for img in seed_images])
-    _, seed_probs, _ = lm.classify_rows(e0, head.prototypes, head.tau, need_jacobian=False)
+    e0 = embedder.embed_images(seed_images)
+    seed_probs = head.predict_rows(e0)
     chain = ScoreChain(head, config.weights, seed_probs)
     emitted, records, trace = _expand_with_chain(
         chain, e0[:, None, :], seed_probs, "gif_embed", config, rng_streams
@@ -507,9 +507,7 @@ def expand_latent_block(
     # the reference prediction goes through the same decode/embed path the
     # variants use, so the seed fallback is consistent by construction
     recon_pixels, _ = codec.decode_with_mask(f0.reshape(len(f0), -1))
-    _, seed_probs, _ = lm.classify_rows(
-        embedder.embed_flat(recon_pixels), head.prototypes, head.tau, need_jacobian=False
-    )
+    seed_probs = head.predict_rows(embedder.embed_flat(recon_pixels))
     chain = ScoreChain(head, config.weights, seed_probs, decode_lift(codec, embedder))
     emitted, records, trace = _expand_with_chain(
         chain, f0, seed_probs, "gif_latent", config, rng_streams

@@ -91,9 +91,11 @@ def entropy(p) -> float:
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
-    """entropy of every nonnegative distribution row of p (..., C)."""
+    """entropy of every nonnegative distribution row of p (..., C); a
+    one-hot row gives +0.0."""
     nz = p > 0.0
-    return -_masked_row_sums(p * np.log(np.where(nz, p, 1.0)), nz)
+    # adding 0.0 turns the -0.0 of a one-hot row into +0.0 and moves no other value
+    return -_masked_row_sums(p * np.log(np.where(nz, p, 1.0)), nz) + 0.0
 
 
 def kl_divergence(p, q) -> float:

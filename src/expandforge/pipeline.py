@@ -175,30 +175,40 @@ def _format_float(x: float) -> str:
     return "%.9g" % x
 
 
+# json.dumps(s, ensure_ascii=False) of a str, without building an encoder per call
+_encode_str = json.encoder.encode_basestring
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 9-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+    # exact types first, as a manifest holds mostly floats, dicts, lists and
+    # str; None, bools, ints, numpy scalars and subclasses take the isinstance
+    # chain, where a bool (an int to isinstance) must come before the ints
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if obj is None:
+            return "null"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return _format_float(float(obj))
+        if isinstance(obj, str):
+            return _encode_str(obj)
+        if not isinstance(obj, (dict, list, tuple)):
+            raise InputError(f"canonical JSON cannot hold {type(obj).__name__}")
     if isinstance(obj, dict):
-        for key in obj:
+        for key in obj:  # before sorting, which would raise TypeError on mixed keys
             if not isinstance(key, str):
                 raise InputError(f"canonical JSON keys must be strings, got {key!r}")
-        inner = ",".join(
-            f"{json.dumps(k, ensure_ascii=False)}:{canonical_json(obj[k])}"
-            for k in sorted(obj)
-        )
+        inner = ",".join([f"{_encode_str(k)}:{canonical_json(obj[k])}" for k in sorted(obj)])
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    raise InputError(f"canonical JSON cannot hold {type(obj).__name__}")
+    return "[" + ",".join(map(canonical_json, obj)) + "]"
 
 
 # --------------------------------------------------------------- manifest

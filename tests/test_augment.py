@@ -5,12 +5,13 @@ fixed function of two pixel slots, so qualification and ranking outcomes
 are derivable by hand instead of depending on the toy renderer.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 import expandforge.augment as ag
 import expandforge.backends as bk
-import expandforge.latentmath as lm
 from expandforge.errors import ParameterError, ShapeError
 from expandforge.rng import RngStream
 
@@ -158,8 +159,12 @@ class _StubAugmenter:
 
 
 class _StubEmbedder:
-    def embed(self, image):
-        return np.array([image.pixels[0, 0, 0], image.pixels[1, 1, 0]], dtype=np.float64)
+    """Embeds each image as its pixels (0, 0, 0) and (1, 1, 0)."""
+
+    def embed_images(self, images):
+        return np.array(
+            [[img.pixels[0, 0, 0], img.pixels[1, 1, 0]] for img in images], dtype=np.float64
+        )
 
 
 class _StubHead:
@@ -167,13 +172,10 @@ class _StubHead:
     larger u (entropy rises toward uniform), marker 1 seeds never qualify
     (entropy falls as u grows)."""
 
-    def predict(self, e):
-        u, marker = float(e[0]), float(e[1])
-        if marker < 0.5:
-            p = 0.9 - 0.4 * u
-        else:
-            p = 0.35 - 0.1 * u
-        return lm.Prediction.from_probs(np.array([p, 1.0 - p]))
+    def predict_rows(self, e):
+        u, marker = e[..., 0], e[..., 1]
+        p = np.where(marker < 0.5, 0.9 - 0.4 * u, 0.35 - 0.1 * u)
+        return np.stack([p, 1.0 - p], axis=-1)
 
 
 def _stub_seeds():
@@ -271,3 +273,85 @@ def test_selective_expand_on_real_backends():
     for img in images:
         assert img.pixels.shape == (16, 16, 1)
         assert np.all(img.pixels >= 0.0) and np.all(img.pixels <= 1.0)
+
+
+def _per_candidate_selection(seeds, augmenter, embedder, head, quota_k, rng_stream, mode,
+                             budget):
+    """selective_expand as it was before it scored each seed's pool as one
+    stack: one embed and one head.predict per image, and gains from the
+    masked entropy sum, which gives -0.0 for a one-hot row."""
+    def entropy(p):
+        q = p[p > 0.0]
+        return float(-(q * np.log(q)).sum())
+
+    pool = []
+    for j, seed in enumerate(seeds):
+        seed_pred = head.predict(embedder.embed_flat(seed.flat()))
+        seed_entropy = entropy(seed_pred.probs)
+        target = seed_pred.argmax_class
+        for c in range(budget):
+            stream = rng_stream.child("seed", j, "cand", c)
+            img = augmenter(seed, stream)
+            embedding = embedder.embed_flat(img.flat())
+            pred = head.predict(embedding)
+            gain = entropy(pred.probs) - seed_entropy
+            consistent = pred.argmax_class == target
+            record = ag.SelectionRecord(
+                j, c, stream.id, float(pred.probs[target]), gain, consistent,
+                consistent and gain > 0.0, embedding,
+            )
+            pool.append((record, img))
+    if mode == "sample_wise":
+        selected = []
+        for j in range(len(seeds)):
+            mine = sorted(
+                (p for p in pool if p[0].seed_index == j), key=lambda p: ag._rank_key(p[0])
+            )
+            selected.extend(mine[:quota_k])
+    else:
+        ranked = sorted((p for p in pool if p[0].qualified), key=lambda p: ag._rank_key(p[0]))
+        selected = ranked[: quota_k * len(seeds)]
+        selected.sort(key=lambda p: (p[0].seed_index, ag._rank_key(p[0])))
+    return [img for _, img in selected], [rec for rec, _ in selected]
+
+
+def _selection_sheet(images, records):
+    return [
+        (r.seed_index, r.candidate_index, r.stream_id, r.s_con.hex(),
+         float(r.entropy_gain).hex(), r.consistent, r.qualified,
+         r.embedding.tobytes(), img.pixels.tobytes())
+        for img, r in zip(images, records)
+    ]
+
+
+# tau 1e-4 makes every prediction one-hot with exact zeros
+@pytest.mark.parametrize("tau", [1.0, 0.05, 1e-4])
+@pytest.mark.parametrize("mode", ag.SELECTION_MODES)
+def test_stacked_selection_equals_per_candidate_scoring(mode, tau):
+    data = bk.gen_toy_dataset(4, 2, 16, seed=7)
+    embedder = bk.make_embedder(data.image_shape, 64, seed=0)
+    head = bk.fit_prototype_head(bk.gen_toy_dataset(4, 6, 16, seed=101), embedder, tau=tau)
+    augmenters = (ag.rand_lite, lambda im, st: ag.cutout(im, 0.4, st))
+    # at budget == quota, sample_wise returns every candidate it scored
+    for (a, augmenter), (quota, budget) in itertools.product(
+        enumerate(augmenters), ((3, 12), (4, 4))
+    ):
+        stream = _stream("stacked", a)
+        args = (data.images, augmenter, embedder, head, quota, stream)
+        want = _per_candidate_selection(*args, mode, budget)
+        got = ag.selective_expand(*args, mode=mode, candidate_budget=budget)
+        assert _selection_sheet(*got) == _selection_sheet(*want)
+        assert len(got[0]) > 0 or mode == "sample_agnostic"
+
+
+def test_selective_expand_checks_every_image_shape():
+    data = bk.gen_toy_dataset(4, 2, 16, seed=7)
+    embedder = bk.make_embedder(data.image_shape, 64, seed=0)
+    head = bk.fit_prototype_head(data, embedder)
+    small = bk.Image(np.full((8, 8, 1), 0.5))
+    with pytest.raises(ShapeError):
+        ag.selective_expand([small], ag.rand_lite, embedder, head, 1, _stream("shape"))
+    # the third candidate alone comes out the wrong size
+    shrink = lambda im, st: small if st.id.endswith("/cand/2") else ag.rand_lite(im, st)
+    with pytest.raises(ShapeError):
+        ag.selective_expand(data.images[:1], shrink, embedder, head, 1, _stream("shape"))

@@ -194,7 +194,47 @@ def test_embed_dataset_matches_per_image_embed(monkeypatch):
         bk.make_embedder((8, 8, 1), 16, seed=0).embed_dataset(data)
 
 
+def test_embed_images_rows_are_the_per_image_embeds():
+    data = _toy(classes=3, per_class=4, seed=5)
+    emb = bk.make_embedder(data.image_shape, 32, seed=0)
+    rows = emb.embed_images(data.images)
+    assert rows.shape == (len(data), 32)
+    for img, row in zip(data.images, rows):
+        # one-vector gemv, bit for bit
+        assert row.tobytes() == emb.embed_flat(img.flat()).tobytes()
+        assert row.tobytes() == emb.embed(img).tobytes()
+    wrong = bk.Image(np.full((8, 8, 1), 0.5))
+    for images in ([wrong], [data.images[0], wrong]):
+        with pytest.raises(ShapeError):
+            emb.embed_images(images)
+
+
 # ---------------------------------------------------------------- head
+
+def test_head_prototypes_are_the_per_exemplar_means():
+    ex = _toy(classes=4, per_class=5, seed=101)
+    emb = bk.make_embedder(ex.image_shape, 64, seed=0)
+    head = bk.fit_prototype_head(ex, emb)
+    labels = np.asarray(ex.labels)
+    for c, proto in enumerate(head.prototypes):
+        # the mean of one-image embeds, as the head was fitted before its
+        # exemplars were embedded as one stack
+        mean_emb = np.mean(
+            [emb.embed_flat(ex.images[i].flat()) for i in np.flatnonzero(labels == c)], axis=0
+        )
+        assert proto.tobytes() == (mean_emb / np.linalg.norm(mean_emb)).tobytes()
+
+
+def test_head_predict_rows_are_the_per_embedding_predictions():
+    ex = _toy(classes=4, per_class=5, seed=101)
+    emb = bk.make_embedder(ex.image_shape, 32, seed=0)
+    head = bk.fit_prototype_head(ex, emb, tau=0.5)
+    e = emb.embed_images(ex.images).reshape(4, 5, -1)
+    probs = head.predict_rows(e)
+    assert probs.shape == (4, 5, 4)
+    for row, p in zip(e.reshape(20, -1), probs.reshape(20, -1)):
+        assert p.tobytes() == head.predict(row).probs.tobytes()
+
 
 def test_head_prototypes_unit_norm():
     ex = _toy(classes=4, per_class=5, seed=101)

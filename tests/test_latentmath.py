@@ -93,6 +93,16 @@ def test_entropy_uniform_and_onehot():
     assert lm.entropy([1.0, 0.0, 0.0]) == 0.0
 
 
+def test_entropy_of_a_one_hot_is_positive_zero():
+    # -0.0 == 0.0, so only the sign bit tells them apart; canonical JSON
+    # would write -0.0 as "-0"
+    assert math.copysign(1.0, lm.entropy([1.0, 0.0, 0.0])) == 1.0
+    assert math.copysign(1.0, lm.entropy([0.0, 1.0])) == 1.0
+    rows = lm.entropy_rows(np.array([[0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+    assert [math.copysign(1.0, h) for h in rows] == [1.0, 1.0, 1.0]
+    assert rows[1] == math.log(2.0)
+
+
 def test_entropy_rejects_non_simplex():
     with pytest.raises(SimplexError):
         lm.entropy([0.5, 0.6])

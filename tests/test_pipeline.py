@@ -3,6 +3,7 @@
 import copy
 import functools
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -159,6 +160,79 @@ def test_canonical_json_float_formatting():
         pl.canonical_json({1: "x"})
     with pytest.raises(InputError):
         pl.canonical_json(object())
+
+
+def test_canonical_json_rejects_mixed_keys_before_sorting():
+    # sorted() would raise TypeError comparing 1 with "a"
+    for obj in ({1: "x", "a": 1}, {"a": 1, 1: "x"}, [{"b": {2: 0, "c": 0}}]):
+        with pytest.raises(InputError):
+            pl.canonical_json(obj)
+    with pytest.raises(InputError):
+        pl.canonical_json({"a": [object()]})
+
+
+def _isinstance_canonical_json(obj) -> str:
+    """canonical_json as it was before it dispatched on exact types."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return pl._format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise InputError(f"canonical JSON keys must be strings, got {key!r}")
+        inner = ",".join(
+            f"{json.dumps(k, ensure_ascii=False)}:{_isinstance_canonical_json(obj[k])}"
+            for k in sorted(obj)
+        )
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_isinstance_canonical_json(v) for v in obj) + "]"
+    raise InputError(f"canonical JSON cannot hold {type(obj).__name__}")
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),  # nan, inf and subnormals included
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, float("nan"), float("-inf")]),
+    st.text(),  # non-ASCII included
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _json_outcome(render, obj):
+    try:
+        return render(obj)
+    except Exception as err:  # the exception type is part of the outcome
+        return type(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+def test_canonical_json_matches_the_isinstance_renderer(tree):
+    assert _json_outcome(pl.canonical_json, tree) == _json_outcome(
+        _isinstance_canonical_json, tree
+    )
 
 
 # --------------------------------------------------------------- manifest
@@ -405,8 +479,8 @@ def test_selective_methods_embed_each_image_once(method, monkeypatch):
     pl.expand_dataset(data, method, config, bundle, global_seed=0)
     n, k = len(data), config.ratio_k
     if method.startswith("selective_"):
-        # each seed and each of its default 4K candidates, one call each
-        assert rows == [()] * (n * (1 + 4 * k))
+        # each seed with its default 4K candidates, in one call
+        assert rows == [(1 + 4 * k,)] * n
     else:
         # each seed with its K variants, in one call
         assert rows == [(1 + k,)] * n
