@@ -8,6 +8,7 @@ change to any digest must be deliberate and explained in CHANGES.md.
 
 import functools
 import hashlib
+import json
 
 import pytest
 
@@ -46,6 +47,24 @@ GOLDEN = {
 }
 
 
+# sha256 of json.dumps(manifest.records, sort_keys=True) at the golden config:
+# json.dumps writes a float's shortest exact repr, so any drift in the last
+# bit of a record score shows, which the 9-digit manifest digests cannot see
+RECORDS_FULL_PRECISION = {
+    "gif_embed": "791eaf9e294027610cae4c691918237788385698778d12299cd5973ed5a95460",
+    "gif_latent": "3c8c0fc80e974e0db4cd51ee010474686ff11d0a8e84ff1c674eda45a714fbd2",
+    "cutout": "7a975d2112bedc3d195e4b7b362ea6db3e1b3015dfbb55d0e1084574d42d3e9a",
+    "gridmask": "8d40f5fbae605bfbf1e05ee4406cef119904b49aafeb3dd5cd80bedae4d86f68",
+    "randlite": "5e2e1443753429437b1a986b7b8335c4cecacde4270eb952fdadda04316adbab",
+    "selective_randlite": "8af6b2bf931b00b43307ba2dea3215d548d0d9c326bfbbc6faab7bc64b11f58f",
+    "selective_cutout": "608ec53591dc784144b3f496c536eca806bc63dfcedf5f9eaffdc4f2afd0e7d7",
+}
+
+# the exact types a record value may have: numpy scalars would render the
+# same in canonical JSON but are not what the manifest reader gives back
+_PLAIN_TYPES = (float, int, bool, str, dict, list)
+
+
 @functools.lru_cache(maxsize=None)
 def _inputs():
     data = bk.gen_toy_dataset(4, 3, 16, seed=0)
@@ -56,7 +75,7 @@ def _inputs():
 
 
 def test_golden_covers_every_method():
-    assert set(GOLDEN) == set(pl.METHOD_IDS)
+    assert set(GOLDEN) == set(pl.METHOD_IDS) == set(RECORDS_FULL_PRECISION)
 
 
 @pytest.mark.parametrize("method", pl.METHOD_IDS)
@@ -69,3 +88,23 @@ def test_golden_digests(method):
         pl.canonical_json(manifest.as_dict()).encode("utf-8")
     ).hexdigest()
     assert (dataset_sha, manifest_sha) == GOLDEN[method]
+
+
+def _values(tree):
+    """Every value inside a record, containers included."""
+    yield tree
+    children = tree.values() if type(tree) is dict else tree if type(tree) is list else ()
+    for child in children:
+        yield from _values(child)
+
+
+@pytest.mark.parametrize("method", pl.METHOD_IDS)
+def test_golden_records_at_full_precision(method):
+    data, bundle = _inputs()
+    config = pl.ExpansionConfig(ratio_k=3, steps=4)
+    _, manifest = pl.expand_dataset(data, method, config, bundle, global_seed=0)
+    text = json.dumps(manifest.records, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECORDS_FULL_PRECISION[method]
+    for record in manifest.records:
+        for value in _values(record):
+            assert type(value) in _PLAIN_TYPES, (method, value, type(value))
