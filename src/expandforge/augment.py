@@ -22,10 +22,21 @@ from .rng import RngStream
 SELECTION_MODES = ("sample_wise", "sample_agnostic")
 
 
-def cutout(image: Image, frac: float, rng_stream: RngStream) -> Image:
-    """Blank a random square patch, side = round(frac * min(H, W)), to mid-gray."""
+def check_cutout_frac(frac: float) -> None:
     if not (0.0 <= frac <= 1.0):
         raise ParameterError(f"cutout frac must be in [0, 1], got {frac}")
+
+
+def check_gridmask_params(period: int, keep_ratio: float) -> None:
+    if not isinstance(period, int) or period < 2:
+        raise ParameterError(f"gridmask period must be an int >= 2, got {period}")
+    if not (0.0 < keep_ratio <= 1.0):
+        raise ParameterError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+
+
+def cutout(image: Image, frac: float, rng_stream: RngStream) -> Image:
+    """Blank a random square patch, side = round(frac * min(H, W)), to mid-gray."""
+    check_cutout_frac(frac)
     h, w, _ = image.pixels.shape
     side = int(round(frac * min(h, w)))
     if side < 1:
@@ -43,10 +54,7 @@ def gridmask(image: Image, period: int, keep_ratio: float, phase=(0, 0)) -> Imag
 
     The hole side is round((1 - keep_ratio) * period); phase shifts the grid.
     """
-    if not isinstance(period, int) or period < 2:
-        raise ParameterError(f"gridmask period must be an int >= 2, got {period}")
-    if not (0.0 < keep_ratio <= 1.0):
-        raise ParameterError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+    check_gridmask_params(period, keep_ratio)
     if len(phase) != 2:
         raise ParameterError(f"phase must be two offsets, got {phase!r}")
     hole = int(round((1.0 - keep_ratio) * period))

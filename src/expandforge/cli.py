@@ -164,11 +164,13 @@ def _cmd_expand(args) -> int:
         raise ParameterError(
             f"--latent-tokens {args.latent_tokens} must divide --latent-dim {args.latent_dim}"
         )
-    codec = bk.fit_linear_codec(
-        data,
-        latent_dim=args.latent_dim,
-        latent_shape=(args.latent_tokens, args.latent_dim // args.latent_tokens),
-    )
+    codec = None
+    if args.method in pl.GUIDED_METHODS:
+        codec = bk.fit_linear_codec(
+            data,
+            latent_dim=args.latent_dim,
+            latent_shape=(args.latent_tokens, args.latent_dim // args.latent_tokens),
+        )
     embedder = bk.make_embedder(data.image_shape, args.embed_dim, args.embed_seed)
     head = bk.fit_prototype_head(exemplars, embedder, tau=args.tau)
     bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)

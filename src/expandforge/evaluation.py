@@ -124,12 +124,9 @@ class MLPClassifier:
 def train_classifier(dataset: LabeledDataset, config: ClassifierConfig) -> MLPClassifier:
     if np.unique(dataset.labels).size < 2:
         raise InputError("training set must contain at least two classes")
-    model = MLPClassifier(
-        input_dim=dataset.stacked_flat().shape[1],
-        class_count=dataset.class_count,
-        config=config,
-    )
-    return model.fit(dataset.stacked_flat(), dataset.labels)
+    flat = dataset.stacked_flat()
+    model = MLPClassifier(input_dim=flat.shape[1], class_count=dataset.class_count, config=config)
+    return model.fit(flat, dataset.labels)
 
 
 def evaluate(model, dataset: LabeledDataset) -> Metrics:

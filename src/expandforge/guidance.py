@@ -28,8 +28,9 @@ test_row_kernels_are_bit_equal_to_per_vector_calls checks them:
 - each group's s_con, s_ent and s_div totals add over K in variant order
 - a sum masked to p > 0 stays masked for every row with a zero entry
 
-The module also owns the manifest record layout: VariantRecord, its type
-check, and the one builder that makes the records of every method.
+The module also owns the manifest record layout: a record is the plain
+dict the manifest stores, laid out by _RECORD_TYPES, checked by
+check_record and made for every method by the one builder, _records.
 """
 
 from __future__ import annotations
@@ -144,47 +145,9 @@ class OptimizationTrace:
         return len(self.objective)
 
 
-@dataclass(eq=False)
-class VariantRecord:
-    """Provenance for one emitted synthetic sample."""
-
-    seed_index: int
-    variant_index: int
-    method: str
-    stream_id: str
-    scores_initial: lm.GuidanceScores
-    scores_final: lm.GuidanceScores
-    consistent: bool
-    retry_count: int
-    fallback: bool = False
-    qualified: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "seed_index": self.seed_index,
-            "variant_index": self.variant_index,
-            "method": self.method,
-            "stream_id": self.stream_id,
-            "scores_initial": self.scores_initial.as_dict(),
-            "scores_final": self.scores_final.as_dict(),
-            "consistent": self.consistent,
-            "retry_count": self.retry_count,
-            "fallback": self.fallback,
-            "qualified": self.qualified,
-        }
-
-    @staticmethod
-    def check_dict(data, what: str) -> None:
-        """Raise InputError unless data has the layout and types of as_dict()."""
-        check_json_types(what, data, _RECORD_TYPES)
-        for key in ("scores_initial", "scores_final"):
-            scores = data[key]
-            check_json_types(f"{what} {key}", scores, _SCORE_TYPES)
-            weights = scores["weights"]
-            if len(weights) != 3 or not all(_has_type(w, float) for w in weights):
-                raise InputError(f"{what} {key} weights must be three finite reals")
-
-
+# a record's keys and value types, in the order _records fills them: one
+# record per emitted variant, scores_initial and scores_final laid out as
+# _SCORE_TYPES
 _RECORD_TYPES = {
     "seed_index": int,
     "variant_index": int,
@@ -198,6 +161,17 @@ _RECORD_TYPES = {
     "qualified": bool,
 }
 _SCORE_TYPES = {"s_con": float, "s_ent": float, "s_div": float, "total": float, "weights": list}
+
+
+def check_record(data, what: str) -> None:
+    """Raise InputError unless data has the layout and types of a record."""
+    check_json_types(what, data, _RECORD_TYPES)
+    for key in ("scores_initial", "scores_final"):
+        scores = data[key]
+        check_json_types(f"{what} {key}", scores, _SCORE_TYPES)
+        weights = scores["weights"]
+        if len(weights) != 3 or not all(_has_type(w, float) for w in weights):
+            raise InputError(f"{what} {key} weights must be three finite reals")
 
 
 def _has_type(value, kind) -> bool:
@@ -367,21 +341,22 @@ class ScoreChain:
         return GroupScores.weighted(s_con, s_ent, s_div, self.weights), grads, probs
 
 
-def _scores(s_con, s_ent, s_div, weights):
-    """One GuidanceScores per variant from (K,) arrays of its score terms."""
-    return [lm.GuidanceScores(*terms, weights=weights) for terms in zip(s_con, s_ent, s_div)]
-
-
-def _records(method, stream_ids, initial, final, consistent, retry_counts, fallbacks, qualified):
-    """The one record builder: variant i's record from the i-th entry of each list."""
-    columns = zip(stream_ids, initial, final, consistent, retry_counts, fallbacks, qualified)
-    # seed_index stays -1 until the pipeline fills in the real index
-    return [VariantRecord(-1, i, method, *row) for i, row in enumerate(columns)]
-
-
-def _unguided_records(method, stream_ids, scores, consistent, qualified):
+def _records(method, weights, stream_ids, initial, final, consistent, retry_counts,
+             fallbacks, qualified):
+    """The one record builder: variant i's record from the i-th entry of each
+    column. initial and final are the (s_con, s_ent, s_div) score columns,
+    (K,) each, of the first evaluated and of the emitted variants; the other
+    columns are lists. seed_index stays -1 until the pipeline fills it in."""
     k = len(stream_ids)
-    return _records(method, stream_ids, scores, scores, consistent, [0] * k, [False] * k, qualified)
+    scores = []
+    for terms in (initial, final):
+        s_con, s_ent, s_div = (np.asarray(t, dtype=float) for t in terms)
+        total = lm.weighted_total(s_con, s_ent, s_div, weights)
+        rows = zip(s_con.tolist(), s_ent.tolist(), s_div.tolist(), total.tolist())
+        scores.append([dict(zip(_SCORE_TYPES, (*row, list(weights)))) for row in rows])
+    columns = ([-1] * k, range(k), [method] * k, stream_ids, *scores,
+               consistent, retry_counts, fallbacks, qualified)
+    return [dict(zip(_RECORD_TYPES, row)) for row in zip(*columns)]
 
 
 def measured_records(seed_image, images, stream_ids, method, embedder, head, weights):
@@ -391,21 +366,23 @@ def measured_records(seed_image, images, stream_ids, method, embedder, head, wei
     embeddings = embedder.embed_images([seed_image, *images])
     probs = head.predict_rows(embeddings)
     s_con, s_ent = lm.consistency_entropy_rows(probs[1:], probs[0])
-    scores = _scores(s_con, s_ent, lm.mean_kl_rows(embeddings[1:]), weights)
+    terms = (s_con, s_ent, lm.mean_kl_rows(embeddings[1:]))
     consistent = probs[1:].argmax(axis=-1) == probs[0].argmax()
     qualified = consistent & (s_ent > 0.0)
-    return _unguided_records(method, stream_ids, scores, consistent.tolist(), qualified.tolist())
+    k = len(images)
+    return _records(method, weights, stream_ids, terms, terms, consistent.tolist(),
+                    [0] * k, [False] * k, qualified.tolist())
 
 
 def selected_records(selected, method, weights):
     """Records for selective-expansion picks, from the scores, embeddings and
     qualification their selection measured: nothing is embedded again."""
-    s_div = lm.mean_kl_rows(np.stack([sel.embedding for sel in selected]))
-    scores = _scores([sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
-                     s_div, weights)
-    return _unguided_records(method, [sel.stream_id for sel in selected], scores,
-                             [sel.consistent for sel in selected],
-                             [sel.qualified for sel in selected])
+    terms = ([sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
+             lm.mean_kl_rows(np.stack([sel.embedding for sel in selected])))
+    k = len(selected)
+    return _records(method, weights, [sel.stream_id for sel in selected], terms, terms,
+                    [sel.consistent for sel in selected], [0] * k, [False] * k,
+                    [sel.qualified for sel in selected])
 
 
 def _expand_with_chain(
@@ -458,17 +435,16 @@ def _expand_with_chain(
     retry_counts[fallbacks] += 1
     consistent = probs.argmax(axis=-1) == target
     # (s_con, s_ent, s_div) of the step-0 and of the emitted variants, (G, K) each
-    terms = [
+    initial, final = (
         (*lm.consistency_entropy_rows(p, seed_probs), lm.mean_kl_rows(v.reshape(len(v), k, -1)))
         for p, v in ((trace.probs[0], trace.initial), (probs, emitted))
+    )
+    records = [
+        _records(method, config.weights, [stream.child("variant", i).id for i in range(k)],
+                 [t[g] for t in initial], [t[g] for t in final], consistent[g].tolist(),
+                 retry_counts[g].tolist(), fallbacks[g].tolist(), [True] * k)
+        for g, stream in enumerate(rng_streams)
     ]
-    records = []
-    for g, stream in enumerate(rng_streams):
-        initial, final = (_scores(*(t[g] for t in ts), config.weights) for ts in terms)
-        records.append(_records(
-            method, [stream.child("variant", i).id for i in range(k)], initial, final,
-            consistent[g].tolist(), retry_counts[g].tolist(), fallbacks[g].tolist(), [True] * k,
-        ))
     return emitted, records, trace
 
 

@@ -279,15 +279,6 @@ class GuidanceScores:
             raise ParameterError(f"s_div must be >= 0, got {self.s_div}")
         self.total = weighted_total(self.s_con, self.s_ent, self.s_div, w)
 
-    def as_dict(self) -> dict:
-        return {
-            "s_con": self.s_con,
-            "s_ent": self.s_ent,
-            "s_div": self.s_div,
-            "total": self.total,
-            "weights": list(self.weights),
-        }
-
 
 def consistency_score(s: Prediction, s_prime: Prediction) -> float:
     """Probability the variant assigns to the seed's predicted class."""

@@ -16,7 +16,8 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +41,8 @@ METHOD_IDS = (
     "selective_randlite",
     "selective_cutout",
 )
+# the methods that ascend with guidance, and so decode with the codec
+GUIDED_METHODS = ("gif_embed", "gif_latent")
 
 
 def parse_method(name: str) -> str:
@@ -214,22 +217,10 @@ def canonical_json(obj) -> str:
 # --------------------------------------------------------------- manifest
 
 
-_MANIFEST_TYPES = {
-    "version": str,
-    "global_seed": int,
-    "method": str,
-    "config": dict,
-    "seed_count": int,
-    "ratio_k": int,
-    "records": list,
-    "original_digest": str,
-    "expanded_digest": str,
-}
-
-
 @dataclass(eq=False)
 class ExpansionManifest:
-    """Provenance for one expansion run, one record per synthetic sample."""
+    """Provenance for one expansion run, one record per synthetic sample; its
+    fields are the manifest's keys, in order, and their types."""
 
     version: str
     global_seed: int
@@ -259,37 +250,17 @@ class ExpansionManifest:
             if len(digest) != 64 or any(ch not in "0123456789abcdef" for ch in digest):
                 raise InputError(f"malformed sha256 digest {digest!r}")
         for i, record in enumerate(self.records):
-            gd.VariantRecord.check_dict(record, f"record {i}")
+            gd.check_record(record, f"record {i}")
 
     def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "global_seed": self.global_seed,
-            "method": self.method,
-            "config": self.config,
-            "seed_count": self.seed_count,
-            "ratio_k": self.ratio_k,
-            "records": self.records,
-            "original_digest": self.original_digest,
-            "expanded_digest": self.expanded_digest,
-        }
+        return {key: getattr(self, key) for key in _MANIFEST_TYPES}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionManifest":
         if not isinstance(data, dict):
             raise FormatError("manifest root must be a JSON object")
         try:
-            manifest = cls(
-                version=data["version"],
-                global_seed=data["global_seed"],
-                method=data["method"],
-                config=data["config"],
-                seed_count=data["seed_count"],
-                ratio_k=data["ratio_k"],
-                records=data["records"],
-                original_digest=data["original_digest"],
-                expanded_digest=data["expanded_digest"],
-            )
+            manifest = cls(**{key: data[key] for key in _MANIFEST_TYPES})
         except KeyError as err:
             raise FormatError(f"manifest is missing field {err.args[0]!r}") from err
         try:
@@ -303,6 +274,9 @@ class ExpansionManifest:
             raise FormatError("original dataset digest does not match the manifest")
         if dataset_digest(expanded) != self.expanded_digest:
             raise FormatError("expanded dataset digest does not match the manifest")
+
+
+_MANIFEST_TYPES = typing.get_type_hints(ExpansionManifest)
 
 
 def write_manifest(manifest: ExpansionManifest, path) -> None:
@@ -347,6 +321,10 @@ class ExpansionConfig:
             raise ParameterError(
                 f"candidate_budget {self.candidate_budget} is below ratio_k {self.ratio_k}"
             )
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ParameterError(f"epsilon must be finite, got {self.epsilon}")
+        ag.check_cutout_frac(self.cutout_frac)
+        ag.check_gridmask_params(self.grid_period, self.grid_keep)
         # delegate range checks shared with the guidance config
         gd.GuidanceConfig(
             epsilon=0.0 if self.epsilon is None else self.epsilon,
@@ -379,24 +357,12 @@ class ExpansionConfig:
         return base(**overrides)
 
     def as_dict(self) -> dict:
-        return {
-            "ratio_k": self.ratio_k,
-            "epsilon": self.epsilon,
-            "steps": self.steps,
-            "step_size": self.step_size,
-            "weights": list(self.weights),
-            "noise_mode": self.noise_mode,
-            "retries": self.retries,
-            "candidate_budget": self.candidate_budget,
-            "cutout_frac": self.cutout_frac,
-            "grid_period": self.grid_period,
-            "grid_keep": self.grid_keep,
-        }
+        return {**asdict(self), "weights": list(self.weights)}
 
 
 @dataclass(eq=False)
 class BackendBundle:
-    codec: LinearCodec
+    codec: LinearCodec | None  # None for the baselines, which never decode
     embedder: Embedder
     head: ZeroShotHead
 
@@ -487,7 +453,7 @@ def expand_dataset(
         root.child("method", method, "seed", seed_content_key(image, label))
         for image, label in zip(dataset.images, dataset.labels)
     ]
-    if method in ("gif_embed", "gif_latent"):
+    if method in GUIDED_METHODS:
         per_block = max(1, ASCENT_BLOCK_ROWS // config.ratio_k)
         per_seed = []
         for start in range(0, n, per_block):
@@ -505,10 +471,10 @@ def expand_dataset(
     all_records = []
     for j, ((variant_images, variant_records), label) in enumerate(zip(per_seed, dataset.labels)):
         for rec in variant_records:
-            rec.seed_index = j
+            rec["seed_index"] = j
         images.extend(variant_images)
         labels.extend([label] * len(variant_images))
-        all_records.extend(rec.as_dict() for rec in variant_records)
+        all_records.extend(variant_records)
 
     expanded = LabeledDataset(
         images=images, labels=np.array(labels), class_names=list(dataset.class_names)

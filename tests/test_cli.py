@@ -121,6 +121,29 @@ def test_usage_errors_exit_one(tmp_path):
     bad_ratio = _small_expand_args(src, tmp_path / "r0.gifx")
     bad_ratio[bad_ratio.index("--ratio") + 1] = "0"
     assert cli.main(bad_ratio) == 1
+    # rejected by the config before any work, so no expanded file is left behind
+    for method, flag, value in (
+        ("gridmask", "grid_period", 0),
+        ("gridmask", "grid_period", -3),
+        ("cutout", "epsilon", "inf"),
+        ("gif_latent", "epsilon", "inf"),
+        ("gif_embed", "cutout_frac", 1.5),
+    ):
+        out = tmp_path / "bad.gifx"
+        assert cli.main(_small_expand_args(src, out, method=method, **{flag: value})) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method", ["cutout", "gridmask", "randlite", "selective_randlite", "selective_cutout"]
+)
+def test_baselines_expand_a_set_too_small_for_the_codec(tmp_path, method):
+    # 12 samples cannot carry the default 32-dimension codec, which only the
+    # guided methods use
+    src = _toygen(tmp_path, classes=4, per_class=3)
+    out = tmp_path / "tiny.gifx"
+    assert cli.main(["expand", "--in", str(src), "--method", method, "--out", str(out)]) == 0
+    assert len(pl.read_dataset(out)) == 12 * (1 + 5)
 
 
 def test_help_exits_zero(capsys):

@@ -4,6 +4,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -500,6 +501,22 @@ def test_expansion_config_validation():
         pl.ExpansionConfig(ratio_k=4, candidate_budget=2)
     with pytest.raises(ParameterError):
         pl.ExpansionConfig(noise_mode="pixel")
+    # each bad value is rejected whatever the method, before it can reach
+    # the phase draw of gridmask or the manifest's canonical JSON
+    for bad in (
+        dict(grid_period=0),
+        dict(grid_period=1),
+        dict(grid_period=-4),
+        dict(grid_period=4.0),
+        dict(grid_keep=0.0),
+        dict(grid_keep=1.5),
+        dict(cutout_frac=-0.1),
+        dict(cutout_frac=1.01),
+        dict(epsilon=math.inf),
+        dict(epsilon=-math.inf),
+    ):
+        with pytest.raises(ParameterError):
+            pl.ExpansionConfig(**bad)
     cfg = pl.ExpansionConfig()
     assert cfg.guidance_config("gif_latent").epsilon == 5.0
     assert cfg.guidance_config("gif_latent").noise_mode == "channel"
