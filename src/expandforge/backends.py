@@ -58,18 +58,6 @@ class Image:
                 f"[{self.pixels.min()}, {self.pixels.max()}]"
             )
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
-
     def flat(self) -> np.ndarray:
         return self.pixels.astype(np.float64).ravel()
 

@@ -17,30 +17,10 @@ import sys
 
 from . import backends as bk
 from . import evaluation as ev
+from . import guidance as gd
+from . import latentmath as lm
 from . import pipeline as pl
-from .errors import (
-    CoverageError,
-    DegenerateVectorError,
-    FormatError,
-    InputError,
-    NumericDivergenceError,
-    NumericInputError,
-    ParameterError,
-    RankError,
-    ShapeError,
-    SimplexError,
-)
-
-_DATA_ERRORS = (
-    FormatError,
-    InputError,
-    ShapeError,
-    SimplexError,
-    NumericInputError,
-    DegenerateVectorError,
-    RankError,
-    CoverageError,
-)
+from .errors import ExpandForgeError, FormatError, NumericDivergenceError, ParameterError
 
 SEED_ENV = "EXPANDFORGE_SEED"
 
@@ -76,32 +56,35 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--in", dest="input", required=True, help="input GIFX path")
     expand.add_argument("--method", required=True, choices=pl.METHOD_IDS,
                         help="expansion method")
-    expand.add_argument("--ratio", type=int, default=5,
-                        help="synthetic variants per seed K (default 5)")
-    expand.add_argument("--epsilon", type=float, default=None,
-                        help="L-inf ball radius (default: 0.1 for gif_embed, 5.0 for gif_latent)")
-    expand.add_argument("--steps", type=int, default=10,
-                        help="ascent iterations (default 10)")
-    expand.add_argument("--step-size", type=float, default=0.1,
-                        help="ascent rate (default 0.1)")
-    expand.add_argument("--lambda-con", type=float, default=1.0,
-                        help="consistency weight (default 1.0)")
-    expand.add_argument("--lambda-ent", type=float, default=1.0,
-                        help="entropy-gain weight (default 1.0)")
-    expand.add_argument("--lambda-div", type=float, default=1.0,
-                        help="diversity weight (default 1.0)")
-    expand.add_argument("--noise-mode", choices=("full", "channel", "token"), default=None,
-                        help="perturbation tying (default: full for gif_embed, channel for gif_latent)")
-    expand.add_argument("--retries", type=int, default=2,
-                        help="consistency retry budget (default 2)")
-    expand.add_argument("--budget", type=int, default=None,
+    cfg = pl.ExpansionConfig()
+    per_flow = lambda key: ", ".join(f"{d[key]} for {m}" for m, d in gd.FLOW_DEFAULTS.items())
+    expand.add_argument("--ratio", type=int, default=cfg.ratio_k,
+                        help=f"synthetic variants per seed K (default {cfg.ratio_k})")
+    expand.add_argument("--epsilon", type=float, default=cfg.epsilon,
+                        help=f"L-inf ball radius (default: {per_flow('epsilon')})")
+    expand.add_argument("--steps", type=int, default=cfg.steps,
+                        help=f"ascent iterations (default {cfg.steps})")
+    expand.add_argument("--step-size", type=float, default=cfg.step_size,
+                        help=f"ascent rate (default {cfg.step_size})")
+    w_con, w_ent, w_div = cfg.weights
+    expand.add_argument("--lambda-con", type=float, default=w_con,
+                        help=f"consistency weight (default {w_con})")
+    expand.add_argument("--lambda-ent", type=float, default=w_ent,
+                        help=f"entropy-gain weight (default {w_ent})")
+    expand.add_argument("--lambda-div", type=float, default=w_div,
+                        help=f"diversity weight (default {w_div})")
+    expand.add_argument("--noise-mode", choices=lm.NOISE_MODES, default=cfg.noise_mode,
+                        help=f"perturbation tying (default: {per_flow('noise_mode')})")
+    expand.add_argument("--retries", type=int, default=cfg.retries,
+                        help=f"consistency retry budget (default {cfg.retries})")
+    expand.add_argument("--budget", type=int, default=cfg.candidate_budget,
                         help="candidate budget for selective methods (default 4*K)")
-    expand.add_argument("--cutout-frac", type=float, default=0.4,
-                        help="cutout patch fraction (default 0.4)")
-    expand.add_argument("--grid-period", type=int, default=8,
-                        help="gridmask period in pixels (default 8)")
-    expand.add_argument("--grid-keep", type=float, default=0.5,
-                        help="gridmask keep ratio (default 0.5)")
+    expand.add_argument("--cutout-frac", type=float, default=cfg.cutout_frac,
+                        help=f"cutout patch fraction (default {cfg.cutout_frac})")
+    expand.add_argument("--grid-period", type=int, default=cfg.grid_period,
+                        help=f"gridmask period in pixels (default {cfg.grid_period})")
+    expand.add_argument("--grid-keep", type=float, default=cfg.grid_keep,
+                        help=f"gridmask keep ratio (default {cfg.grid_keep})")
     expand.add_argument("--latent-dim", type=int, default=32,
                         help="codec latent dimension (default 32)")
     expand.add_argument("--latent-tokens", type=int, default=4,
@@ -188,9 +171,11 @@ def _cmd_expand(args) -> int:
         grid_keep=args.grid_keep,
     )
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)
-    pl.write_dataset(expanded, args.out)
     manifest_path = args.manifest or f"{args.out}.manifest.json"
+    # the manifest first: write_manifest validates and renders it before it
+    # opens the file, so a manifest that cannot be written leaves neither file
     pl.write_manifest(manifest, manifest_path)
+    pl.write_dataset(expanded, args.out)
     print(
         f"expanded {len(data)} -> {len(expanded)} samples with {args.method}; "
         f"wrote {args.out} and {manifest_path}"
@@ -278,7 +263,7 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as err:
+    except ExpandForgeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

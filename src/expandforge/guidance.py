@@ -9,6 +9,10 @@ evaluation. Both enforce prediction consistency with retries and a fallback
 to the unperturbed seed reconstruction, so every emitted variant keeps the
 seed's predicted class.
 
+Both flows take their knobs from the one pipeline.ExpansionConfig. The flow
+fills in an epsilon or noise_mode left None from FLOW_DEFAULTS (flow_config),
+so each default is written once.
+
 The engine ascends a block of G seeds with K variants each as one
 (G, K, T, D) stack of rows; the per-seed flows are its G = 1 case. A seed's
 variants are bit-identical whatever block it shares, because every stacked
@@ -36,8 +40,8 @@ check_record and made for every method by the one builder, _records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -53,50 +57,22 @@ from .errors import (
 )
 from .rng import RngStream
 
+if TYPE_CHECKING:
+    from .pipeline import ExpansionConfig
 
-@dataclass(eq=False)
-class GuidanceConfig:
-    """Knobs for one guided expansion run."""
 
-    epsilon: float
-    ratio_k: int = 5
-    steps: int = 10
-    step_size: float = 0.1
-    weights: tuple = (1.0, 1.0, 1.0)
-    noise_mode: str = "full"
-    retries: int = 2
+# each guided flow's L-inf ball radius and noise tying, for the config
+# fields left None
+FLOW_DEFAULTS = {
+    "gif_embed": dict(epsilon=0.1, noise_mode="full"),
+    "gif_latent": dict(epsilon=5.0, noise_mode="channel"),
+}
 
-    def __post_init__(self):
-        if not (self.epsilon >= 0):
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.ratio_k < 1:
-            raise ParameterError(f"ratio_k must be >= 1, got {self.ratio_k}")
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if not (self.step_size > 0):
-            raise ParameterError(f"step_size must be > 0, got {self.step_size}")
-        if self.retries < 0:
-            raise ParameterError(f"retries must be >= 0, got {self.retries}")
-        if self.noise_mode not in lm.NOISE_MODES:
-            raise ParameterError(
-                f"noise_mode must be one of {lm.NOISE_MODES}, got {self.noise_mode!r}"
-            )
-        w = tuple(float(x) for x in self.weights)
-        if len(w) != 3 or any(not math.isfinite(x) or x < 0 for x in w):
-            raise ParameterError(f"weights must be three nonnegative reals, got {self.weights}")
-        self.weights = w
 
-    @classmethod
-    def embedding_defaults(cls, **overrides) -> "GuidanceConfig":
-        kw = dict(epsilon=0.1, noise_mode="full")
-        kw.update(overrides)
-        return cls(**kw)
-
-    @classmethod
-    def latent_defaults(cls, **overrides) -> "GuidanceConfig":
-        kw = dict(epsilon=5.0, noise_mode="channel")
-        kw.update(overrides)
-        return cls(**kw)
+def flow_config(config: ExpansionConfig, flow: str) -> ExpansionConfig:
+    """config with each field it leaves None taken from flow's FLOW_DEFAULTS."""
+    defaults = FLOW_DEFAULTS[flow]
+    return replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
 
 
 class GroupScores(NamedTuple):
@@ -233,7 +209,7 @@ def _stacked(draws: list):
 _TIED_AXIS = {"channel": -2, "token": -1}
 
 
-def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: GuidanceConfig):
+def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: ExpansionConfig):
     """Projected gradient ascent of G seed groups of K variants, as one stack.
 
     seeds is (G, T, D) and params is (z, b), each (G, K, T, D). score_fn maps
@@ -390,7 +366,7 @@ def _expand_with_chain(
     seeds: np.ndarray,
     seed_probs: np.ndarray,
     method: str,
-    config: GuidanceConfig,
+    config: ExpansionConfig,
     rng_streams: list,
 ):
     """Joint ascent of every seed's K variants, then consistency retries and
@@ -453,11 +429,13 @@ def expand_embedding_block(
     embedder: Embedder,
     head: ZeroShotHead,
     decoder: EmbeddingDecoder,
-    config: GuidanceConfig,
+    config: ExpansionConfig,
     rng_streams: list,
 ):
     """Optimize K perturbed copies of each seed's embedding in one stack, then
-    decode them: one image list and one record list per seed, and the trace."""
+    decode them: one image list and one record list per seed, and the trace.
+    config fields left None take their gif_embed FLOW_DEFAULTS."""
+    config = flow_config(config, "gif_embed")
     e0 = embedder.embed_images(seed_images)
     seed_probs = head.predict_rows(e0)
     chain = ScoreChain(head, config.weights, seed_probs)
@@ -473,12 +451,13 @@ def expand_latent_block(
     codec: LinearCodec,
     embedder: Embedder,
     head: ZeroShotHead,
-    config: GuidanceConfig,
+    config: ExpansionConfig,
     rng_streams: list,
 ):
     """Optimize K perturbed codec latents of each seed in one stack, scoring
     decoded intermediates: one image list and one record list per seed, and
-    the trace."""
+    the trace. config fields left None take their gif_latent FLOW_DEFAULTS."""
+    config = flow_config(config, "gif_latent")
     f0 = np.stack([codec.encode(img).values for img in seed_images])
     # the reference prediction goes through the same decode/embed path the
     # variants use, so the seed fallback is consistent by construction
@@ -498,7 +477,7 @@ def expand_seed_embedding_flow(
     embedder: Embedder,
     head: ZeroShotHead,
     decoder: EmbeddingDecoder,
-    config: GuidanceConfig,
+    config: ExpansionConfig,
     rng_stream: RngStream,
 ):
     """Optimize K perturbed copies of the seed's embedding, then decode them."""
@@ -513,7 +492,7 @@ def expand_seed_latent_flow(
     codec: LinearCodec,
     embedder: Embedder,
     head: ZeroShotHead,
-    config: GuidanceConfig,
+    config: ExpansionConfig,
     rng_stream: RngStream,
 ):
     """Optimize K perturbed codec latents, scoring decoded intermediates."""

@@ -148,14 +148,6 @@ class Latent:
         if not np.all(np.isfinite(self.values)):
             raise NumericInputError("latent contains non-finite values")
 
-    @property
-    def tokens(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 

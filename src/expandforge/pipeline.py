@@ -23,6 +23,7 @@ import numpy as np
 
 from . import augment as ag
 from . import guidance as gd
+from . import latentmath as lm
 from .backends import EmbeddingDecoder, Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead
 from .errors import FormatError, InputError, NumericInputError, ParameterError
 from .rng import RngStream
@@ -42,7 +43,7 @@ METHOD_IDS = (
     "selective_cutout",
 )
 # the methods that ascend with guidance, and so decode with the codec
-GUIDED_METHODS = ("gif_embed", "gif_latent")
+GUIDED_METHODS = tuple(gd.FLOW_DEFAULTS)
 
 
 def parse_method(name: str) -> str:
@@ -300,7 +301,8 @@ def read_manifest(path) -> ExpansionManifest:
 
 @dataclass(eq=False)
 class ExpansionConfig:
-    """Method-independent knobs; None means the method's own default."""
+    """Every knob of an expansion run; a guided flow fills in an epsilon or
+    noise_mode left None from guidance.FLOW_DEFAULTS."""
 
     ratio_k: int = 5
     epsilon: float | None = None
@@ -321,40 +323,24 @@ class ExpansionConfig:
             raise ParameterError(
                 f"candidate_budget {self.candidate_budget} is below ratio_k {self.ratio_k}"
             )
-        if self.epsilon is not None and not math.isfinite(self.epsilon):
-            raise ParameterError(f"epsilon must be finite, got {self.epsilon}")
+        if self.epsilon is not None and not (0 <= self.epsilon < math.inf):
+            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.steps < 0:
+            raise ParameterError(f"steps must be >= 0, got {self.steps}")
+        if not (self.step_size > 0):
+            raise ParameterError(f"step_size must be > 0, got {self.step_size}")
+        if self.retries < 0:
+            raise ParameterError(f"retries must be >= 0, got {self.retries}")
+        if self.noise_mode is not None and self.noise_mode not in lm.NOISE_MODES:
+            raise ParameterError(
+                f"noise_mode must be one of {lm.NOISE_MODES}, got {self.noise_mode!r}"
+            )
+        w = tuple(float(x) for x in self.weights)
+        if len(w) != 3 or any(not math.isfinite(x) or x < 0 for x in w):
+            raise ParameterError(f"weights must be three nonnegative reals, got {self.weights}")
+        self.weights = w
         ag.check_cutout_frac(self.cutout_frac)
         ag.check_gridmask_params(self.grid_period, self.grid_keep)
-        # delegate range checks shared with the guidance config
-        gd.GuidanceConfig(
-            epsilon=0.0 if self.epsilon is None else self.epsilon,
-            ratio_k=self.ratio_k,
-            steps=self.steps,
-            step_size=self.step_size,
-            weights=self.weights,
-            noise_mode=self.noise_mode or "full",
-            retries=self.retries,
-        )
-        self.weights = tuple(float(x) for x in self.weights)
-
-    def guidance_config(self, method: str) -> gd.GuidanceConfig:
-        base = (
-            gd.GuidanceConfig.latent_defaults
-            if method == "gif_latent"
-            else gd.GuidanceConfig.embedding_defaults
-        )
-        overrides = dict(
-            ratio_k=self.ratio_k,
-            steps=self.steps,
-            step_size=self.step_size,
-            weights=self.weights,
-            retries=self.retries,
-        )
-        if self.epsilon is not None:
-            overrides["epsilon"] = self.epsilon
-        if self.noise_mode is not None:
-            overrides["noise_mode"] = self.noise_mode
-        return base(**overrides)
 
     def as_dict(self) -> dict:
         return {**asdict(self), "weights": list(self.weights)}
@@ -391,14 +377,13 @@ ASCENT_BLOCK_ROWS = 160
 def _expand_guided_block(images, method, config, backends, streams):
     """All K variants of a block of seeds, ascended as one stack; a seed's
     variants are pure in (its stream id, method, config, seed)."""
-    gcfg = config.guidance_config(method)
     if method == "gif_embed":
         variants, records, _ = gd.expand_embedding_block(
-            images, backends.embedder, backends.head, backends.decoder, gcfg, streams
+            images, backends.embedder, backends.head, backends.decoder, config, streams
         )
     else:
         variants, records, _ = gd.expand_latent_block(
-            images, backends.codec, backends.embedder, backends.head, gcfg, streams
+            images, backends.codec, backends.embedder, backends.head, config, streams
         )
     return list(zip(variants, records))
 

@@ -181,7 +181,7 @@ def test_criterion_03_optimization_soundness():
     with _budget(30.0):
         data = bk.gen_toy_dataset(CLASSES, 50, SIDE, seed=0)
         bundle = _fit_bundle(data)
-        config = gd.GuidanceConfig.latent_defaults()
+        config = pl.ExpansionConfig()
         improved = 0
         for j, img in enumerate(data.images):
             stream = RngStream.root(0).child("accept3", j)
@@ -190,7 +190,7 @@ def test_criterion_03_optimization_soundness():
             improved += trace.objective[-1] >= trace.objective[0]
         assert improved >= 190, f"objective improved on only {improved}/200 seeds"
 
-        zero_cfg = gd.GuidanceConfig.latent_defaults(epsilon=0.0)
+        zero_cfg = pl.ExpansionConfig(epsilon=0.0)
         for j, img in enumerate(data.images):
             want = bundle.codec.decode(bundle.codec.encode(img)).pixels
             stream = RngStream.root(1).child("accept3z", j)

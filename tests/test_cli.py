@@ -8,6 +8,7 @@ import pytest
 
 import expandforge.cli as cli
 import expandforge.pipeline as pl
+from expandforge.errors import ExpandForgeError, NumericDivergenceError, ParameterError
 
 
 def _toygen(tmp_path, name="train.gifx", classes=4, per_class=3, size=16, seed=7):
@@ -176,6 +177,27 @@ def test_divergence_exits_three(tmp_path):
     )
     args += ["--step-size", "1e309"]
     assert cli.main(args) == 3
+
+
+def test_unwritable_manifest_leaves_no_files(tmp_path):
+    # a baseline never uses the step size, but the manifest records it, and
+    # canonical JSON cannot hold inf
+    src = _toygen(tmp_path)
+    out = tmp_path / "inf.gifx"
+    assert cli.main(_small_expand_args(src, out, step_size="inf")) == 2
+    assert not out.exists()
+    assert not (tmp_path / "inf.gifx.manifest.json").exists()
+
+
+@pytest.mark.parametrize("error", ExpandForgeError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_package_error_has_its_exit_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "report", fail)
+    code = cli.main(["report", "--metrics", "m.json", "--out", "r.csv"])
+    assert code == {NumericDivergenceError: 3, ParameterError: 1}.get(error, 2)
+    assert "boom" in capsys.readouterr().err
 
 
 def test_seed_env_var_fills_in(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ import pytest
 import expandforge.backends as bk
 import expandforge.guidance as gd
 import expandforge.latentmath as lm
+import expandforge.pipeline as pl
 from expandforge.errors import NumericDivergenceError, ParameterError, ShapeError
 from expandforge.rng import RngStream
 
@@ -37,42 +38,6 @@ def _params(shape, k, mode, stream):
     """One seed group's (z, b) stack, each (1, k, T, D)."""
     z, b = gd.init_perturbations(shape, k, mode, stream)
     return z[None], b[None]
-
-
-# ---------------------------------------------------------------- config
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=-0.1)
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, ratio_k=0)
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, steps=-1)
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, step_size=0.0)
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, retries=-1)
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, noise_mode="pixel")
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, weights=(1.0, 1.0))
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, weights=(-1.0, 0.0, 0.0))
-    with pytest.raises(ParameterError):
-        gd.GuidanceConfig(epsilon=0.1, weights=(float("nan"), 1.0, 1.0))
-
-
-def test_config_flow_defaults():
-    emb = gd.GuidanceConfig.embedding_defaults()
-    assert emb.epsilon == 0.1
-    assert emb.noise_mode == "full"
-    lat = gd.GuidanceConfig.latent_defaults(ratio_k=3)
-    assert lat.epsilon == 5.0
-    assert lat.noise_mode == "channel"
-    assert lat.ratio_k == 3
-    assert emb.ratio_k == 5 and emb.steps == 10 and emb.step_size == 0.1
-    assert emb.weights == (1.0, 1.0, 1.0) and emb.retries == 2
 
 
 # ------------------------------------------------------- perturbation init
@@ -119,7 +84,9 @@ class _LinearPath:
 
 def test_trace_length_and_steps_zero():
     seed = lm.Latent(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
-    cfg = gd.GuidanceConfig(epsilon=np.inf, ratio_k=2, steps=0, step_size=0.05)
+    cfg = pl.ExpansionConfig(
+        epsilon=1e300, ratio_k=2, steps=0, step_size=0.05, noise_mode="full"
+    )
     z, b = _params((3, 4), 2, "full", _stream("t0"))
     variants, trace = gd.optimize_guidance(seed.values[None], _LinearPath(), (z, b), cfg)
     assert len(trace) == 1 and variants.shape == (1, 2, 3, 4)
@@ -136,7 +103,9 @@ def test_linear_objective_gains_match_update_rule():
     # objective gains exactly k * eta * (sum(f^2) + f.size) per step
     seed_values = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
     eta, k, steps = 0.05, 3, 4
-    cfg = gd.GuidanceConfig(epsilon=np.inf, ratio_k=k, steps=steps, step_size=eta)
+    cfg = pl.ExpansionConfig(
+        epsilon=1e300, ratio_k=k, steps=steps, step_size=eta, noise_mode="full"
+    )
     params = _params((3, 4), k, "full", _stream("lin"))
     _, trace = gd.optimize_guidance(seed_values[None], _LinearPath(), params, cfg)
     assert len(trace) == steps + 1
@@ -151,8 +120,8 @@ def test_tied_modes_survive_updates():
     f = np.linspace(-1.0, 1.0, 20).reshape(4, 5)
     eta, steps = 0.01, 3
     for mode, axis in (("channel", 0), ("token", 1)):
-        cfg = gd.GuidanceConfig(
-            epsilon=np.inf, ratio_k=2, steps=steps, step_size=eta, noise_mode=mode
+        cfg = pl.ExpansionConfig(
+            epsilon=1e300, ratio_k=2, steps=steps, step_size=eta, noise_mode=mode
         )
         z, b = _params(f.shape, 2, mode, _stream("tie", mode))
         variants, trace = gd.optimize_guidance(f[None], _LinearPath(), (z, b), cfg)
@@ -167,8 +136,9 @@ def test_zero_weights_freeze_the_variants():
     e0 = embedder.embed(data.images[0])
     seed = e0[None, None, :]
     path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
-    moving = gd.GuidanceConfig(epsilon=0.3, ratio_k=3, steps=5, weights=(0.0, 0.0, 0.0))
-    frozen = gd.GuidanceConfig(epsilon=0.3, ratio_k=3, steps=0, weights=(0.0, 0.0, 0.0))
+    still = dict(epsilon=0.3, ratio_k=3, weights=(0.0, 0.0, 0.0), noise_mode="full")
+    moving = pl.ExpansionConfig(steps=5, **still)
+    frozen = pl.ExpansionConfig(steps=0, **still)
     params = _params((1, e0.size), 3, "full", _stream("zw"))
     got, trace = gd.optimize_guidance(seed, path, params, moving)
     want, _ = gd.optimize_guidance(seed, path, params, frozen)
@@ -181,8 +151,9 @@ def test_divergence_error_names_the_step():
     data, _, embedder, head, _ = _setup()
     e0 = embedder.embed(data.images[0])
     path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
-    cfg = gd.GuidanceConfig(
-        epsilon=0.3, ratio_k=2, steps=5, step_size=float("1e309"), weights=(0.0, 0.0, 0.0)
+    cfg = pl.ExpansionConfig(
+        epsilon=0.3, ratio_k=2, steps=5, step_size=float("1e309"), weights=(0.0, 0.0, 0.0),
+        noise_mode="full",
     )
     params = _params((1, e0.size), 2, "full", _stream("div"))
     with pytest.raises(NumericDivergenceError) as err:
@@ -277,12 +248,12 @@ def test_chain_predictions_are_the_head_predictions(flow):
     if flow == "embedding":
         e0 = embedder.embed(data.images[0])
         seed, seed_pred, lift = lm.Latent(e0[None, :]), head.predict(e0), gd.identity_lift
-        cfg = gd.GuidanceConfig.embedding_defaults(ratio_k=3, steps=4)
+        cfg = gd.flow_config(pl.ExpansionConfig(ratio_k=3, steps=4), "gif_embed")
     else:
         seed = codec.encode(data.images[0])
         seed_pred = head.predict(embedder.embed_flat(codec.decode_with_mask(seed.flat())[0]))
         lift = gd.decode_lift(codec, embedder)
-        cfg = gd.GuidanceConfig.latent_defaults(ratio_k=3, steps=4)
+        cfg = gd.flow_config(pl.ExpansionConfig(ratio_k=3, steps=4), "gif_latent")
     chain = gd.ScoreChain(head, cfg.weights, seed_pred.probs[None], lift)
     z, b = _params(seed.values.shape, 3, cfg.noise_mode, _stream("preds", flow))
     emitted, trace = gd.optimize_guidance(seed.values[None], chain, (z, b), cfg)
@@ -305,7 +276,7 @@ def test_chain_predictions_are_the_head_predictions(flow):
 
 def test_embedding_flow_epsilon_zero_emits_decoded_seed():
     data, _, embedder, head, decoder = _setup()
-    cfg = gd.GuidanceConfig.embedding_defaults(epsilon=0.0, ratio_k=3, steps=4)
+    cfg = pl.ExpansionConfig(epsilon=0.0, ratio_k=3, steps=4)
     images, records, trace = gd.expand_seed_embedding_flow(
         data.images[0], embedder, head, decoder, cfg, _stream("eps0")
     )
@@ -319,7 +290,7 @@ def test_embedding_flow_epsilon_zero_emits_decoded_seed():
 
 def test_embedding_flow_consistency_and_shapes():
     data, _, embedder, head, decoder = _setup()
-    cfg = gd.GuidanceConfig.embedding_defaults(ratio_k=5, steps=10)
+    cfg = pl.ExpansionConfig(ratio_k=5, steps=10)
     images, records, trace = gd.expand_seed_embedding_flow(
         data.images[0], embedder, head, decoder, cfg, _stream("emb-flow")
     )
@@ -339,7 +310,7 @@ def test_embedding_flow_consistency_and_shapes():
 
 def test_latent_flow_consistency_and_determinism():
     data, codec, embedder, head, _ = _setup()
-    cfg = gd.GuidanceConfig.latent_defaults(ratio_k=4, steps=5)
+    cfg = pl.ExpansionConfig(ratio_k=4, steps=5)
     run = lambda s: gd.expand_seed_latent_flow(
         data.images[1], codec, embedder, head, cfg, s
     )
@@ -363,7 +334,7 @@ def test_latent_flow_consistency_and_determinism():
 
 def test_latent_flow_epsilon_zero_bit_identical():
     data, codec, embedder, head, _ = _setup()
-    cfg = gd.GuidanceConfig.latent_defaults(epsilon=0.0, ratio_k=2, steps=3)
+    cfg = pl.ExpansionConfig(epsilon=0.0, ratio_k=2, steps=3)
     images, records, _ = gd.expand_seed_latent_flow(
         data.images[2], codec, embedder, head, cfg, _stream("lat0")
     )
@@ -396,7 +367,7 @@ def test_fallback_after_exhausted_retries():
     seed_probs = np.array([[0.9, 0.1]])
     stream = _stream("fallback")
     for steps in (0, 2):
-        cfg = gd.GuidanceConfig(epsilon=0.5, ratio_k=3, steps=steps, retries=2)
+        cfg = pl.ExpansionConfig(epsilon=0.5, ratio_k=3, steps=steps, retries=2, noise_mode="full")
         emitted, (records,), trace = gd._expand_with_chain(
             path, seed_values[None], seed_probs, "gif_embed", cfg, [stream]
         )
@@ -424,7 +395,7 @@ def test_fallback_after_exhausted_retries():
 
 def test_record_stream_ids_name_the_variant():
     data, _, embedder, head, decoder = _setup()
-    cfg = gd.GuidanceConfig.embedding_defaults(ratio_k=2, steps=1)
+    cfg = pl.ExpansionConfig(ratio_k=2, steps=1)
     stream = _stream("ids")
     _, records, _ = gd.expand_seed_embedding_flow(
         data.images[0], embedder, head, decoder, cfg, stream

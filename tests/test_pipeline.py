@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expandforge.backends as bk
+import expandforge.guidance as gd
 import expandforge.pipeline as pl
 from expandforge.errors import FormatError, InputError, ParameterError
 
@@ -495,15 +496,21 @@ def test_expand_rejects_empty_dataset():
 
 
 def test_expansion_config_validation():
-    with pytest.raises(ParameterError):
-        pl.ExpansionConfig(ratio_k=0)
-    with pytest.raises(ParameterError):
-        pl.ExpansionConfig(ratio_k=4, candidate_budget=2)
-    with pytest.raises(ParameterError):
-        pl.ExpansionConfig(noise_mode="pixel")
     # each bad value is rejected whatever the method, before it can reach
-    # the phase draw of gridmask or the manifest's canonical JSON
+    # the ascent, the phase draw of gridmask or the manifest's canonical JSON
     for bad in (
+        dict(ratio_k=0),
+        dict(ratio_k=4, candidate_budget=2),
+        dict(epsilon=-0.1),
+        dict(epsilon=math.inf),
+        dict(epsilon=-math.inf),
+        dict(steps=-1),
+        dict(step_size=0.0),
+        dict(retries=-1),
+        dict(noise_mode="pixel"),
+        dict(weights=(1.0, 1.0)),
+        dict(weights=(-1.0, 0.0, 0.0)),
+        dict(weights=(float("nan"), 1.0, 1.0)),
         dict(grid_period=0),
         dict(grid_period=1),
         dict(grid_period=-4),
@@ -512,13 +519,24 @@ def test_expansion_config_validation():
         dict(grid_keep=1.5),
         dict(cutout_frac=-0.1),
         dict(cutout_frac=1.01),
-        dict(epsilon=math.inf),
-        dict(epsilon=-math.inf),
     ):
         with pytest.raises(ParameterError):
             pl.ExpansionConfig(**bad)
-    cfg = pl.ExpansionConfig()
-    assert cfg.guidance_config("gif_latent").epsilon == 5.0
-    assert cfg.guidance_config("gif_latent").noise_mode == "channel"
-    assert cfg.guidance_config("gif_embed").epsilon == 0.1
-    assert pl.ExpansionConfig(epsilon=0.7).guidance_config("gif_latent").epsilon == 0.7
+    # a guided flow fills in only the fields left None, from its own defaults
+    for overrides, flow, epsilon, noise_mode in (
+        (dict(), "gif_embed", 0.1, "full"),
+        (dict(ratio_k=3), "gif_latent", 5.0, "channel"),
+        (dict(epsilon=0.7), "gif_latent", 0.7, "channel"),
+        (dict(noise_mode="token"), "gif_embed", 0.1, "token"),
+        (dict(epsilon=0.0, noise_mode="full"), "gif_latent", 0.0, "full"),
+    ):
+        cfg = pl.ExpansionConfig(**overrides)
+        got = gd.flow_config(cfg, flow)
+        assert (got.epsilon, got.noise_mode) == (epsilon, noise_mode)
+        assert got.as_dict() == {**cfg.as_dict(), "epsilon": epsilon, "noise_mode": noise_mode}
+        assert cfg.epsilon == overrides.get("epsilon")
+    assert pl.ExpansionConfig().as_dict() == dict(
+        ratio_k=5, epsilon=None, steps=10, step_size=0.1, weights=[1.0, 1.0, 1.0],
+        noise_mode=None, retries=2, candidate_budget=None, cutout_frac=0.4, grid_period=8,
+        grid_keep=0.5,
+    )
