@@ -40,6 +40,50 @@ def _params(shape, k, mode, stream):
     return z[None], b[None]
 
 
+# ---------------------------------------------------------------- config
+
+
+def test_config_rejects_bad_values():
+    for bad in (
+        dict(epsilon=-0.1),
+        dict(ratio_k=0),
+        dict(steps=-1),
+        dict(step_size=0.0),
+        dict(retries=-1),
+        dict(noise_mode="pixel"),
+        dict(weights=(1.0, 1.0)),
+        dict(weights=(-1.0, 0.0, 0.0)),
+        dict(weights=(float("nan"), 1.0, 1.0)),
+    ):
+        with pytest.raises(ParameterError):
+            pl.ExpansionConfig(**bad)
+
+
+def test_config_flow_defaults():
+    emb = gd.flow_config(pl.ExpansionConfig(), "gif_embed")
+    assert emb.epsilon == 0.1
+    assert emb.noise_mode == "full"
+    lat = gd.flow_config(pl.ExpansionConfig(ratio_k=3), "gif_latent")
+    assert lat.epsilon == 5.0
+    assert lat.noise_mode == "channel"
+    assert lat.ratio_k == 3
+    assert emb.ratio_k == 5 and emb.steps == 10 and emb.step_size == 0.1
+    assert emb.weights == (1.0, 1.0, 1.0) and emb.retries == 2
+    # a flow fills in only the fields left None, and leaves its input as given
+    for overrides, flow, epsilon, noise_mode in (
+        (dict(), "gif_embed", 0.1, "full"),
+        (dict(ratio_k=3), "gif_latent", 5.0, "channel"),
+        (dict(epsilon=0.7), "gif_latent", 0.7, "channel"),
+        (dict(noise_mode="token"), "gif_embed", 0.1, "token"),
+        (dict(epsilon=0.0, noise_mode="full"), "gif_latent", 0.0, "full"),
+    ):
+        cfg = pl.ExpansionConfig(**overrides)
+        got = gd.flow_config(cfg, flow)
+        assert (got.epsilon, got.noise_mode) == (epsilon, noise_mode)
+        assert got.as_dict() == {**cfg.as_dict(), "epsilon": epsilon, "noise_mode": noise_mode}
+        assert cfg.epsilon == overrides.get("epsilon")
+
+
 # ------------------------------------------------------- perturbation init
 
 

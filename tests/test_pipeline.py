@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expandforge.backends as bk
-import expandforge.guidance as gd
 import expandforge.pipeline as pl
 from expandforge.errors import FormatError, InputError, ParameterError
 
@@ -497,20 +496,14 @@ def test_expand_rejects_empty_dataset():
 
 def test_expansion_config_validation():
     # each bad value is rejected whatever the method, before it can reach
-    # the ascent, the phase draw of gridmask or the manifest's canonical JSON
+    # the phase draw of gridmask or the manifest's canonical JSON; the
+    # guidance fields' bad values are in test_guidance.py
     for bad in (
         dict(ratio_k=0),
         dict(ratio_k=4, candidate_budget=2),
-        dict(epsilon=-0.1),
         dict(epsilon=math.inf),
         dict(epsilon=-math.inf),
-        dict(steps=-1),
-        dict(step_size=0.0),
-        dict(retries=-1),
         dict(noise_mode="pixel"),
-        dict(weights=(1.0, 1.0)),
-        dict(weights=(-1.0, 0.0, 0.0)),
-        dict(weights=(float("nan"), 1.0, 1.0)),
         dict(grid_period=0),
         dict(grid_period=1),
         dict(grid_period=-4),
@@ -522,19 +515,6 @@ def test_expansion_config_validation():
     ):
         with pytest.raises(ParameterError):
             pl.ExpansionConfig(**bad)
-    # a guided flow fills in only the fields left None, from its own defaults
-    for overrides, flow, epsilon, noise_mode in (
-        (dict(), "gif_embed", 0.1, "full"),
-        (dict(ratio_k=3), "gif_latent", 5.0, "channel"),
-        (dict(epsilon=0.7), "gif_latent", 0.7, "channel"),
-        (dict(noise_mode="token"), "gif_embed", 0.1, "token"),
-        (dict(epsilon=0.0, noise_mode="full"), "gif_latent", 0.0, "full"),
-    ):
-        cfg = pl.ExpansionConfig(**overrides)
-        got = gd.flow_config(cfg, flow)
-        assert (got.epsilon, got.noise_mode) == (epsilon, noise_mode)
-        assert got.as_dict() == {**cfg.as_dict(), "epsilon": epsilon, "noise_mode": noise_mode}
-        assert cfg.epsilon == overrides.get("epsilon")
     assert pl.ExpansionConfig().as_dict() == dict(
         ratio_k=5, epsilon=None, steps=10, step_size=0.1, weights=[1.0, 1.0, 1.0],
         noise_mode=None, retries=2, candidate_budget=None, cutout_frac=0.4, grid_period=8,
