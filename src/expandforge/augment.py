@@ -2,10 +2,12 @@
 
 The augmenters are plain image transforms fed by the same counter-based
 streams as the guided flows, so every candidate is reproducible from its
-identifiers. Selective expansion scores augmented candidates with the
-zero-shot head and keeps the ones that preserve the seed's predicted class
-while increasing prediction entropy, either per seed (sample_wise) or from
-one global pool (sample_agnostic).
+identifiers. score_candidates scores a seed's augmented images with the
+zero-shot head as one stack, and every baseline scores through it: a plain
+baseline its K variants, a selective one its candidate pool. Selective
+expansion then keeps the candidates that preserve the seed's predicted
+class while increasing prediction entropy, either per seed (sample_wise)
+or from one global pool (sample_agnostic).
 """
 
 from __future__ import annotations
@@ -125,6 +127,24 @@ def _rank_key(record: SelectionRecord):
     return (tier, -record.entropy_gain, record.stream_id)
 
 
+def score_candidates(seed, candidates, streams, embedder, head, seed_index: int = 0):
+    """One SelectionRecord per candidate image of one seed, candidate c drawn
+    from streams[c]. The seed and its candidates are embedded as one stack
+    (embedder.embed_images) and classified as one (head.predict_rows). A
+    candidate qualifies when it keeps the seed's predicted class and gains
+    prediction entropy."""
+    # row 0 is the seed, row 1 + c candidate c
+    embeddings = embedder.embed_images([seed, *candidates])
+    probs = head.predict_rows(embeddings)
+    s_con, gains = (t.tolist() for t in lm.consistency_entropy_rows(probs[1:], probs[0]))
+    consistent = (probs[1:].argmax(axis=-1) == probs[0].argmax()).tolist()
+    return [
+        SelectionRecord(seed_index, c, stream.id, s_con[c], gains[c], consistent[c],
+                        consistent[c] and gains[c] > 0.0, embeddings[1 + c])
+        for c, stream in enumerate(streams)
+    ]
+
+
 def selective_expand(
     seeds,
     augmenter,
@@ -143,10 +163,9 @@ def selective_expand(
     from that seed's own pool to hit the quota exactly; sample_agnostic
     ranks only the qualified candidates globally and takes at most
     len(seeds) * quota_k of them, which can starve or skip seeds entirely.
-    Each seed and its candidates are embedded as one stack
-    (embedder.embed_images) and classified as one (head.predict_rows).
-    Accepts a labeled dataset or a plain sequence of images. Returns the
-    selected images and their records, ordered by seed.
+    Each seed's pool is scored by score_candidates. Accepts a labeled
+    dataset or a plain sequence of images. Returns the selected images and
+    their records, ordered by seed.
     """
     images_in = getattr(seeds, "images", seeds)
     if quota_k < 1:
@@ -166,26 +185,8 @@ def selective_expand(
     for j, seed in enumerate(images_in):
         streams = [rng_stream.child("seed", j, "cand", c) for c in range(candidate_budget)]
         candidates = [augmenter(seed, stream) for stream in streams]
-        # row 0 is the seed, row 1 + c candidate c
-        embeddings = embedder.embed_images([seed, *candidates])
-        probs = head.predict_rows(embeddings)
-        s_con, gains = lm.consistency_entropy_rows(probs[1:], probs[0])
-        consistent = (probs[1:].argmax(axis=-1) == probs[0].argmax()).tolist()
-        pool = []
-        for c, (stream, img) in enumerate(zip(streams, candidates)):
-            gain = float(gains[c])
-            record = SelectionRecord(
-                seed_index=j,
-                candidate_index=c,
-                stream_id=stream.id,
-                s_con=float(s_con[c]),
-                entropy_gain=gain,
-                consistent=consistent[c],
-                qualified=consistent[c] and gain > 0.0,
-                embedding=embeddings[1 + c],
-            )
-            pool.append((record, img))
-        pools.append(pool)
+        records = score_candidates(seed, candidates, streams, embedder, head, seed_index=j)
+        pools.append(list(zip(records, candidates)))
 
     if mode == "sample_wise":
         selected = []

@@ -219,10 +219,11 @@ class LinearCodec:
         return self.basis.shape[0]
 
     def encode_flat(self, flat_pixels: np.ndarray) -> np.ndarray:
-        flat = np.asarray(flat_pixels, dtype=np.float64).ravel()
-        if flat.size != self.mean_image.size:
-            raise ShapeError(f"pixel size {flat.size} vs codec size {self.mean_image.size}")
-        return self.basis @ (flat - self.mean_image)
+        """Flat latent of one flat image or of every row of a stack (..., pixels)."""
+        flat = np.asarray(flat_pixels, dtype=np.float64)
+        if flat.ndim == 0 or flat.shape[-1] != self.mean_image.size:
+            raise ShapeError(f"pixel shape {flat.shape} vs codec size {self.mean_image.size}")
+        return lm.matvec(self.basis, flat - self.mean_image)
 
     def encode(self, image: Image) -> lm.Latent:
         if image.pixels.shape != self.image_shape:
@@ -412,30 +413,3 @@ def fit_prototype_head(
             raise DegenerateVectorError(f"class {c} ({name}) mean embedding is zero")
         protos[c] = mean_emb / norm
     return ZeroShotHead(prototypes=protos, tau=tau, class_names=list(exemplars.class_names))
-
-
-@dataclass(eq=False)
-class EmbeddingDecoder:
-    """Maps an embedding back to an image: orthonormal transpose into pixel
-    space, then a round trip through the codec to stay on the image manifold."""
-
-    embedder: Embedder
-    codec: LinearCodec
-
-    def __post_init__(self):
-        if self.embedder.projection.shape[1] != self.codec.mean_image.size:
-            raise ShapeError(
-                f"embedder input {self.embedder.projection.shape[1]} vs codec "
-                f"pixels {self.codec.mean_image.size}"
-            )
-
-    def __call__(self, embedding: np.ndarray) -> Image:
-        e = np.asarray(embedding, dtype=np.float64).ravel()
-        if e.size != self.embedder.embed_dim:
-            raise ShapeError(
-                f"embedding size {e.size} vs embedder dim {self.embedder.embed_dim}"
-            )
-        flat_pixels = self.embedder.projection.T @ e + 0.5
-        latent = self.codec.encode_flat(flat_pixels)
-        clamped, _ = self.codec.decode_with_mask(latent)
-        return Image(clamped.reshape(self.codec.image_shape))

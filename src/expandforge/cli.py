@@ -175,7 +175,12 @@ def _cmd_expand(args) -> int:
     # the manifest first: write_manifest validates and renders it before it
     # opens the file, so a manifest that cannot be written leaves neither file
     pl.write_manifest(manifest, manifest_path)
-    pl.write_dataset(expanded, args.out)
+    try:
+        pl.write_dataset(expanded, args.out)
+    except OSError:
+        # a manifest whose expanded_digest names no file must not stay behind
+        os.remove(manifest_path)
+        raise
     print(
         f"expanded {len(data)} -> {len(expanded)} samples with {args.method}; "
         f"wrote {args.out} and {manifest_path}"

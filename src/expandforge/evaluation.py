@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import LabeledDataset
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, ShapeError
 from .rng import RngStream
 
 
@@ -117,6 +117,10 @@ class MLPClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.w1.shape[0]:
+            raise ShapeError(
+                f"expected (N, {self.w1.shape[0]}) features as in training, got {x.shape}"
+            )
         _, probs = self._forward(x)
         return np.argmax(probs, axis=1)
 

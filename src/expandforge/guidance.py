@@ -1,13 +1,16 @@
 """Guided expansion of seeds: perturb, score, ascend, filter.
 
 Two flows share one ascent engine and one scoring chain: latent -> lift ->
-embedding -> cosine head, plus diversity over the latents. The embedding
-flow perturbs the seed's scoring embedding directly (identity lift) and
-decodes once at the end; the latent flow perturbs the codec latent, and its
-lift decodes an intermediate image and embeds it for every scoring
-evaluation. Both enforce prediction consistency with retries and a fallback
-to the unperturbed seed reconstruction, so every emitted variant keeps the
-seed's predicted class.
+embedding -> cosine head, plus diversity over the latents. Both take the
+same backends (codec, embedder, head). The embedding flow perturbs the
+seed's scoring embedding directly (identity lift) and decodes all emitted
+embeddings at the end as one stack: the embedder's orthonormal transpose
+into pixel space, then a codec round trip (LinearCodec.encode_flat,
+decode_with_mask). The latent flow perturbs the codec latent, and its lift
+decodes an intermediate image and embeds it for every scoring evaluation.
+Both enforce prediction consistency with retries and a fallback to the
+unperturbed seed reconstruction, so every emitted variant keeps the seed's
+predicted class.
 
 Both flows take their knobs from the one pipeline.ExpansionConfig. The flow
 fills in an epsilon or noise_mode left None from FLOW_DEFAULTS (flow_config),
@@ -34,7 +37,10 @@ test_row_kernels_are_bit_equal_to_per_vector_calls checks them:
 
 The module also owns the manifest record layout: a record is the plain
 dict the manifest stores, laid out by _RECORD_TYPES, checked by
-check_record and made for every method by the one builder, _records.
+check_record and made for every method by the one builder, _records. The
+guided flows fill it from their traces; every baseline, plain or
+selective, fills it through selected_records from the scores that
+augment.score_candidates measured.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import latentmath as lm
-from .backends import EmbeddingDecoder, Embedder, Image, LinearCodec, ZeroShotHead
+from .backends import Embedder, Image, LinearCodec, ZeroShotHead
 from .errors import (
     InputError,
     NumericDivergenceError,
@@ -335,24 +341,10 @@ def _records(method, weights, stream_ids, initial, final, consistent, retry_coun
     return [dict(zip(_RECORD_TYPES, row)) for row in zip(*columns)]
 
 
-def measured_records(seed_image, images, stream_ids, method, embedder, head, weights):
-    """Records for variants generated without guidance: the seed and its
-    variants are embedded and classified as one stack. A variant qualifies
-    when it keeps the seed's predicted class and gains prediction entropy."""
-    embeddings = embedder.embed_images([seed_image, *images])
-    probs = head.predict_rows(embeddings)
-    s_con, s_ent = lm.consistency_entropy_rows(probs[1:], probs[0])
-    terms = (s_con, s_ent, lm.mean_kl_rows(embeddings[1:]))
-    consistent = probs[1:].argmax(axis=-1) == probs[0].argmax()
-    qualified = consistent & (s_ent > 0.0)
-    k = len(images)
-    return _records(method, weights, stream_ids, terms, terms, consistent.tolist(),
-                    [0] * k, [False] * k, qualified.tolist())
-
-
 def selected_records(selected, method, weights):
-    """Records for selective-expansion picks, from the scores, embeddings and
-    qualification their selection measured: nothing is embedded again."""
+    """Records for a baseline's variants, from the augment.SelectionRecords
+    that augment.score_candidates measured for them: nothing is embedded
+    again. Every baseline, plain or selective, takes its records from here."""
     terms = ([sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
              lm.mean_kl_rows(np.stack([sel.embedding for sel in selected])))
     k = len(selected)
@@ -424,16 +416,25 @@ def _expand_with_chain(
     return emitted, records, trace
 
 
+def _decoded_images(codec: LinearCodec, flat_latents: np.ndarray):
+    """One image list per seed group of flat latents (G, K, latent_dim),
+    decoded as one stack."""
+    pixels, _ = codec.decode_with_mask(flat_latents)
+    return [[Image(p.reshape(codec.image_shape)) for p in group] for group in pixels]
+
+
 def expand_embedding_block(
     seed_images: list,
+    codec: LinearCodec,
     embedder: Embedder,
     head: ZeroShotHead,
-    decoder: EmbeddingDecoder,
     config: ExpansionConfig,
     rng_streams: list,
 ):
     """Optimize K perturbed copies of each seed's embedding in one stack, then
-    decode them: one image list and one record list per seed, and the trace.
+    decode them as one stack: through the embedder's orthonormal transpose
+    into pixel space, then a codec round trip to stay on the image manifold.
+    Returns one image list and one record list per seed, and the trace.
     config fields left None take their gif_embed FLOW_DEFAULTS."""
     config = flow_config(config, "gif_embed")
     e0 = embedder.embed_images(seed_images)
@@ -442,8 +443,8 @@ def expand_embedding_block(
     emitted, records, trace = _expand_with_chain(
         chain, e0[:, None, :], seed_probs, "gif_embed", config, rng_streams
     )
-    images = [[decoder(v.ravel()) for v in group] for group in emitted]
-    return images, records, trace
+    pixels = lm.matvec(embedder.projection.T, emitted.reshape(emitted.shape[:2] + (-1,))) + 0.5
+    return _decoded_images(codec, codec.encode_flat(pixels)), records, trace
 
 
 def expand_latent_block(
@@ -467,22 +468,20 @@ def expand_latent_block(
     emitted, records, trace = _expand_with_chain(
         chain, f0, seed_probs, "gif_latent", config, rng_streams
     )
-    pixels, _ = codec.decode_with_mask(emitted.reshape(emitted.shape[:2] + (-1,)))
-    images = [[Image(p.reshape(codec.image_shape)) for p in group] for group in pixels]
-    return images, records, trace
+    return _decoded_images(codec, emitted.reshape(emitted.shape[:2] + (-1,))), records, trace
 
 
 def expand_seed_embedding_flow(
     seed_image: Image,
+    codec: LinearCodec,
     embedder: Embedder,
     head: ZeroShotHead,
-    decoder: EmbeddingDecoder,
     config: ExpansionConfig,
     rng_stream: RngStream,
 ):
     """Optimize K perturbed copies of the seed's embedding, then decode them."""
     (images,), (records,), trace = expand_embedding_block(
-        [seed_image], embedder, head, decoder, config, [rng_stream]
+        [seed_image], codec, embedder, head, config, [rng_stream]
     )
     return images, records, trace.group(0)
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import augment as ag
 from . import guidance as gd
 from . import latentmath as lm
-from .backends import EmbeddingDecoder, Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead
+from .backends import Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead
 from .errors import FormatError, InputError, NumericInputError, ParameterError
 from .rng import RngStream
 
@@ -317,20 +317,20 @@ class ExpansionConfig:
     grid_keep: float = 0.5
 
     def __post_init__(self):
-        if self.ratio_k < 1:
-            raise ParameterError(f"ratio_k must be >= 1, got {self.ratio_k}")
-        if self.candidate_budget is not None and self.candidate_budget < self.ratio_k:
-            raise ParameterError(
-                f"candidate_budget {self.candidate_budget} is below ratio_k {self.ratio_k}"
-            )
+        budget = self.ratio_k if self.candidate_budget is None else self.candidate_budget
+        for name, value, low in (
+            ("ratio_k", self.ratio_k, 1),
+            ("candidate_budget", budget, self.ratio_k),
+            ("steps", self.steps, 0),
+            ("retries", self.retries, 0),
+        ):
+            # a bool is an int to isinstance, but no count
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ParameterError(f"{name} must be an int >= {low}, got {value!r}")
         if self.epsilon is not None and not (0 <= self.epsilon < math.inf):
             raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if not (self.step_size > 0):
             raise ParameterError(f"step_size must be > 0, got {self.step_size}")
-        if self.retries < 0:
-            raise ParameterError(f"retries must be >= 0, got {self.retries}")
         if self.noise_mode is not None and self.noise_mode not in lm.NOISE_MODES:
             raise ParameterError(
                 f"noise_mode must be one of {lm.NOISE_MODES}, got {self.noise_mode!r}"
@@ -351,10 +351,6 @@ class BackendBundle:
     codec: LinearCodec | None  # None for the baselines, which never decode
     embedder: Embedder
     head: ZeroShotHead
-
-    @property
-    def decoder(self) -> EmbeddingDecoder:
-        return EmbeddingDecoder(self.embedder, self.codec)
 
 
 # ---------------------------------------------------------------- expansion
@@ -377,47 +373,43 @@ ASCENT_BLOCK_ROWS = 160
 def _expand_guided_block(images, method, config, backends, streams):
     """All K variants of a block of seeds, ascended as one stack; a seed's
     variants are pure in (its stream id, method, config, seed)."""
-    if method == "gif_embed":
-        variants, records, _ = gd.expand_embedding_block(
-            images, backends.embedder, backends.head, backends.decoder, config, streams
-        )
-    else:
-        variants, records, _ = gd.expand_latent_block(
-            images, backends.codec, backends.embedder, backends.head, config, streams
-        )
+    # looked up at call time, so a wrapper installed on the module applies
+    flow = gd.expand_embedding_block if method == "gif_embed" else gd.expand_latent_block
+    variants, records, _ = flow(
+        images, backends.codec, backends.embedder, backends.head, config, streams
+    )
     return list(zip(variants, records))
 
 
+def _augmenter(method, config):
+    """The (image, stream) -> Image transform of a baseline method; a
+    selective method augments as its plain counterpart does."""
+
+    def grid(image, stream):
+        phase = tuple(int(v) for v in stream.generator().integers(0, config.grid_period, 2))
+        return ag.gridmask(image, config.grid_period, config.grid_keep, phase)
+
+    return {
+        "cutout": lambda image, stream: ag.cutout(image, config.cutout_frac, stream),
+        "gridmask": grid,
+        "randlite": ag.rand_lite,
+    }[method.removeprefix("selective_")]
+
+
 def _expand_one_seed(image, method, config, backends, stream):
-    """All K variants of one seed by an augmentation baseline."""
-    if method in ("cutout", "gridmask", "randlite"):
-        images = []
-        stream_ids = []
-        for i in range(config.ratio_k):
-            sub = stream.child("variant", i)
-            if method == "cutout":
-                img = ag.cutout(image, config.cutout_frac, sub)
-            elif method == "randlite":
-                img = ag.rand_lite(image, sub)
-            else:
-                gen = sub.generator()
-                phase = tuple(int(v) for v in gen.integers(0, config.grid_period, 2))
-                img = ag.gridmask(image, config.grid_period, config.grid_keep, phase)
-            images.append(img)
-            stream_ids.append(sub.id)
-        records = gd.measured_records(
-            image, images, stream_ids, method, backends.embedder, backends.head, config.weights
+    """All K variants of one seed by an augmentation baseline: the plain
+    methods score their K variants, the selective ones pick K from a scored
+    candidate pool (sample_wise)."""
+    augmenter = _augmenter(method, config)
+    if method.startswith("selective_"):
+        images, selected = ag.selective_expand(
+            [image], augmenter, backends.embedder, backends.head, config.ratio_k, stream,
+            mode="sample_wise", candidate_budget=config.candidate_budget,
         )
-        return images, records
-    # selective methods: per-seed sample_wise selection over a candidate pool
-    if method == "selective_cutout":
-        augmenter = lambda im, st: ag.cutout(im, config.cutout_frac, st)
     else:
-        augmenter = ag.rand_lite
-    images, selected = ag.selective_expand(
-        [image], augmenter, backends.embedder, backends.head, config.ratio_k, stream,
-        mode="sample_wise", candidate_budget=config.candidate_budget,
-    )
+        streams = [stream.child("variant", i) for i in range(config.ratio_k)]
+        images = [augmenter(image, sub) for sub in streams]
+        selected = ag.score_candidates(image, images, streams, backends.embedder, backends.head)
     return images, gd.selected_records(selected, method, config.weights)
 
 

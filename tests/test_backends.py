@@ -1,4 +1,4 @@
-"""Backend tests: toy generator, PCA codec, embedder, prototype head, decoder."""
+"""Backend tests: toy generator, PCA codec, embedder, prototype head."""
 
 import numpy as np
 import pytest
@@ -273,29 +273,3 @@ def test_head_predict_matches_kernel_classifier():
     pred = head.predict(e)
     ref = lm.classify(e, head.prototypes, 0.5)
     np.testing.assert_allclose(pred.probs, ref.probs, atol=1e-15)
-
-
-# ---------------------------------------------------------------- decoder
-
-def test_embedding_decoder_round_trip_is_close():
-    data = _toy(per_class=25)
-    codec = bk.fit_linear_codec(data, 32, (4, 8))
-    emb = bk.make_embedder(data.image_shape, 64, seed=0)
-    dec = bk.EmbeddingDecoder(embedder=emb, codec=codec)
-    img = data.images[0]
-    rec = dec(emb.embed(img))
-    assert rec.pixels.shape == img.pixels.shape
-    # embed then decode loses the out-of-subspace part but stays in range
-    assert rec.pixels.min() >= 0.0 and rec.pixels.max() <= 1.0
-
-
-def test_embedding_decoder_rejects_mismatched_sizes():
-    data = _toy()
-    codec = bk.fit_linear_codec(data, 32, (4, 8))
-    emb = bk.make_embedder(data.image_shape, 16, seed=0)
-    dec = bk.EmbeddingDecoder(embedder=emb, codec=codec)
-    with pytest.raises(ShapeError):
-        dec(np.zeros(17))
-    other = bk.make_embedder((8, 8, 1), 16, seed=0)
-    with pytest.raises(ShapeError):
-        bk.EmbeddingDecoder(embedder=other, codec=codec)

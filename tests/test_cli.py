@@ -189,6 +189,28 @@ def test_unwritable_manifest_leaves_no_files(tmp_path):
     assert not (tmp_path / "inf.gifx.manifest.json").exists()
 
 
+def test_unwritable_dataset_leaves_no_manifest(tmp_path):
+    # the manifest is written first; an --out that cannot be opened must not
+    # leave it behind naming a file that was never written
+    src = _toygen(tmp_path)
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert cli.main(_small_expand_args(src, out)) == 2
+    assert not (tmp_path / "taken.manifest.json").exists()
+    assert not any(out.iterdir())
+
+
+def test_traineval_on_mismatched_image_sizes_exits_two(tmp_path, capsys):
+    train = _toygen(tmp_path, "train.gifx", size=16)
+    test = _toygen(tmp_path, "test.gifx", size=8)
+    out = tmp_path / "m.json"
+    code = cli.main(["traineval", "--train", str(train), "--test", str(test),
+                     "--epochs", "2", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", ExpandForgeError.__subclasses__(), ids=lambda e: e.__name__)
 def test_every_package_error_has_its_exit_code(monkeypatch, capsys, error):
     def fail(args):

@@ -5,7 +5,7 @@ import pytest
 
 import expandforge.backends as bk
 import expandforge.evaluation as ev
-from expandforge.errors import InputError, ParameterError
+from expandforge.errors import InputError, ParameterError, ShapeError
 
 
 def _tiny_dataset(labels, class_names):
@@ -78,6 +78,20 @@ def test_prediction_ties_break_toward_lowest_class():
     model.b2[:] = 0.0
     preds = model.predict(np.ones((5, 4)))
     assert np.all(preds == 0)
+
+
+def test_prediction_rejects_features_of_another_width():
+    data = _tiny_dataset([0, 1, 0, 1], ["a", "b"])
+    model = ev.train_classifier(data, ev.ClassifierConfig(epochs=2))
+    for bad in (np.ones((3, 5)), np.ones(4), np.ones((2, 2, 1))):
+        with pytest.raises(ShapeError):
+            model.predict(bad)
+    wider = bk.LabeledDataset(
+        images=[bk.Image(np.full((3, 3, 1), 0.5))] * 2, labels=np.array([0, 1]),
+        class_names=["a", "b"],
+    )
+    with pytest.raises(ShapeError):
+        ev.evaluate(model, wider)
 
 
 # -------------------------------------------------------------- evaluation

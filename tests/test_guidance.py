@@ -26,8 +26,7 @@ def _setup(classes=4, per_class=25, side=16, embed_dim=64, latent_dim=32, latent
     embedder = bk.make_embedder(data.images[0].pixels.shape, embed_dim, seed=0)
     exemplars = bk.gen_toy_dataset(classes, 8, side, seed=101)
     head = bk.fit_prototype_head(exemplars, embedder)
-    decoder = bk.EmbeddingDecoder(embedder, codec)
-    return data, codec, embedder, head, decoder
+    return data, codec, embedder, head
 
 
 def _stream(*parts):
@@ -176,7 +175,7 @@ def test_tied_modes_survive_updates():
 
 
 def test_zero_weights_freeze_the_variants():
-    data, _, embedder, head, _ = _setup()
+    data, _, embedder, head = _setup()
     e0 = embedder.embed(data.images[0])
     seed = e0[None, None, :]
     path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
@@ -192,7 +191,7 @@ def test_zero_weights_freeze_the_variants():
 
 def test_divergence_error_names_the_step():
     # zero gradients times an infinite step size make the noise fields nan
-    data, _, embedder, head, _ = _setup()
+    data, _, embedder, head = _setup()
     e0 = embedder.embed(data.images[0])
     path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
     cfg = pl.ExpansionConfig(
@@ -229,7 +228,7 @@ def _fd_grad(fn, arr, h):
 
 
 def test_embedding_path_gradient_matches_fd():
-    data, _, embedder, head, _ = _small_setup()
+    data, _, embedder, head = _small_setup()
     e0 = embedder.embed(data.images[0])
     seed = lm.Latent(e0[None, :])
     weights = (1.0, 0.7, 0.3)
@@ -250,7 +249,7 @@ def test_embedding_path_gradient_matches_fd():
 
 
 def test_latent_path_gradient_matches_fd():
-    data, codec, embedder, head, _ = _small_setup()
+    data, codec, embedder, head = _small_setup()
     weights = (1.0, 0.7, 0.3)
     h = 1e-6
     chosen = None
@@ -288,7 +287,7 @@ def test_latent_path_gradient_matches_fd():
 def test_chain_predictions_are_the_head_predictions(flow):
     # the flows take every variant's probabilities from the ascent's trace
     # and the seed's for the seed fallback, so both must equal a fresh predict
-    data, codec, embedder, head, _ = _setup()
+    data, codec, embedder, head = _setup()
     if flow == "embedding":
         e0 = embedder.embed(data.images[0])
         seed, seed_pred, lift = lm.Latent(e0[None, :]), head.predict(e0), gd.identity_lift
@@ -318,13 +317,58 @@ def test_chain_predictions_are_the_head_predictions(flow):
 # ---------------------------------------------------------- full flows
 
 
+def _decode_embedding(codec, embedder, embedding):
+    """One embedding decoded on its own: the embedder's orthonormal transpose
+    into pixel space, then a codec round trip."""
+    latent = codec.encode_flat(embedder.projection.T @ embedding + 0.5)
+    clamped, _ = codec.decode_with_mask(latent)
+    return bk.Image(clamped.reshape(codec.image_shape))
+
+
+def test_embedding_decode_stack_is_bit_equal_to_per_embedding_reference(monkeypatch):
+    data, codec, embedder, head = _setup()
+    # stacked encode_flat rows are the per-row calls and the matrix formula
+    pixels = np.stack([img.flat() for img in data.images[:6]]).reshape(2, 3, -1)
+    latents = codec.encode_flat(pixels)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(latents[idx], codec.encode_flat(pixels[idx]))
+        assert np.array_equal(latents[idx], codec.basis @ (pixels[idx] - codec.mean_image))
+    # the block decodes every emitted embedding as the one-at-a-time reference does
+    emitted = []
+    expand_with_chain = gd._expand_with_chain
+
+    def capture(*args):
+        out = expand_with_chain(*args)
+        emitted.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(gd, "_expand_with_chain", capture)
+    seeds = [data.images[i] for i in (0, 30, 60, 90)]
+    cfg = pl.ExpansionConfig(ratio_k=3, steps=2)
+    streams = [_stream("stacked-decode", i) for i in range(len(seeds))]
+    images, _, _ = gd.expand_embedding_block(seeds, codec, embedder, head, cfg, streams)
+    (values,) = emitted
+    assert values.shape == (4, 3, 1, embedder.embed_dim)
+    for group, rows in zip(images, values):
+        for img, row in zip(group, rows):
+            want = _decode_embedding(codec, embedder, row.ravel())
+            assert np.array_equal(img.pixels, want.pixels)
+    # an embedder whose pixels are not the codec's cannot decode
+    small = bk.gen_toy_dataset(4, 25, 8, seed=7)
+    other = bk.fit_linear_codec(small, latent_dim=16, latent_shape=(4, 4))
+    with pytest.raises(ShapeError):
+        gd.expand_embedding_block(seeds[:1], other, embedder, head, cfg, streams[:1])
+    with pytest.raises(ShapeError):
+        other.encode_flat(pixels)
+
+
 def test_embedding_flow_epsilon_zero_emits_decoded_seed():
-    data, _, embedder, head, decoder = _setup()
+    data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(epsilon=0.0, ratio_k=3, steps=4)
     images, records, trace = gd.expand_seed_embedding_flow(
-        data.images[0], embedder, head, decoder, cfg, _stream("eps0")
+        data.images[0], codec, embedder, head, cfg, _stream("eps0")
     )
-    reference = decoder(embedder.embed(data.images[0]))
+    reference = _decode_embedding(codec, embedder, embedder.embed(data.images[0]))
     for img in images:
         assert np.array_equal(img.pixels, reference.pixels)
     assert np.allclose(trace.objective, trace.objective[0])
@@ -333,10 +377,10 @@ def test_embedding_flow_epsilon_zero_emits_decoded_seed():
 
 
 def test_embedding_flow_consistency_and_shapes():
-    data, _, embedder, head, decoder = _setup()
+    data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(ratio_k=5, steps=10)
     images, records, trace = gd.expand_seed_embedding_flow(
-        data.images[0], embedder, head, decoder, cfg, _stream("emb-flow")
+        data.images[0], codec, embedder, head, cfg, _stream("emb-flow")
     )
     assert len(images) == 5 and len(records) == 5
     assert len(trace) == 11
@@ -353,7 +397,7 @@ def test_embedding_flow_consistency_and_shapes():
 
 
 def test_latent_flow_consistency_and_determinism():
-    data, codec, embedder, head, _ = _setup()
+    data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(ratio_k=4, steps=5)
     run = lambda s: gd.expand_seed_latent_flow(
         data.images[1], codec, embedder, head, cfg, s
@@ -377,7 +421,7 @@ def test_latent_flow_consistency_and_determinism():
 
 
 def test_latent_flow_epsilon_zero_bit_identical():
-    data, codec, embedder, head, _ = _setup()
+    data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(epsilon=0.0, ratio_k=2, steps=3)
     images, records, _ = gd.expand_seed_latent_flow(
         data.images[2], codec, embedder, head, cfg, _stream("lat0")
@@ -438,11 +482,11 @@ def test_fallback_after_exhausted_retries():
 
 
 def test_record_stream_ids_name_the_variant():
-    data, _, embedder, head, decoder = _setup()
+    data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(ratio_k=2, steps=1)
     stream = _stream("ids")
     _, records, _ = gd.expand_seed_embedding_flow(
-        data.images[0], embedder, head, decoder, cfg, stream
+        data.images[0], codec, embedder, head, cfg, stream
     )
     for i, rec in enumerate(records):
         assert rec["stream_id"] == stream.child("variant", i).id

@@ -500,7 +500,12 @@ def test_expansion_config_validation():
     # guidance fields' bad values are in test_guidance.py
     for bad in (
         dict(ratio_k=0),
+        dict(ratio_k=2.5),
         dict(ratio_k=4, candidate_budget=2),
+        dict(candidate_budget=10.5),
+        dict(steps=1.5),
+        dict(retries=0.5),
+        dict(retries=True),
         dict(epsilon=math.inf),
         dict(epsilon=-math.inf),
         dict(noise_mode="pixel"),
