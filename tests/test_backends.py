@@ -1,9 +1,11 @@
-"""Backend tests: toy generator, PCA codec, embedder, prototype head."""
+"""Backend tests: toy generator, PCA codec, embedder, prototype head, and the
+embedding decode (embedder transpose then codec round trip)."""
 
 import numpy as np
 import pytest
 
 from expandforge import backends as bk
+from expandforge import guidance as gd
 from expandforge import latentmath as lm
 from expandforge.errors import (
     CoverageError,
@@ -11,6 +13,8 @@ from expandforge.errors import (
     RankError,
     ShapeError,
 )
+from expandforge.pipeline import ExpansionConfig
+from expandforge.rng import RngStream
 
 
 def _toy(classes=4, per_class=25, side=16, seed=7):
@@ -273,3 +277,41 @@ def test_head_predict_matches_kernel_classifier():
     pred = head.predict(e)
     ref = lm.classify(e, head.prototypes, 0.5)
     np.testing.assert_allclose(pred.probs, ref.probs, atol=1e-15)
+
+
+# ---------------------------------------------------------------- decoder
+
+def _decode_seed(seed, codec, emb, head):
+    """The embedding flow at epsilon 0 emits the seed's embedding, decoded."""
+    cfg = ExpansionConfig(epsilon=0.0, ratio_k=2, steps=1)
+    stream = RngStream.root(0).child("test", "decode")
+    images, _, _ = gd.expand_seed_embedding_flow(seed, codec, emb, head, cfg, stream)
+    return images
+
+
+def test_embedding_decoder_round_trip_is_close():
+    data = _toy(per_class=25)
+    codec = bk.fit_linear_codec(data, 32, (4, 8))
+    emb = bk.make_embedder(data.image_shape, 64, seed=0)
+    head = bk.fit_prototype_head(_toy(per_class=5, seed=101), emb)
+    img = data.images[0]
+    for rec in _decode_seed(img, codec, emb, head):
+        assert rec.pixels.shape == img.pixels.shape
+        # embed then decode loses the out-of-subspace part but stays in range
+        assert rec.pixels.min() >= 0.0 and rec.pixels.max() <= 1.0
+
+
+def test_embedding_decoder_rejects_mismatched_sizes():
+    data = _toy()
+    codec = bk.fit_linear_codec(data, 32, (4, 8))
+    emb = bk.make_embedder(data.image_shape, 16, seed=0)
+    head = bk.fit_prototype_head(_toy(per_class=5, seed=101), emb)
+    # a codec whose pixels are not the embedder's cannot decode its embeddings
+    small = _toy(side=8)
+    other_codec = bk.fit_linear_codec(small, 16, (4, 4))
+    with pytest.raises(ShapeError):
+        _decode_seed(data.images[0], other_codec, emb, head)
+    other = bk.make_embedder((8, 8, 1), 16, seed=0)
+    other_head = bk.fit_prototype_head(_toy(per_class=5, side=8, seed=101), other)
+    with pytest.raises(ShapeError):
+        _decode_seed(data.images[0], codec, other, other_head)
