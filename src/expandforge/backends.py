@@ -20,6 +20,7 @@ from .errors import (
     ParameterError,
     RankError,
     ShapeError,
+    check_count,
 )
 from .rng import RngStream
 
@@ -172,12 +173,9 @@ def _render_family(family: str, side: int, gen: np.random.Generator) -> np.ndarr
 
 def gen_toy_dataset(classes: int, per_class: int, side: int, seed: int) -> LabeledDataset:
     """Deterministic grayscale shape dataset, one shape family per class."""
-    if not (2 <= classes <= len(SHAPE_FAMILIES)):
-        raise ParameterError(f"classes must be in [2, {len(SHAPE_FAMILIES)}], got {classes}")
-    if per_class < 1:
-        raise ParameterError(f"per_class must be >= 1, got {per_class}")
-    if not (8 <= side <= 64):
-        raise ParameterError(f"side must be in [8, 64], got {side}")
+    check_count("classes", classes, 2, len(SHAPE_FAMILIES))
+    check_count("per_class", per_class, 1)
+    check_count("side", side, 8, 64)
     images, labels = [], []
     for c in range(classes):
         family = SHAPE_FAMILIES[c]

@@ -206,8 +206,11 @@ def _cmd_traineval(args) -> int:
         "covering_radius": radius,
         **metrics.as_dict(),
     }
+    # rendered before the file is opened, so a payload that cannot be written
+    # (a non-finite metric) leaves no empty file behind
+    text = pl.canonical_json(payload) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(pl.canonical_json(payload) + "\n")
+        fh.write(text)
     print(
         f"accuracy {metrics.accuracy:.4f}, macro {metrics.macro_accuracy:.4f}, "
         f"covering radius {radius:.4f}; wrote {args.out}"

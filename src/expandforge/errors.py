@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the count check.
 
 Each class maps to one failure kind named in the public contracts, so tests
 and the CLI can match on type rather than message text.
@@ -47,3 +47,13 @@ class InputError(ExpandForgeError):
 
 class NumericDivergenceError(ExpandForgeError):
     """The optimization objective became non-finite."""
+
+
+def check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ParameterError unless value is an int in [low, high], or >= low
+    when high is None: the one rule for every count argument."""
+    # a bool is an int to isinstance, but no count
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ParameterError(f"{name} must be an int {bound}, got {value!r}")

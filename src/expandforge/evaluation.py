@@ -8,12 +8,13 @@ every expansion method being compared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backends import LabeledDataset
-from .errors import InputError, ParameterError, ShapeError
+from .errors import InputError, NumericDivergenceError, ParameterError, ShapeError, check_count
 from .rng import RngStream
 
 
@@ -25,12 +26,10 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ParameterError(f"hidden must be >= 1, got {self.hidden}")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if not (self.lr > 0):
-            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        check_count("hidden", self.hidden, 1)
+        check_count("epochs", self.epochs, 1)
+        if not (0 < self.lr < math.inf):
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass(eq=False)
@@ -99,20 +98,25 @@ class MLPClassifier:
         onehot[np.arange(n), y] = 1.0
         lr = self.config.lr
         self.loss_curve = []
-        for _ in range(self.config.epochs):
-            hid, probs = self._forward(x)
-            loss = -np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300)))
-            self.loss_curve.append(float(loss))
-            dlogits = (probs - onehot) / n
-            dw2 = hid.T @ dlogits
-            db2 = dlogits.sum(axis=0)
-            dhid = (dlogits @ self.w2.T) * (1.0 - hid**2)
-            dw1 = x.T @ dhid
-            db1 = dhid.sum(axis=0)
-            self.w1 -= lr * dw1
-            self.b1 -= lr * db1
-            self.w2 -= lr * dw2
-            self.b2 -= lr * db2
+        # a diverging rate overflows the weights; the non-finite loss that
+        # follows is raised naming its epoch, so numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(self.config.epochs):
+                hid, probs = self._forward(x)
+                loss = -np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300)))
+                if not np.isfinite(loss):
+                    raise NumericDivergenceError(f"training loss non-finite at epoch {epoch}")
+                self.loss_curve.append(float(loss))
+                dlogits = (probs - onehot) / n
+                dw2 = hid.T @ dlogits
+                db2 = dlogits.sum(axis=0)
+                dhid = (dlogits @ self.w2.T) * (1.0 - hid**2)
+                dw1 = x.T @ dhid
+                db1 = dhid.sum(axis=0)
+                self.w1 -= lr * dw1
+                self.b1 -= lr * db1
+                self.w2 -= lr * dw2
+                self.b2 -= lr * db2
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -40,14 +40,17 @@ dict the manifest stores, laid out by _RECORD_TYPES, checked by
 check_record and made for every method by the one builder, _records. The
 guided flows fill it from their traces; every baseline, plain or
 selective, fills it through selected_records from the scores that
-augment.score_candidates measured.
+augment.score_candidates measured. Each score term has one formula, in
+latentmath: a record's s_con and entropy gain come from
+consistency_entropy_rows and its s_div from diversity_terms_rows, each
+variant's clamped term of the diversity_rows sum the ascent raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,7 +62,6 @@ from .errors import (
     NumericInputError,
     ParameterError,
     ShapeError,
-    SimplexError,
 )
 from .rng import RngStream
 
@@ -81,46 +83,21 @@ def flow_config(config: ExpansionConfig, flow: str) -> ExpansionConfig:
     return replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
 
 
-class GroupScores(NamedTuple):
-    """Score terms of each seed group summed over its variants, and their
-    weighted total (lm.weighted_total, as in a record's scores): (G,) arrays."""
-
-    s_con: np.ndarray
-    s_ent: np.ndarray
-    s_div: np.ndarray
-    total: np.ndarray
-
-    @classmethod
-    def weighted(cls, s_con, s_ent, s_div, weights) -> "GroupScores":
-        return cls(s_con, s_ent, s_div, lm.weighted_total(s_con, s_ent, s_div, weights))
-
-
 @dataclass(eq=False)
 class OptimizationTrace:
-    """One entry per evaluation (steps + 1): the (G,) group scores and the
-    (G, K, C) variant class probabilities; initial holds the first
-    evaluation's projected variants."""
+    """One entry per evaluation (steps + 1): the (G,) objective of every seed
+    group and the (G, K, C) variant class probabilities; initial holds the
+    first evaluation's projected variants. The flows read the probabilities
+    and initial for the records; the objective is what the ascent raises."""
 
     objective: list = field(default_factory=list)
-    s_con: list = field(default_factory=list)
-    s_ent: list = field(default_factory=list)
-    s_div: list = field(default_factory=list)
     probs: list = field(default_factory=list)
     initial: np.ndarray | None = None
 
-    def append(self, scores: GroupScores, probs: np.ndarray):
-        self.objective.append(scores.total)
-        self.s_con.append(scores.s_con)
-        self.s_ent.append(scores.s_ent)
-        self.s_div.append(scores.s_div)
-        self.probs.append(probs)
-
     def group(self, g: int) -> "OptimizationTrace":
         """The trace of seed group g alone: floats and (K, C) probabilities."""
-        pick = lambda entries: [float(e[g]) for e in entries]
         return OptimizationTrace(
-            pick(self.objective), pick(self.s_con), pick(self.s_ent), pick(self.s_div),
-            [p[g] for p in self.probs], self.initial[g],
+            [float(e[g]) for e in self.objective], [p[g] for p in self.probs], self.initial[g]
         )
 
     def __len__(self) -> int:
@@ -219,9 +196,10 @@ def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: Expans
     """Projected gradient ascent of G seed groups of K variants, as one stack.
 
     seeds is (G, T, D) and params is (z, b), each (G, K, T, D). score_fn maps
-    the (G, K, T, D) projected variants to (GroupScores, grads, probs), where
-    grads[g, i] is the gradient of group g's total with respect to variant
-    i's values and probs[g, i] its class probabilities, kept in the trace.
+    the (G, K, T, D) projected variants to (total, grads, probs): total is
+    the (G,) objective of the groups, grads[g, i] the gradient of group g's
+    total with respect to variant i's values and probs[g, i] its class
+    probabilities; total and probs are kept in the trace.
     The clamp uses a straight-through backward: z and b receive the
     unprojected chain-rule gradient and the projection is re-applied on
     every forward pass. Returns the last projected variants and the trace.
@@ -237,16 +215,17 @@ def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: Expans
         if not np.isfinite(values).all():
             raise NumericDivergenceError(f"non-finite variant values at step {step}")
         try:
-            scores, grads, probs = score_fn(values)
+            total, grads, probs = score_fn(values)
         except NumericInputError as err:
             raise NumericDivergenceError(f"non-finite values at step {step}: {err}") from err
-        if not np.isfinite(scores.total).all():
+        if not np.isfinite(total).all():
             raise NumericDivergenceError(f"objective non-finite at step {step}")
         if step == 0:
             # a copy: at steps 0 values is also returned, and callers write
             # retried and fallback variants into it
             trace.initial = values.copy()
-        trace.append(scores, probs)
+        trace.objective.append(total)
+        trace.probs.append(probs)
         if step == config.steps:
             break
         # a non-finite update is flagged here with the step whose evaluation
@@ -287,8 +266,10 @@ class ScoreChain:
     seed_probs is (G, C), the seed prediction of each group. lift maps flat
     latents (G, K, n) to (embeddings, pullback), where pullback carries
     embedding gradients back to the latents; diversity needs no lift. A call
-    on (G, K, T, D) variants returns (GroupScores, grads, probs), probs[g, i]
-    being head.predict of variant i's lifted embedding.
+    on (G, K, T, D) variants returns (total, grads, probs): total is each
+    group's lm.weighted_total of its terms summed over the variants, and
+    probs[g, i] is head.predict of variant i's lifted embedding, a softmax
+    row and so on the simplex.
     """
 
     def __init__(self, head: ZeroShotHead, weights: tuple, seed_probs: np.ndarray,
@@ -309,8 +290,6 @@ class ScoreChain:
         flat = values.reshape(g, k, -1)
         embedding, pullback = self.lift(flat)
         _, probs, jac = lm.classify_rows(embedding, self.head.prototypes, self.head.tau)
-        if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
-            raise SimplexError("variant probabilities do not sum to 1 within 1e-9")
         target = self.target[:, None]
         g_e = lm.consistency_entropy_grad_rows(probs, jac, self.head.tau, target, w_con, w_ent)
         s_div, div_grads = lm.diversity_rows(flat)
@@ -320,7 +299,7 @@ class ScoreChain:
         for i in range(k):  # in variant order, as the per-seed sums ran
             s_con = s_con + p_t[:, i]
             s_ent = s_ent + gains[:, i]
-        return GroupScores.weighted(s_con, s_ent, s_div, self.weights), grads, probs
+        return lm.weighted_total(s_con, s_ent, s_div, self.weights), grads, probs
 
 
 def _records(method, weights, stream_ids, initial, final, consistent, retry_counts,
@@ -346,7 +325,7 @@ def selected_records(selected, method, weights):
     that augment.score_candidates measured for them: nothing is embedded
     again. Every baseline, plain or selective, takes its records from here."""
     terms = ([sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
-             lm.mean_kl_rows(np.stack([sel.embedding for sel in selected])))
+             lm.diversity_terms_rows(np.stack([sel.embedding for sel in selected])))
     k = len(selected)
     return _records(method, weights, [sel.stream_id for sel in selected], terms, terms,
                     [sel.consistent for sel in selected], [0] * k, [False] * k,
@@ -404,7 +383,8 @@ def _expand_with_chain(
     consistent = probs.argmax(axis=-1) == target
     # (s_con, s_ent, s_div) of the step-0 and of the emitted variants, (G, K) each
     initial, final = (
-        (*lm.consistency_entropy_rows(p, seed_probs), lm.mean_kl_rows(v.reshape(len(v), k, -1)))
+        (*lm.consistency_entropy_rows(p, seed_probs),
+         lm.diversity_terms_rows(v.reshape(len(v), k, -1)))
         for p, v in ((trace.probs[0], trace.initial), (probs, emitted))
     )
     records = [

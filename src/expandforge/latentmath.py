@@ -75,12 +75,12 @@ def _masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_simplex(p: np.ndarray, name: str) -> np.ndarray:
+def _check_simplex(p: np.ndarray, name: str, tol: float = SIMPLEX_TOL) -> np.ndarray:
     if np.any(p < -1e-12):
         raise SimplexError(f"{name} has negative entries")
     total = float(p.sum())
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise SimplexError(f"{name} sums to {total}, expected 1 within {SIMPLEX_TOL}")
+    if abs(total - 1.0) > tol:
+        raise SimplexError(f"{name} sums to {total}, expected 1 within {tol}")
     return np.maximum(p, 0.0)
 
 
@@ -169,18 +169,9 @@ class Prediction:
             )
         if self.probs.size < 2:
             raise ShapeError("prediction needs at least two classes")
-        if np.any(self.probs < -1e-12):
-            raise SimplexError("probs has negative entries")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise SimplexError(f"probs sums to {total}, expected 1 within 1e-9")
-        self.probs = np.maximum(self.probs, 0.0)
+        self.probs = _check_simplex(self.probs, "probs", 1e-9)
         # np.argmax takes the first maximum, which is the required tie-break.
         self.argmax_class = int(np.argmax(self.probs))
-
-    @property
-    def class_count(self) -> int:
-        return int(self.probs.size)
 
     @classmethod
     def from_probs(cls, probs) -> "Prediction":
@@ -272,24 +263,6 @@ class GuidanceScores:
         self.total = weighted_total(self.s_con, self.s_ent, self.s_div, w)
 
 
-def consistency_score(s: Prediction, s_prime: Prediction) -> float:
-    """Probability the variant assigns to the seed's predicted class."""
-    if s.class_count != s_prime.class_count:
-        raise ShapeError(
-            f"class count mismatch: {s.class_count} vs {s_prime.class_count}"
-        )
-    return float(s_prime.probs[s.argmax_class])
-
-
-def entropy_gain(s: Prediction, s_prime: Prediction) -> float:
-    """Entropy of the variant prediction minus entropy of the seed prediction."""
-    if s.class_count != s_prime.class_count:
-        raise ShapeError(
-            f"class count mismatch: {s.class_count} vs {s_prime.class_count}"
-        )
-    return entropy(s_prime.probs) - entropy(s.probs)
-
-
 def consistency_entropy_rows(probs: np.ndarray, seed_probs: np.ndarray):
     """Each variant's s_con and entropy gain over its seed, as (..., K)
     arrays, from probs (..., K, C) and the seed's seed_probs (..., C); s_con
@@ -299,30 +272,34 @@ def consistency_entropy_rows(probs: np.ndarray, seed_probs: np.ndarray):
     return s_con, entropy_rows(probs) - entropy_rows(seed_probs)[..., None]
 
 
-def mean_kl_rows(flats: np.ndarray) -> np.ndarray:
-    """Each variant's s_div, (..., K): the KL of softmax(flat) to the softmax
-    of the mean of the K flats (..., K, n). Unlike diversity_rows, it leaves
-    log softmax(flat) unfloored."""
-    r = softmax_rows(np.mean(flats, axis=-2))[..., None, :]
-    return kl_rows(softmax_rows(flats), r)
+def _kl_to_mean(flats: np.ndarray):
+    """Each variant's KL of softmax(flat) to the softmax r of the mean of the
+    K flats (..., K, n), both logs floored at KL_FLOOR, as (..., K); also the
+    parts its gradient reuses: (kls, q, log q - log r, r)."""
+    r = softmax_rows(np.mean(flats, axis=-2))
+    q = softmax_rows(flats)
+    log_ratio = np.log(np.maximum(q, KL_FLOOR)) - np.log(np.maximum(r, KL_FLOOR))[..., None, :]
+    return _masked_row_sums(q * log_ratio, q > 0.0), q, log_ratio, r
+
+
+def diversity_terms_rows(flats: np.ndarray) -> np.ndarray:
+    """Each variant's s_div, (..., K): its term of the diversity score of the
+    K flats (..., K, n), clamped at 0 as kl_rows clamps."""
+    return np.maximum(_kl_to_mean(flats)[0], 0.0)
 
 
 def diversity_rows(flats: np.ndarray):
     """Diversity score of each group of flat variants (..., K, n), plus its
     gradient with respect to every variant: see diversity_score_grad."""
     k = flats.shape[-2]
-    r = softmax_rows(np.mean(flats, axis=-2))
-    log_r = np.log(np.maximum(r, KL_FLOOR))[..., None, :]
-    q = softmax_rows(flats)
-    log_q = np.log(np.maximum(q, KL_FLOOR))
-    kls = _masked_row_sums(q * (log_q - log_r), q > 0.0)
+    kls, q, log_ratio, r = _kl_to_mean(flats)
     total = np.zeros(kls.shape[:-1])
     for i in range(k):  # in variant order, as a Python sum over the variants adds
         total = total + kls[..., i]
     # d/dv of sum_k KL(q_k || softmax(v)) at v = mean of the flats; each flat
     # contributes 1/K to every coordinate of the mean.
     d_mean = k * r - np.sum(q, axis=-2)
-    grads = q * ((log_q - log_r) - kls[..., None]) + (d_mean / k)[..., None, :]
+    grads = q * (log_ratio - kls[..., None]) + (d_mean / k)[..., None, :]
     return np.maximum(total, 0.0), grads
 
 
@@ -358,9 +335,11 @@ def guidance_objective(
         )
     if len(variants) < 1:
         raise ShapeError("objective needs at least one variant")
-    s_con = sum(consistency_score(s, sp) for sp in s_primes)
-    s_ent = sum(entropy_gain(s, sp) for sp in s_primes)
-    s_div = diversity_score(variants)
+    if any(sp.probs.size != s.probs.size for sp in s_primes):
+        raise ShapeError("class count mismatch between the seed and a variant prediction")
+    p_t, gains = consistency_entropy_rows(np.stack([sp.probs for sp in s_primes]), s.probs)
+    # a Python sum adds over K in variant order, as the ascent's totals do
+    s_con, s_ent, s_div = sum(p_t.tolist()), sum(gains.tolist()), diversity_score(variants)
     return GuidanceScores(s_con=s_con, s_ent=s_ent, s_div=s_div, weights=weights)
 
 

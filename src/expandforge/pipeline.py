@@ -25,7 +25,7 @@ from . import augment as ag
 from . import guidance as gd
 from . import latentmath as lm
 from .backends import Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead
-from .errors import FormatError, InputError, NumericInputError, ParameterError
+from .errors import FormatError, InputError, NumericInputError, ParameterError, check_count
 from .rng import RngStream
 
 TOOL_VERSION = "0.1.0"
@@ -318,15 +318,10 @@ class ExpansionConfig:
 
     def __post_init__(self):
         budget = self.ratio_k if self.candidate_budget is None else self.candidate_budget
-        for name, value, low in (
-            ("ratio_k", self.ratio_k, 1),
-            ("candidate_budget", budget, self.ratio_k),
-            ("steps", self.steps, 0),
-            ("retries", self.retries, 0),
-        ):
-            # a bool is an int to isinstance, but no count
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ParameterError(f"{name} must be an int >= {low}, got {value!r}")
+        check_count("ratio_k", self.ratio_k, 1)
+        check_count("candidate_budget", budget, self.ratio_k)
+        check_count("steps", self.steps, 0)
+        check_count("retries", self.retries, 0)
         if self.epsilon is not None and not (0 <= self.epsilon < math.inf):
             raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not (self.step_size > 0):

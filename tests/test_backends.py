@@ -56,6 +56,10 @@ def test_toygen_rejects_out_of_range_parameters():
         bk.gen_toy_dataset(4, 5, 7, 0)
     with pytest.raises(ParameterError):
         bk.gen_toy_dataset(4, 5, 65, 0)
+    # sizes are counts: a float or bool one is rejected, not rounded
+    for sizes in ((2.0, 2, 8), (2, 2.5, 8), (2, True, 8), (2, 2, 8.5)):
+        with pytest.raises(ParameterError):
+            bk.gen_toy_dataset(*sizes, 0)
 
 
 def test_image_validation():

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +181,17 @@ def test_divergence_exits_three(tmp_path):
     assert cli.main(args) == 3
 
 
+def test_diverging_training_exits_three_and_writes_no_metrics(tmp_path, capsys):
+    # a rate this large overflows the weights within a few epochs
+    train = _toygen(tmp_path, classes=2, per_class=3, size=8)
+    out = tmp_path / "m.json"
+    code = cli.main(["traineval", "--train", str(train), "--test", str(train),
+                     "--lr", "1e308", "--out", str(out)])
+    assert code == 3
+    assert "epoch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_manifest_leaves_no_files(tmp_path):
     # a baseline never uses the step size, but the manifest records it, and
     # canonical JSON cannot hold inf
@@ -250,3 +263,14 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert pl.read_dataset(out).class_count == 4
+
+
+def test_console_script_resolves_to_main():
+    # the tests run the package from its source tree, never installed, so
+    # the entry point pyproject.toml declares is checked here
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["expandforge"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr)(["--help"]) == 0

@@ -1,5 +1,7 @@
 """Tests for the downstream classifier harness and the covering radius."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,13 @@ class _FixedPredictor:
 
 
 def test_classifier_config_validation():
-    with pytest.raises(ParameterError):
-        ev.ClassifierConfig(hidden=0)
-    with pytest.raises(ParameterError):
-        ev.ClassifierConfig(epochs=0)
-    with pytest.raises(ParameterError):
-        ev.ClassifierConfig(lr=0.0)
+    for bad in (
+        dict(hidden=0), dict(hidden=2.5), dict(hidden=True),
+        dict(epochs=0), dict(epochs=2.5), dict(epochs=True),
+        dict(lr=0.0), dict(lr=math.inf), dict(lr=math.nan),
+    ):
+        with pytest.raises(ParameterError):
+            ev.ClassifierConfig(**bad)
     cfg = ev.ClassifierConfig()
     assert cfg.hidden == 32 and cfg.epochs == 100 and cfg.lr == 0.05
 

@@ -119,10 +119,8 @@ class _LinearPath:
     """Objective sum over variants of sum(values): gradient is all ones."""
 
     def __call__(self, values):
-        s_con = values.sum(axis=(1, 2, 3))
-        zero = np.zeros_like(s_con)
-        scores = gd.GroupScores.weighted(s_con, zero, zero, (1.0, 0.0, 0.0))
-        return scores, np.ones_like(values), np.full(values.shape[:2] + (2,), 0.5)
+        total = values.sum(axis=(1, 2, 3))
+        return total, np.ones_like(values), np.full(values.shape[:2] + (2,), 0.5)
 
 
 def test_trace_length_and_steps_zero():
@@ -241,7 +239,7 @@ def test_embedding_path_gradient_matches_fd():
             def objective(flat, i=i, j=j):
                 trial = [params[0].copy(), params[1].copy()]
                 trial[j][0, i] = flat.reshape(seed.values.shape)
-                return path(project(*trial))[0].total[0]
+                return path(project(*trial))[0][0]
 
             fd = _fd_grad(objective, params[j][0, i].ravel().copy(), 1e-5)
             chain = grads[0, i] * seed.values if field == "z" else grads[0, i]
@@ -277,7 +275,7 @@ def test_latent_path_gradient_matches_fd():
         def objective(flat, i=i):
             vs = variants.copy()
             vs[0, i] = flat.reshape(f0.values.shape)
-            return path(vs)[0].total[0]
+            return path(vs)[0][0]
 
         fd = _fd_grad(objective, variants[0, i].ravel().copy(), h)
         np.testing.assert_allclose(grads[0, i].ravel(), fd, rtol=1e-4, atol=5e-7)
@@ -444,9 +442,7 @@ class _HostilePath:
     def __call__(self, values):
         at_seed = np.all(values == self.seed_values, axis=(2, 3))
         probs = np.where(at_seed[..., None], [0.9, 0.1], [0.1, 0.9])
-        half, zero = np.full(len(values), 0.5), np.zeros(len(values))
-        scores = gd.GroupScores.weighted(half, zero, zero, (1.0, 1.0, 1.0))
-        return scores, np.zeros_like(values), probs
+        return np.full(len(values), 0.5), np.zeros_like(values), probs
 
 
 def test_fallback_after_exhausted_retries():

@@ -241,20 +241,25 @@ def test_prediction_rejects_bad_probs():
         lm.Prediction.from_probs([1.0])
 
 
+def _one_variant_scores(s, sp):
+    """guidance_objective of the seed prediction s and one variant prediction."""
+    return lm.guidance_objective(s, [sp], [lm.Latent(np.zeros((1, 2)))])
+
+
 def test_consistency_score_examples():
     s = lm.Prediction.from_probs([0.7, 0.2, 0.1])
     sp = lm.Prediction.from_probs([0.4, 0.5, 0.1])
-    assert lm.consistency_score(s, sp) == pytest.approx(0.4, abs=1e-15)
-    assert lm.consistency_score(s, s) == pytest.approx(0.7, abs=1e-15)
+    assert _one_variant_scores(s, sp).s_con == pytest.approx(0.4, abs=1e-15)
+    assert _one_variant_scores(s, s).s_con == pytest.approx(0.7, abs=1e-15)
     with pytest.raises(ShapeError):
-        lm.consistency_score(s, lm.Prediction.from_probs([0.5, 0.5]))
+        _one_variant_scores(s, lm.Prediction.from_probs([0.5, 0.5]))
 
 
 def test_entropy_gain_frozen_example():
     s = lm.Prediction.from_probs([0.9, 0.1])
     sp = lm.Prediction.from_probs([0.5, 0.5])
     # oracle: ln 2 - entropy([0.9, 0.1])
-    assert lm.entropy_gain(s, sp) == pytest.approx(0.3680642071684971, abs=1e-12)
+    assert _one_variant_scores(s, sp).s_ent == pytest.approx(0.3680642071684971, abs=1e-12)
 
 
 def test_entropy_gain_uniform_to_onehot():
@@ -262,7 +267,7 @@ def test_entropy_gain_uniform_to_onehot():
         s = lm.Prediction.from_probs(np.full(c, 1.0 / c))
         onehot = np.zeros(c)
         onehot[1] = 1.0
-        assert lm.entropy_gain(s, lm.Prediction.from_probs(onehot)) == pytest.approx(
+        assert _one_variant_scores(s, lm.Prediction.from_probs(onehot)).s_ent == pytest.approx(
             -math.log(c), abs=1e-12
         )
 
@@ -414,7 +419,8 @@ def _reference_consistency_entropy_grad(p, jac, tau, target, lam_con, lam_ent):
 
 
 def _reference_diversity(flats):
-    """The per-variant loop that diversity_rows stacks, masked sums and all."""
+    """The per-variant loop that diversity_rows stacks, masked sums and all:
+    (total, grads, per-variant KLs)."""
     k = len(flats)
     r = lm.softmax(np.mean(flats, axis=0))
     log_r = np.log(np.maximum(r, lm.KL_FLOOR))
@@ -428,12 +434,7 @@ def _reference_diversity(flats):
         log_qs.append(log_q)
     d_mean = k * r - np.sum(np.stack(qs, axis=0), axis=0)
     grads = [q * ((lq - log_r) - kl) + d_mean / k for q, lq, kl in zip(qs, log_qs, kls)]
-    return max(float(sum(kls)), 0.0), grads
-
-
-def _reference_softmax(u):
-    ex = np.exp(u - u.max())
-    return ex / ex.sum()
+    return max(float(sum(kls)), 0.0), grads, kls
 
 
 def _reference_entropy(p):
@@ -445,12 +446,6 @@ def _reference_kl(p, q):
     q = np.maximum(q, lm.KL_FLOOR)
     m = p > 0.0
     return max(float((p[m] * (np.log(p[m]) - np.log(q[m]))).sum()), 0.0)
-
-
-def _reference_mean_kl(flats):
-    """Per variant: KL of its softmax to the softmax of the mean of the flats."""
-    r = _reference_softmax(np.mean(flats, axis=0))
-    return [_reference_kl(_reference_softmax(u), r) for u in flats]
 
 
 def test_row_kernels_are_bit_equal_to_per_vector_calls():
@@ -490,18 +485,18 @@ def test_row_kernels_are_bit_equal_to_per_vector_calls():
     q /= q.sum(axis=-1, keepdims=True)
     h = lm.entropy_rows(p)
     kl = lm.kl_rows(p, q)
-    kl_first = lm.kl_rows(p, q[:, :1])  # one q row per group, as the record terms use
+    kl_first = lm.kl_rows(p, q[:, :1])  # one q row per group, broadcast
     s_con, gains = lm.consistency_entropy_rows(p, q[:, 0])
     flats = rng.standard_normal((3, 4, 20))
     flats[2, 1, :5] = -900.0  # softmax underflows to exact zeros
     flats[0, 2, :3] = -40.0  # softmax entries below KL_FLOOR
     total, div_grads = lm.diversity_rows(flats)
-    s_div = lm.mean_kl_rows(flats)
+    s_div = lm.diversity_terms_rows(flats)
     for g in range(3):
-        want_total, want_grads = _reference_diversity(flats[g])
+        want_total, want_grads, want_kls = _reference_diversity(flats[g])
         assert total[g] == want_total == lm.diversity_score_grad(list(flats[g]))[0]
         assert all(np.array_equal(div_grads[g, i], w) for i, w in enumerate(want_grads))
-        assert s_div[g].tolist() == _reference_mean_kl(flats[g])
+        assert s_div[g].tolist() == [max(kl, 0.0) for kl in want_kls]
         seed_class = int(np.argmax(q[g, 0]))
         for i in range(4):
             assert h[g, i] == _reference_entropy(p[g, i]) == lm.entropy(p[g, i])
@@ -512,6 +507,22 @@ def test_row_kernels_are_bit_equal_to_per_vector_calls():
     # a single 1-d row is the one-row case
     assert lm.entropy_rows(p[1, 2]) == _reference_entropy(p[1, 2])
     assert lm.kl_rows(p[1, 2], q[1, 2]) == _reference_kl(p[1, 2], q[1, 2])
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 40.0))
+def test_record_s_div_equals_the_unfloored_kl_above_the_floor(seed, scale):
+    # a record's s_div is each variant's floored KL term of the diversity
+    # score; records once took it from kl_rows with log softmax(flat)
+    # unfloored, and the two agree bit for bit wherever no softmax entry of
+    # the flat falls below KL_FLOOR (scales past ~10 put rows below it)
+    flats = np.random.default_rng(seed).standard_normal((3, 4, 8)) * scale
+    r = lm.softmax_rows(np.mean(flats, axis=-2))[..., None, :]
+    old = lm.kl_rows(lm.softmax_rows(flats), r)
+    new = lm.diversity_terms_rows(flats)
+    above = (lm.softmax_rows(flats) >= lm.KL_FLOOR).all(axis=-1)
+    assert np.array_equal(new[above], old[above])
+    assert (new >= 0.0).all()
 
 
 def test_consistency_entropy_grad_matches_fd():
