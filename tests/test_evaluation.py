@@ -1,5 +1,6 @@
 """Tests for the downstream classifier harness and the covering radius."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -65,6 +66,45 @@ def test_training_deterministic_in_seed():
     assert not np.array_equal(a.w1, c.w1)
     x = data.stacked_flat()
     assert np.array_equal(a.predict(x), b.predict(x))
+
+
+# sha256 over the repr of every loss-curve float, then the bytes of w1, b1,
+# w2 and b2 after training. The in-process determinism test above and the
+# 9-digit metrics file cannot see a last-bit drift; these pin it across
+# refactors. Both shapes are past OpenBLAS's threading threshold, and the
+# 1,000 x 1,024 one also has the width of the benchmark's bulk workload.
+# The digests are facts about one numpy/BLAS build (numpy 2.4, OpenBLAS).
+MLP_FULL_PRECISION = {
+    "600x256": (
+        (4, 150, 16, 3), ev.ClassifierConfig(),
+        "d8362aac5ca49e15fef0464c5fce947c89a1a8c9ec1057d2d93cb8e5090a1d98",
+    ),
+    "1000x1024": (
+        (4, 250, 32, 3), ev.ClassifierConfig(epochs=5),
+        "d9ee25ce7bdd49918331d9fe37964fd7baedcccba2e8dddf961c703e797a95e7",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MLP_FULL_PRECISION))
+def test_training_at_full_precision(shape):
+    toygen_args, config, expected = MLP_FULL_PRECISION[shape]
+    model = ev.train_classifier(bk.gen_toy_dataset(*toygen_args), config)
+    h = hashlib.sha256()
+    for loss in model.loss_curve:
+        h.update(repr(loss).encode("utf-8"))
+        h.update(b"\n")
+    for arr in (model.w1, model.b1, model.w2, model.b2):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == expected
+
+
+def test_stacked_flat_is_the_stack_of_per_image_flats():
+    data = bk.gen_toy_dataset(3, 4, 12, seed=5)
+    stacked = data.stacked_flat()
+    expected = np.stack([img.flat() for img in data.images])
+    assert stacked.dtype == np.float64 and stacked.flags.c_contiguous
+    assert stacked.tobytes() == expected.tobytes()
 
 
 def test_single_class_training_rejected():
