@@ -105,7 +105,10 @@ class LabeledDataset:
         return self.images[0].pixels.shape
 
     def stacked_flat(self) -> np.ndarray:
-        return np.stack([img.flat() for img in self.images], axis=0)
+        """(N, pixels) float64 rows, each equal to its image's flat(): one
+        float32 stack and one exact cast, no per-image float64 copy."""
+        stack = np.stack([img.pixels for img in self.images])
+        return stack.reshape(len(self.images), -1).astype(np.float64)
 
     def subset(self, indices) -> "LabeledDataset":
         return LabeledDataset(
@@ -176,11 +179,12 @@ def gen_toy_dataset(classes: int, per_class: int, side: int, seed: int) -> Label
     check_count("classes", classes, 2, len(SHAPE_FAMILIES))
     check_count("per_class", per_class, 1)
     check_count("side", side, 8, 64)
+    check_count("seed", seed, None)
     images, labels = [], []
     for c in range(classes):
         family = SHAPE_FAMILIES[c]
         for i in range(per_class):
-            gen = RngStream(("toygen", int(seed), c, i)).generator()
+            gen = RngStream(("toygen", seed, c, i)).generator()
             canvas = _render_family(family, side, gen)
             images.append(Image(canvas[:, :, None]))
             labels.append(c)
@@ -343,11 +347,9 @@ class Embedder:
 def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:
     """Gram-Schmidt orthonormalization of seeded Gaussian rows."""
     pixel_dim = int(np.prod(image_shape))
-    if not (1 <= embed_dim <= pixel_dim):
-        raise ParameterError(
-            f"embed_dim must be in [1, {pixel_dim}] for shape {image_shape}, got {embed_dim}"
-        )
-    gen = RngStream(("embedder", int(seed))).generator()
+    check_count("embed_dim", embed_dim, 1, pixel_dim)
+    check_count("seed", seed, None)
+    gen = RngStream(("embedder", seed)).generator()
     rows = gen.standard_normal((embed_dim, pixel_dim))
     q = np.zeros_like(rows)
     for i in range(embed_dim):
@@ -379,8 +381,8 @@ class ZeroShotHead:
         norms = np.linalg.norm(self.prototypes, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ParameterError("prototypes must have unit norm")
-        if not (self.tau > 0):
-            raise ParameterError(f"tau must be > 0, got {self.tau}")
+        if not (0 < self.tau < np.inf):
+            raise ParameterError(f"tau must be finite and > 0, got {self.tau}")
 
     @property
     def class_count(self) -> int:

@@ -131,6 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(inputs, outputs) -> None:
+    """Raise ParameterError, before anything is read or written, when an
+    output path names an input or another output, links resolved."""
+    taken = {os.path.realpath(path) for path in inputs}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ParameterError(f"output {path} names an input or another output")
+        taken.add(real)
+
+
 def _cmd_toygen(args) -> int:
     seed = _resolve_seed(args.seed)
     data = bk.gen_toy_dataset(args.classes, args.per_class, args.size, seed)
@@ -141,6 +152,8 @@ def _cmd_toygen(args) -> int:
 
 def _cmd_expand(args) -> int:
     seed = _resolve_seed(args.seed)
+    manifest_path = args.manifest or f"{args.out}.manifest.json"
+    _check_outputs([args.input, args.exemplars or args.input], [args.out, manifest_path])
     data = pl.read_dataset(args.input)
     exemplars = pl.read_dataset(args.exemplars) if args.exemplars else data
     if args.latent_tokens < 1 or args.latent_dim % args.latent_tokens != 0:
@@ -171,7 +184,6 @@ def _cmd_expand(args) -> int:
         grid_keep=args.grid_keep,
     )
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)
-    manifest_path = args.manifest or f"{args.out}.manifest.json"
     # the manifest first: write_manifest validates and renders it before it
     # opens the file, so a manifest that cannot be written leaves neither file
     pl.write_manifest(manifest, manifest_path)
@@ -190,6 +202,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_traineval(args) -> int:
     seed = _resolve_seed(args.seed)
+    _check_outputs([args.train, args.test], [args.out])
     train = pl.read_dataset(args.train)
     test = pl.read_dataset(args.test)
     config = ev.ClassifierConfig(

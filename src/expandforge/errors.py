@@ -49,11 +49,11 @@ class NumericDivergenceError(ExpandForgeError):
     """The optimization objective became non-finite."""
 
 
-def check_count(name: str, value, low: int, high: int | None = None) -> None:
-    """Raise ParameterError unless value is an int in [low, high], or >= low
-    when high is None: the one rule for every count argument."""
+def check_count(name: str, value, low: int | None, high: int | None = None) -> None:
+    """Raise ParameterError unless value is an int in [low, high], a None
+    bound left open: the one rule for every count and seed argument."""
     # a bool is an int to isinstance, but no count
-    if (isinstance(value, bool) or not isinstance(value, int) or value < low
-            or (high is not None and value > high)):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ParameterError(f"{name} must be an int {bound}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low) or (high is not None and value > high)):
+        bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise ParameterError(f"{name} must be an int{bound}, got {value!r}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
+
 
 def derive_key(parts: tuple) -> int:
     """Hash a tuple of ints/strings into a 128-bit Philox key."""
@@ -38,7 +40,8 @@ class RngStream:
 
     @classmethod
     def root(cls, global_seed: int) -> "RngStream":
-        return cls((int(global_seed),))
+        check_count("global_seed", global_seed, None)
+        return cls((global_seed,))
 
     def child(self, *more) -> "RngStream":
         return RngStream(self.parts + tuple(more))

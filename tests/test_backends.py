@@ -1,6 +1,8 @@
 """Backend tests: toy generator, PCA codec, embedder, prototype head, and the
 embedding decode (embedder transpose then codec round trip)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ def test_toygen_rejects_out_of_range_parameters():
     for sizes in ((2.0, 2, 8), (2, 2.5, 8), (2, True, 8), (2, 2, 8.5)):
         with pytest.raises(ParameterError):
             bk.gen_toy_dataset(*sizes, 0)
+    # so is a seed; any int, negatives included, is one
+    for seed in (2.5, 2.0, True, "2"):
+        with pytest.raises(ParameterError):
+            bk.gen_toy_dataset(2, 2, 8, seed)
+    assert len(bk.gen_toy_dataset(2, 2, 8, -3)) == 4
+
+
+def test_root_stream_takes_only_an_int_seed():
+    for seed in (2.5, True, "2", None):
+        with pytest.raises(ParameterError):
+            RngStream.root(seed)
+    assert RngStream.root(-3).parts == (-3,)
 
 
 def test_image_validation():
@@ -185,8 +199,10 @@ def test_embedder_formula_and_bounds():
     img = bk.Image(np.linspace(0, 1, 16, dtype=np.float32).reshape(4, 4, 1))
     want = emb.projection @ (img.flat() - 0.5)
     np.testing.assert_allclose(emb.embed(img), want, atol=1e-12)
-    with pytest.raises(ParameterError):
-        bk.make_embedder((4, 4, 1), 17, seed=0)
+    for embed_dim, seed in ((17, 0), (0, 0), (2.5, 0), (True, 0), (8, 2.5), (8, True)):
+        with pytest.raises(ParameterError):
+            bk.make_embedder((4, 4, 1), embed_dim, seed)
+    assert bk.make_embedder((4, 4, 1), 8, seed=-1).embed_dim == 8
     with pytest.raises(ShapeError):
         emb.embed(bk.Image(np.zeros((5, 5, 1))))
 
@@ -249,6 +265,14 @@ def test_head_prototypes_unit_norm():
     emb = bk.make_embedder(ex.image_shape, 64, seed=0)
     head = bk.fit_prototype_head(ex, emb)
     np.testing.assert_allclose(np.linalg.norm(head.prototypes, axis=1), 1.0, atol=1e-12)
+
+
+def test_head_rejects_a_non_finite_or_non_positive_tau():
+    protos = np.eye(2, 4)
+    for tau in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            bk.ZeroShotHead(prototypes=protos, tau=tau)
+    assert bk.ZeroShotHead(prototypes=protos, tau=1e-3).tau == 1e-3
 
 
 def test_head_rejects_empty_class():

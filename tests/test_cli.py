@@ -137,6 +137,51 @@ def test_usage_errors_exit_one(tmp_path):
         assert not out.exists()
 
 
+def test_non_finite_tau_exits_one(tmp_path):
+    src = _toygen(tmp_path)
+    out = tmp_path / "hot.gifx"
+    assert cli.main(_small_expand_args(src, out, tau="inf")) == 1
+    assert not out.exists()
+
+
+def test_expand_output_naming_an_input_or_output_exits_one(tmp_path):
+    src = _toygen(tmp_path, "train.gifx")
+    exemplars = _toygen(tmp_path, "ex.gifx", seed=8)
+    other = tmp_path / "other.gifx"
+    link = tmp_path / "link.gifx"
+    link.symlink_to(src)
+    for out, extra in (
+        (other, dict(manifest=other)),
+        (tmp_path / "m.gifx", dict(manifest=tmp_path / "m.gifx")),
+        (src, {}),
+        (link, {}),
+        (other, dict(manifest=src)),
+        (exemplars, dict(exemplars=exemplars)),
+        (other, dict(exemplars=exemplars, manifest=exemplars)),
+        (tmp_path / "sub" / ".." / "train.gifx", {}),
+    ):
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert cli.main(_small_expand_args(src, out, **extra)) == 1
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert after == before
+    # the default manifest path counts as an output too
+    named = tmp_path / "named.gifx"
+    manifest_input = _toygen(tmp_path, "named.gifx.manifest.json")
+    assert cli.main(_small_expand_args(manifest_input, named)) == 1
+    assert not named.exists()
+
+
+def test_traineval_output_naming_an_input_exits_one(tmp_path):
+    train = _toygen(tmp_path, "train.gifx", per_class=3)
+    test = _toygen(tmp_path, "test.gifx", per_class=2, seed=99)
+    for out in (train, test):
+        before = out.read_bytes()
+        code = cli.main(["traineval", "--train", str(train), "--test", str(test),
+                         "--epochs", "2", "--embed-dim", "32", "--out", str(out)])
+        assert code == 1
+        assert out.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "method", ["cutout", "gridmask", "randlite", "selective_randlite", "selective_cutout"]
 )

@@ -32,9 +32,11 @@ def test_classifier_config_validation():
         dict(hidden=0), dict(hidden=2.5), dict(hidden=True),
         dict(epochs=0), dict(epochs=2.5), dict(epochs=True),
         dict(lr=0.0), dict(lr=math.inf), dict(lr=math.nan),
+        dict(seed=2.5), dict(seed=True), dict(seed="0"),
     ):
         with pytest.raises(ParameterError):
             ev.ClassifierConfig(**bad)
+    assert ev.ClassifierConfig(seed=-7).seed == -7
     cfg = ev.ClassifierConfig()
     assert cfg.hidden == 32 and cfg.epochs == 100 and cfg.lr == 0.05
 
