@@ -75,7 +75,9 @@ def test_training_deterministic_in_seed():
 # 9-digit metrics file cannot see a last-bit drift; these pin it across
 # refactors. Both shapes are past OpenBLAS's threading threshold, and the
 # 1,000 x 1,024 one also has the width of the benchmark's bulk workload.
-# The digests are facts about one numpy/BLAS build (numpy 2.4, OpenBLAS).
+# The digests are facts about one numpy/BLAS build (numpy 2.4, OpenBLAS
+# 0.3.31) on two or more BLAS threads: one thread sums the backward product
+# x.T @ dhid in another order, and gives other digests.
 MLP_FULL_PRECISION = {
     "600x256": (
         (4, 150, 16, 3), ev.ClassifierConfig(),
