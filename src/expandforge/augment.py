@@ -18,22 +18,19 @@ import numpy as np
 
 from . import latentmath as lm
 from .backends import Image
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_count, check_real
 from .rng import RngStream
 
 SELECTION_MODES = ("sample_wise", "sample_agnostic")
 
 
 def check_cutout_frac(frac: float) -> None:
-    if not (0.0 <= frac <= 1.0):
-        raise ParameterError(f"cutout frac must be in [0, 1], got {frac}")
+    check_real("cutout frac", frac, 0.0, 1.0)
 
 
 def check_gridmask_params(period: int, keep_ratio: float) -> None:
-    if not isinstance(period, int) or period < 2:
-        raise ParameterError(f"gridmask period must be an int >= 2, got {period}")
-    if not (0.0 < keep_ratio <= 1.0):
-        raise ParameterError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+    check_count("gridmask period", period, 2)
+    check_real("keep_ratio", keep_ratio, 0.0, 1.0, open_low=True)
 
 
 def cutout(image: Image, frac: float, rng_stream: RngStream) -> Image:
@@ -168,16 +165,12 @@ def selective_expand(
     their records, ordered by seed.
     """
     images_in = getattr(seeds, "images", seeds)
-    if quota_k < 1:
-        raise ParameterError(f"quota_k must be >= 1, got {quota_k}")
+    check_count("quota_k", quota_k, 1)
     if mode not in SELECTION_MODES:
         raise ParameterError(f"mode must be one of {SELECTION_MODES}, got {mode!r}")
     if candidate_budget is None:
         candidate_budget = 4 * quota_k
-    if candidate_budget < quota_k:
-        raise ParameterError(
-            f"candidate_budget {candidate_budget} is below quota_k {quota_k}"
-        )
+    check_count("candidate_budget", candidate_budget, quota_k)
     if len(images_in) == 0:
         raise ParameterError("selective expansion needs at least one seed")
 

@@ -8,20 +8,14 @@ zero-shot scoring head. Everything is deterministic given its seeds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import latentmath as lm
-from .errors import (
-    CoverageError,
-    DegenerateVectorError,
-    NumericInputError,
-    ParameterError,
-    RankError,
-    ShapeError,
-    check_count,
-)
+from .errors import (CoverageError, DegenerateVectorError, NumericInputError, ParameterError,
+                     RankError, ShapeError, check_count, check_real)
 from .rng import RngStream
 
 # Ordered so small class counts pick mutually distinct silhouettes; the two
@@ -51,48 +45,75 @@ class Image:
         self.pixels = np.asarray(self.pixels, dtype=np.float32)
         if self.pixels.ndim != 3:
             raise ShapeError(f"image must be 3-d (H, W, C), got shape {self.pixels.shape}")
-        if not np.all(np.isfinite(self.pixels)):
-            raise NumericInputError("image contains non-finite pixels")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
-            raise ParameterError(
-                f"pixels must lie in [0, 1], got range "
-                f"[{self.pixels.min()}, {self.pixels.max()}]"
-            )
+        check_pixels(self.pixels[None])
 
     def flat(self) -> np.ndarray:
         return self.pixels.astype(np.float64).ravel()
 
 
-@dataclass(eq=False)
+def bad_image_index(pixels: np.ndarray) -> int | None:
+    """Index of the first image of an (N, H, W, C) stack with a pixel that is
+    non-finite or outside [0, 1], or None. The valid path is one min and one
+    max over the stack, with no stack-sized temporary."""
+    in_range = lambda p: p.min() >= 0.0 and p.max() <= 1.0  # nan fails both
+    if pixels.size == 0 or in_range(pixels):
+        return None
+    return next(i for i, image in enumerate(pixels) if not in_range(image))
+
+
+def check_pixels(pixels: np.ndarray) -> None:
+    """Raise unless every pixel of an (N, H, W, C) stack is finite and in
+    [0, 1], naming the first bad image: NumericInputError if it holds a
+    non-finite pixel, else ParameterError."""
+    i = bad_image_index(pixels)
+    if i is not None:
+        finite = bool(np.isfinite(pixels[i]).all())
+        raise (ParameterError if finite else NumericInputError)(
+            f"image {i} has pixels {'outside [0, 1]' if finite else 'that are not finite'}")
+
+
+def pixel_stack(images) -> np.ndarray:
+    """The (N, H, W, C) float32 pixels of a sequence of Images, stacked, or
+    of such an array, checked once as a whole."""
+    if not isinstance(images, np.ndarray):
+        shapes = {img.pixels.shape for img in images}
+        if len(shapes) > 1:
+            raise ShapeError(f"images of different shapes {sorted(shapes)} cannot be stacked")
+        # each Image checked its own pixels
+        return np.stack([img.pixels for img in images]) if shapes else np.empty((0,) * 4, "f4")
+    pixels = np.asarray(images, dtype=np.float32)
+    if pixels.ndim != 4:
+        raise ShapeError(f"pixel stack must be 4-d (N, H, W, C), got shape {pixels.shape}")
+    check_pixels(pixels)
+    return pixels
+
+
 class LabeledDataset:
-    """Images with integer labels and one name per class."""
+    """N labeled images of one shape: `pixels`, one (N, H, W, C) float32
+    array, and `labels`, an (N,) int64 array, with one name per class.
+    images is a sequence of Image or that array, which is kept, not copied;
+    `.images` is a list of Image views of the pixels, built on first access."""
 
-    images: list
-    labels: list
-    class_names: list
-
-    def __post_init__(self):
-        if len(self.images) != len(self.labels):
-            raise ShapeError(
-                f"{len(self.images)} images but {len(self.labels)} labels"
-            )
-        if len(self.class_names) < 2:
+    def __init__(self, images, labels, class_names):
+        self.pixels = pixel_stack(images)
+        labels = np.asarray(labels)
+        if labels.shape != self.pixels.shape[:1]:
+            raise ShapeError(f"{len(self.pixels)} images but labels of shape {labels.shape}")
+        c = len(class_names)
+        if c < 2:
             raise ParameterError("dataset needs at least two classes")
-        c = len(self.class_names)
-        for i, label in enumerate(self.labels):
-            if not (0 <= int(label) < c):
-                raise ParameterError(f"label {label} at index {i} outside [0, {c})")
-        self.labels = [int(x) for x in self.labels]
-        if self.images:
-            shape = self.images[0].pixels.shape
-            for img in self.images:
-                if img.pixels.shape != shape:
-                    raise ShapeError(
-                        f"image shape mismatch: {img.pixels.shape} vs {shape}"
-                    )
+        bad = np.flatnonzero(~((labels >= 0) & (labels < c)))
+        if bad.size:
+            raise ParameterError(f"label {labels[bad[0]]} at index {bad[0]} outside [0, {c})")
+        self.labels = labels.astype(np.int64)
+        self.class_names = class_names
 
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self.pixels)
+
+    @functools.cached_property
+    def images(self) -> list:
+        return [Image(p) for p in self.pixels]
 
     @property
     def class_count(self) -> int:
@@ -100,22 +121,16 @@ class LabeledDataset:
 
     @property
     def image_shape(self) -> tuple:
-        if not self.images:
-            raise ShapeError("empty dataset has no image shape")
-        return self.images[0].pixels.shape
+        return self.pixels.shape[1:]
 
     def stacked_flat(self) -> np.ndarray:
         """(N, pixels) float64 rows, each equal to its image's flat(): one
-        float32 stack and one exact cast, no per-image float64 copy."""
-        stack = np.stack([img.pixels for img in self.images])
-        return stack.reshape(len(self.images), -1).astype(np.float64)
+        exact cast of the float32 pixels."""
+        return self.pixels.astype(np.float64).reshape(len(self), -1)
 
     def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(
-            images=[self.images[i] for i in indices],
-            labels=[self.labels[i] for i in indices],
-            class_names=list(self.class_names),
-        )
+        idx = np.asarray(indices, dtype=np.intp)
+        return LabeledDataset(self.pixels[idx], self.labels[idx], list(self.class_names))
 
 
 STRIPE_PERIOD = 4
@@ -180,15 +195,13 @@ def gen_toy_dataset(classes: int, per_class: int, side: int, seed: int) -> Label
     check_count("per_class", per_class, 1)
     check_count("side", side, 8, 64)
     check_count("seed", seed, None)
-    images, labels = [], []
+    pixels = np.empty((classes, per_class, side, side, 1), dtype=np.float32)
     for c in range(classes):
-        family = SHAPE_FAMILIES[c]
         for i in range(per_class):
             gen = RngStream(("toygen", seed, c, i)).generator()
-            canvas = _render_family(family, side, gen)
-            images.append(Image(canvas[:, :, None]))
-            labels.append(c)
-    return LabeledDataset(images=images, labels=labels, class_names=list(SHAPE_FAMILIES[:classes]))
+            pixels[c, i, :, :, 0] = _render_family(SHAPE_FAMILIES[c], side, gen)
+    labels = np.repeat(np.arange(classes), per_class)
+    return LabeledDataset(pixels.reshape(-1, side, side, 1), labels, list(SHAPE_FAMILIES[:classes]))
 
 
 @dataclass(eq=False)
@@ -257,8 +270,11 @@ def fit_linear_codec(
     """Top principal directions of the centered pixel matrix, signs pinned."""
     if len(dataset) < 1:
         raise ParameterError("cannot fit a codec on an empty dataset")
+    check_count("latent_dim", latent_dim, 1)
     t, d = latent_shape
-    if t < 1 or d < 1 or t * d != latent_dim:
+    check_count("latent tokens", t, 1)
+    check_count("latent channels", d, 1)
+    if t * d != latent_dim:
         raise ParameterError(
             f"latent_shape {latent_shape} must factor latent_dim {latent_dim}"
         )
@@ -325,22 +341,23 @@ class Embedder:
         return self.embed_images([image])[0]
 
     def embed_images(self, images) -> np.ndarray:
-        """(N, embed_dim) embeddings of a sequence of images, one embed_flat
-        call: one gemv per row, so each row equals the image's own embed."""
-        for img in images:
-            if img.pixels.shape != self.image_shape:
-                raise ShapeError(f"image shape {img.pixels.shape} vs embedder {self.image_shape}")
-        return self.embed_flat(np.stack([img.flat() for img in images]))
+        """(N, embed_dim) embeddings of a sequence of Images or of an
+        (N, H, W, C) pixel stack, one embed_flat call: one gemv per row, so
+        each row equals the image's own embed."""
+        pixels = pixel_stack(images)
+        if pixels.shape[1:] != self.image_shape:
+            raise ShapeError(f"image shape {pixels.shape[1:]} vs embedder {self.image_shape}")
+        return self.embed_flat(pixels.astype(np.float64).reshape(len(pixels), -1))
 
     def embed_dataset(self, dataset: LabeledDataset) -> np.ndarray:
         """(N, embed_dim) embeddings of every image, one matrix product per batch."""
         if dataset.image_shape != self.image_shape:
             raise ShapeError(f"image shape {dataset.image_shape} vs embedder {self.image_shape}")
-        images = dataset.images
-        out = np.empty((len(images), self.embed_dim))
-        for start in range(0, len(images), EMBED_BATCH):
-            rows = np.stack([img.flat() for img in images[start : start + EMBED_BATCH]])
-            out[start : start + len(rows)] = (rows.astype(np.float64) - 0.5) @ self.projection.T
+        out = np.empty((len(dataset), self.embed_dim))
+        for start in range(0, len(dataset), EMBED_BATCH):
+            batch = dataset.pixels[start : start + EMBED_BATCH]
+            rows = batch.astype(np.float64).reshape(len(batch), -1)
+            out[start : start + len(rows)] = (rows - 0.5) @ self.projection.T
         return out
 
 
@@ -381,8 +398,7 @@ class ZeroShotHead:
         norms = np.linalg.norm(self.prototypes, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ParameterError("prototypes must have unit norm")
-        if not (0 < self.tau < np.inf):
-            raise ParameterError(f"tau must be finite and > 0, got {self.tau}")
+        check_real("tau", self.tau, 0, open_low=True)
 
     @property
     def class_count(self) -> int:
@@ -402,12 +418,13 @@ def fit_prototype_head(
 ) -> ZeroShotHead:
     """Class prototypes are the renormalized mean embeddings of each class."""
     protos = np.zeros((exemplars.class_count, embedder.embed_dim))
-    labels = np.asarray(exemplars.labels)
+    # one gemv per row, so a row does not depend on the rows embedded with it
+    embeddings = embedder.embed_images(exemplars.pixels)
     for c, name in enumerate(exemplars.class_names):
-        idx = np.flatnonzero(labels == c)
-        if idx.size == 0:
+        rows = embeddings[exemplars.labels == c]
+        if len(rows) == 0:
             raise CoverageError(f"class {c} ({name}) has no exemplars")
-        mean_emb = np.mean(embedder.embed_images([exemplars.images[i] for i in idx]), axis=0)
+        mean_emb = np.mean(rows, axis=0)
         norm = np.linalg.norm(mean_emb)
         if norm <= 1e-12:
             raise DegenerateVectorError(f"class {c} ({name}) mean embedding is zero")

@@ -8,13 +8,13 @@ every expansion method being compared.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backends import LabeledDataset
-from .errors import InputError, NumericDivergenceError, ParameterError, ShapeError, check_count
+from .errors import (InputError, NumericDivergenceError, ParameterError, ShapeError, check_count,
+                     check_real)
 from .rng import RngStream
 
 
@@ -29,8 +29,7 @@ class ClassifierConfig:
         check_count("hidden", self.hidden, 1)
         check_count("epochs", self.epochs, 1)
         check_count("seed", self.seed, None)
-        if not (0 < self.lr < math.inf):
-            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
+        check_real("lr", self.lr, 0, open_low=True)
 
 
 @dataclass(eq=False)
@@ -57,10 +56,8 @@ class MLPClassifier:
     """One tanh hidden layer, softmax cross-entropy, full-batch descent."""
 
     def __init__(self, input_dim: int, class_count: int, config: ClassifierConfig):
-        if input_dim < 1 or class_count < 2:
-            raise ParameterError(
-                f"need input_dim >= 1 and class_count >= 2, got {input_dim}, {class_count}"
-            )
+        check_count("input_dim", input_dim, 1)
+        check_count("class_count", class_count, 2)
         self.config = config
         self.class_count = class_count
         gen = RngStream.root(config.seed).child("mlp").generator()
@@ -143,10 +140,10 @@ def train_classifier(dataset: LabeledDataset, config: ClassifierConfig) -> MLPCl
 
 def evaluate(model, dataset: LabeledDataset) -> Metrics:
     """Accuracy plus per-class recall; macro averages only present classes."""
-    if len(dataset.labels) == 0:
+    if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
     preds = model.predict(dataset.stacked_flat())
-    labels = np.asarray(dataset.labels)
+    labels = dataset.labels
     accuracy = float(np.mean(preds == labels))
     recalls = []
     present = []

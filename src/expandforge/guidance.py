@@ -56,13 +56,8 @@ import numpy as np
 
 from . import latentmath as lm
 from .backends import Embedder, Image, LinearCodec, ZeroShotHead
-from .errors import (
-    InputError,
-    NumericDivergenceError,
-    NumericInputError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import (InputError, NumericDivergenceError, NumericInputError, ParameterError,
+                     ShapeError, check_count)
 from .rng import RngStream
 
 if TYPE_CHECKING:
@@ -173,8 +168,7 @@ def _draw_params(shape: tuple, noise_mode: str, gen: np.random.Generator):
 
 def init_perturbations(shape: tuple, k: int, noise_mode: str, rng_stream: RngStream):
     """One independent uniform/Gaussian noise draw per variant: (z, b), each (k, T, D)."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     if noise_mode not in lm.NOISE_MODES:
         raise ParameterError(f"noise_mode must be one of {lm.NOISE_MODES}, got {noise_mode!r}")
     return _stacked([
@@ -396,15 +390,8 @@ def _expand_with_chain(
     return emitted, records, trace
 
 
-def _decoded_images(codec: LinearCodec, flat_latents: np.ndarray):
-    """One image list per seed group of flat latents (G, K, latent_dim),
-    decoded as one stack."""
-    pixels, _ = codec.decode_with_mask(flat_latents)
-    return [[Image(p.reshape(codec.image_shape)) for p in group] for group in pixels]
-
-
 def expand_embedding_block(
-    seed_images: list,
+    seed_pixels: np.ndarray,
     codec: LinearCodec,
     embedder: Embedder,
     head: ZeroShotHead,
@@ -414,21 +401,22 @@ def expand_embedding_block(
     """Optimize K perturbed copies of each seed's embedding in one stack, then
     decode them as one stack: through the embedder's orthonormal transpose
     into pixel space, then a codec round trip to stay on the image manifold.
-    Returns one image list and one record list per seed, and the trace.
-    config fields left None take their gif_embed FLOW_DEFAULTS."""
+    seed_pixels is (G, H, W, C); returns the (G, K, H, W, C) float32 variant
+    pixels, one record list per seed, and the trace. config fields left
+    None take their gif_embed FLOW_DEFAULTS."""
     config = flow_config(config, "gif_embed")
-    e0 = embedder.embed_images(seed_images)
+    e0 = embedder.embed_images(seed_pixels)
     seed_probs = head.predict_rows(e0)
     chain = ScoreChain(head, config.weights, seed_probs)
     emitted, records, trace = _expand_with_chain(
         chain, e0[:, None, :], seed_probs, "gif_embed", config, rng_streams
     )
     pixels = lm.matvec(embedder.projection.T, emitted.reshape(emitted.shape[:2] + (-1,))) + 0.5
-    return _decoded_images(codec, codec.encode_flat(pixels)), records, trace
+    return _decoded(codec, codec.encode_flat(pixels)), records, trace
 
 
 def expand_latent_block(
-    seed_images: list,
+    seed_pixels: np.ndarray,
     codec: LinearCodec,
     embedder: Embedder,
     head: ZeroShotHead,
@@ -436,19 +424,30 @@ def expand_latent_block(
     rng_streams: list,
 ):
     """Optimize K perturbed codec latents of each seed in one stack, scoring
-    decoded intermediates: one image list and one record list per seed, and
+    decoded intermediates. seed_pixels is (G, H, W, C); returns the
+    (G, K, H, W, C) float32 variant pixels, one record list per seed, and
     the trace. config fields left None take their gif_latent FLOW_DEFAULTS."""
     config = flow_config(config, "gif_latent")
-    f0 = np.stack([codec.encode(img).values for img in seed_images])
+    if seed_pixels.shape[1:] != codec.image_shape:
+        raise ShapeError(f"image shape {seed_pixels.shape[1:]} vs codec {codec.image_shape}")
+    # one gemv per row: each seed's latent as codec.encode gives it
+    f0 = codec.encode_flat(seed_pixels.reshape(len(seed_pixels), -1))
     # the reference prediction goes through the same decode/embed path the
     # variants use, so the seed fallback is consistent by construction
-    recon_pixels, _ = codec.decode_with_mask(f0.reshape(len(f0), -1))
+    recon_pixels, _ = codec.decode_with_mask(f0)
     seed_probs = head.predict_rows(embedder.embed_flat(recon_pixels))
     chain = ScoreChain(head, config.weights, seed_probs, decode_lift(codec, embedder))
     emitted, records, trace = _expand_with_chain(
-        chain, f0, seed_probs, "gif_latent", config, rng_streams
+        chain, f0.reshape((len(f0),) + codec.latent_shape), seed_probs, "gif_latent", config,
+        rng_streams,
     )
-    return _decoded_images(codec, emitted.reshape(emitted.shape[:2] + (-1,))), records, trace
+    return _decoded(codec, emitted.reshape(emitted.shape[:2] + (-1,))), records, trace
+
+
+def _decoded(codec: LinearCodec, flat_latents: np.ndarray) -> np.ndarray:
+    """The (G, K, H, W, C) float32 pixels of (G, K, latent_dim) flat latents."""
+    pixels, _ = codec.decode_with_mask(flat_latents)
+    return pixels.reshape(flat_latents.shape[:2] + codec.image_shape).astype(np.float32)
 
 
 def expand_seed_embedding_flow(
@@ -460,10 +459,10 @@ def expand_seed_embedding_flow(
     rng_stream: RngStream,
 ):
     """Optimize K perturbed copies of the seed's embedding, then decode them."""
-    (images,), (records,), trace = expand_embedding_block(
-        [seed_image], codec, embedder, head, config, [rng_stream]
+    (pixels,), (records,), trace = expand_embedding_block(
+        seed_image.pixels[None], codec, embedder, head, config, [rng_stream]
     )
-    return images, records, trace.group(0)
+    return [Image(p) for p in pixels], records, trace.group(0)
 
 
 def expand_seed_latent_flow(
@@ -475,7 +474,7 @@ def expand_seed_latent_flow(
     rng_stream: RngStream,
 ):
     """Optimize K perturbed codec latents, scoring decoded intermediates."""
-    (images,), (records,), trace = expand_latent_block(
-        [seed_image], codec, embedder, head, config, [rng_stream]
+    (pixels,), (records,), trace = expand_latent_block(
+        seed_image.pixels[None], codec, embedder, head, config, [rng_stream]
     )
-    return images, records, trace.group(0)
+    return [Image(p) for p in pixels], records, trace.group(0)

@@ -13,13 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateVectorError,
-    NumericInputError,
-    ParameterError,
-    ShapeError,
-    SimplexError,
-)
+from .errors import (DegenerateVectorError, NumericInputError, ParameterError, ShapeError,
+                     SimplexError, check_real)
 
 SIMPLEX_TOL = 1e-6
 KL_FLOOR = 1e-12
@@ -38,8 +33,7 @@ def _as_float_vector(v, name: str) -> np.ndarray:
 def softmax(v, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax of a real vector, stabilized by max subtraction."""
     arr = _as_float_vector(v, "softmax input")
-    if not (tau > 0):
-        raise ParameterError(f"softmax temperature must be > 0, got {tau}")
+    check_real("softmax temperature", tau, 0, open_low=True, finite=False)
     return softmax_rows(arr, tau)
 
 
@@ -208,8 +202,7 @@ class PerturbationParams:
 
 def perturb_and_project(f: Latent, params: PerturbationParams, epsilon: float) -> Latent:
     """Apply (1+z)*f + b, then clamp each entry into [f - eps, f + eps]."""
-    if not (epsilon >= 0):
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
+    check_real("epsilon", epsilon, 0, finite=False)
     if params.z.shape != f.values.shape:
         raise ShapeError(
             f"noise shape {params.z.shape} does not match latent shape {f.values.shape}"
@@ -232,6 +225,16 @@ def perturb_and_project_rows(f: np.ndarray, z: np.ndarray, b: np.ndarray, epsilo
     return out
 
 
+def check_weights(weights) -> tuple:
+    """The three objective weights as floats, or ParameterError unless each
+    is a finite real >= 0."""
+    if not isinstance(weights, (tuple, list, np.ndarray)) or len(weights) != 3:
+        raise ParameterError(f"weights must be three nonnegative reals, got {weights!r}")
+    for w in weights:
+        check_real("each weight", w, 0)
+    return tuple(float(w) for w in weights)
+
+
 def weighted_total(s_con, s_ent, s_div, weights):
     """The guidance objective from its terms, floats or arrays alike."""
     w_con, w_ent, w_div = weights
@@ -249,12 +252,7 @@ class GuidanceScores:
     total: float = field(init=False)
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if len(w) != 3:
-            raise ParameterError(f"weights must have three entries, got {len(w)}")
-        if any(not math.isfinite(x) or x < 0 for x in w):
-            raise ParameterError(f"weights must be nonnegative finite reals, got {w}")
-        self.weights = w
+        w = self.weights = check_weights(self.weights)
         self.s_con = float(self.s_con)
         self.s_ent = float(self.s_ent)
         self.s_div = float(self.s_div)
@@ -347,8 +345,7 @@ def objective_gradient_fd(
     objective: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-5
 ) -> np.ndarray:
     """Central-difference gradient of a scalar objective, one coordinate at a time."""
-    if not (h > 0):
-        raise ParameterError(f"step h must be > 0, got {h}")
+    check_real("step h", h, 0, open_low=True, finite=False)
     base = np.asarray(params, dtype=np.float64)
     grad = np.zeros_like(base)
     it = np.nditer(base, flags=["multi_index"])

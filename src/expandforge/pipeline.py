@@ -24,8 +24,9 @@ import numpy as np
 from . import augment as ag
 from . import guidance as gd
 from . import latentmath as lm
-from .backends import Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead
-from .errors import FormatError, InputError, NumericInputError, ParameterError, check_count
+from .backends import Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead, bad_image_index
+from .errors import (FormatError, InputError, NumericInputError, ParameterError, check_count,
+                     check_real)
 from .rng import RngStream
 
 TOOL_VERSION = "0.1.0"
@@ -57,112 +58,104 @@ def parse_method(name: str) -> str:
 # ------------------------------------------------------------ GIFX container
 
 
-def dataset_bytes(dataset: LabeledDataset) -> bytes:
-    """Serialize to the GIFX layout; equal datasets give equal bytes."""
-    n = len(dataset.labels)
+# the header: magic, version, sample count, height, width, channels, class
+# count; then per class a <u4 byte length and its UTF-8 name; then the
+# samples, one record_dtype record each
+HEADER = struct.Struct("<4s6I")
+
+
+def record_dtype(image_shape: tuple) -> np.dtype:
+    """The one layout of a GIFX sample: its <u4 label, then its <f4 pixels."""
+    return np.dtype([("label", "<u4"), ("pixels", "<f4", tuple(image_shape))])
+
+
+def _gifx(dataset: LabeledDataset):
+    """The GIFX header bytes and the (N,) record array of a dataset; the file
+    is the header followed by the records' buffer."""
+    n = len(dataset)
     if n == 0:
         raise InputError("refusing to serialize an empty dataset")
-    h, w, c = dataset.images[0].pixels.shape
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<6I", FORMAT_VERSION, n, h, w, c, dataset.class_count)
+    header = [HEADER.pack(MAGIC, FORMAT_VERSION, n, *dataset.image_shape, dataset.class_count)]
     for name in dataset.class_names:
         raw = name.encode("utf-8")
-        buf += struct.pack("<I", len(raw))
-        buf += raw
-    for label, image in zip(dataset.labels, dataset.images):
-        buf += struct.pack("<I", int(label))
-        buf += image.pixels.astype("<f4").tobytes()
-    return bytes(buf)
+        header += [struct.pack("<I", len(raw)), raw]
+    records = np.empty(n, record_dtype(dataset.image_shape))
+    records["label"] = dataset.labels
+    records["pixels"] = dataset.pixels
+    return b"".join(header), records
+
+
+def dataset_bytes(dataset: LabeledDataset) -> bytes:
+    """Serialize to the GIFX layout; equal datasets give equal bytes."""
+    return b"".join(_gifx(dataset))
 
 
 def dataset_digest(dataset: LabeledDataset) -> str:
-    return hashlib.sha256(dataset_bytes(dataset)).hexdigest()
+    header, records = _gifx(dataset)
+    h = hashlib.sha256(header)
+    h.update(records)
+    return h.hexdigest()
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
+    header, records = _gifx(dataset)
     with open(path, "wb") as fh:
-        fh.write(dataset_bytes(dataset))
-
-
-class _Cursor:
-    """Sequential reader that reports the byte offset of whatever failed."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError(
-                f"truncated file: needed {n} bytes for {what} at byte {self.pos}, "
-                f"have {len(self.buf) - self.pos}"
-            )
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what: str) -> int:
-        (value,) = struct.unpack("<I", self.take(4, what))
-        return value
+        fh.write(header)
+        fh.write(records)
 
 
 def dataset_from_bytes(buf: bytes) -> LabeledDataset:
-    cur = _Cursor(buf)
-    magic = cur.take(4, "magic")
+    """Parse a GIFX file. The records are read in place, without a copy; every
+    error is a FormatError naming the byte offset of what failed."""
+    if len(buf) < HEADER.size:
+        raise FormatError(f"truncated file: {len(buf)} bytes, the header needs {HEADER.size}")
+    magic, version, n, h, w, c, class_count = HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
-    version = cur.u32("version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version} at byte 4")
-    n = cur.u32("sample count")
-    if n == 0:
-        raise FormatError("zero samples declared at byte 8")
-    dims = []
-    for offset, what in ((12, "height"), (16, "width"), (20, "channels")):
-        value = cur.u32(what)
+    for offset, what, value in ((8, "sample count", n), (12, "height", h), (16, "width", w),
+                                (20, "channels", c)):
         if value == 0:
             raise FormatError(f"zero {what} in header at byte {offset}")
-        dims.append(value)
-    h, w, c = dims
-    class_count = cur.u32("class count")
     if class_count < 2:
         raise FormatError(f"{class_count} classes declared at byte 24, need at least 2")
+    pos = HEADER.size
     names = []
     for i in range(class_count):
-        length = cur.u32(f"class name {i} length")
-        offset = cur.pos
-        raw = cur.take(length, f"class name {i}")
+        length = int.from_bytes(buf[pos : pos + 4], "little")
+        raw = buf[pos + 4 : pos + 4 + length]
+        if pos + 4 + length > len(buf):
+            raise FormatError(f"truncated file: class name {i} at byte {pos} runs past the end")
         try:
             names.append(raw.decode("utf-8"))
         except UnicodeDecodeError as err:
-            raise FormatError(f"undecodable class name {i} at byte {offset}") from err
-    pixel_count = h * w * c
-    images = []
-    labels = []
-    for i in range(n):
-        label_offset = cur.pos
-        label = cur.u32(f"label of sample {i}")
-        if label >= class_count:
-            raise FormatError(
-                f"label {label} of sample {i} at byte {label_offset} is out of "
-                f"range for {class_count} classes"
-            )
-        pixel_offset = cur.pos
-        raw = cur.take(4 * pixel_count, f"pixels of sample {i}")
-        try:
-            images.append(Image(np.frombuffer(raw, dtype="<f4").reshape(h, w, c)))
-        except (NumericInputError, ParameterError) as err:
-            raise FormatError(
-                f"pixels of sample {i} at byte {pixel_offset} are non-finite or "
-                f"outside [0, 1]: {err}"
-            ) from err
-        labels.append(label)
-    if cur.pos != len(buf):
+            raise FormatError(f"undecodable class name {i} at byte {pos + 4}") from err
+        pos += 4 + length
+    # sizes in Python ints first: a header's dims may not fit any numpy dtype
+    size = 4 + 4 * h * w * c
+    have = len(buf) - pos
+    if have < n * size:
+        i = have // size
+        raise FormatError(f"truncated file: sample {i} at byte {pos + i * size} runs past the end")
+    if have > n * size:
         raise FormatError(
-            f"{len(buf) - cur.pos} trailing bytes after the last record at byte {cur.pos}"
+            f"{have - n * size} trailing bytes after the last record at byte {pos + n * size}"
         )
-    return LabeledDataset(images=images, labels=np.array(labels), class_names=names)
+    records = np.frombuffer(buf, record_dtype((h, w, c)), n, pos)
+    bad = np.flatnonzero(records["label"] >= class_count)
+    if bad.size:
+        i = bad[0]
+        raise FormatError(f"label {records['label'][i]} of sample {i} at byte {pos + i * size} "
+                          f"is out of range for {class_count} classes")
+    try:
+        return LabeledDataset(records["pixels"], records["label"], names)
+    except (NumericInputError, ParameterError) as err:
+        i = bad_image_index(records["pixels"])
+        raise FormatError(
+            f"pixels of sample {i} at byte {pos + i * size + 4} are non-finite or "
+            f"outside [0, 1]: {err}"
+        ) from err
 
 
 def read_dataset(path) -> LabeledDataset:
@@ -322,18 +315,14 @@ class ExpansionConfig:
         check_count("candidate_budget", budget, self.ratio_k)
         check_count("steps", self.steps, 0)
         check_count("retries", self.retries, 0)
-        if self.epsilon is not None and not (0 <= self.epsilon < math.inf):
-            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not (self.step_size > 0):
-            raise ParameterError(f"step_size must be > 0, got {self.step_size}")
+        if self.epsilon is not None:
+            check_real("epsilon", self.epsilon, 0)
+        check_real("step_size", self.step_size, 0, open_low=True, finite=False)
         if self.noise_mode is not None and self.noise_mode not in lm.NOISE_MODES:
             raise ParameterError(
                 f"noise_mode must be one of {lm.NOISE_MODES}, got {self.noise_mode!r}"
             )
-        w = tuple(float(x) for x in self.weights)
-        if len(w) != 3 or any(not math.isfinite(x) or x < 0 for x in w):
-            raise ParameterError(f"weights must be three nonnegative reals, got {self.weights}")
-        self.weights = w
+        self.weights = lm.check_weights(self.weights)
         ag.check_cutout_frac(self.cutout_frac)
         ag.check_gridmask_params(self.grid_period, self.grid_keep)
 
@@ -351,29 +340,16 @@ class BackendBundle:
 # ---------------------------------------------------------------- expansion
 
 
-def seed_content_key(image: Image, label: int) -> str:
-    """Content hash keying a seed's RNG streams: position-independent."""
-    h = hashlib.sha256()
-    h.update(int(label).to_bytes(4, "little"))
-    h.update(image.pixels.astype("<f4").tobytes())
-    return h.hexdigest()
+def seed_content_key(record: np.void) -> str:
+    """Content hash keying a seed's RNG streams, position-independent: the
+    sha256 of the seed's GIFX record, the bytes its sample has in the file."""
+    return hashlib.sha256(record).hexdigest()
 
 
 # variant rows (seeds x K) per guided ascent stack: 32 seeds at K=5. A
 # block's stacked Jacobians and decoded pixels stay a few hundred kB each,
 # so peak memory does not grow with the dataset
 ASCENT_BLOCK_ROWS = 160
-
-
-def _expand_guided_block(images, method, config, backends, streams):
-    """All K variants of a block of seeds, ascended as one stack; a seed's
-    variants are pure in (its stream id, method, config, seed)."""
-    # looked up at call time, so a wrapper installed on the module applies
-    flow = gd.expand_embedding_block if method == "gif_embed" else gd.expand_latent_block
-    variants, records, _ = flow(
-        images, backends.codec, backends.embedder, backends.head, config, streams
-    )
-    return list(zip(variants, records))
 
 
 def _augmenter(method, config):
@@ -417,40 +393,37 @@ def expand_dataset(
 ):
     """Originals first and untouched, then K variants per seed, plus manifest."""
     parse_method(method)
-    n = len(dataset.labels)
+    n, k = len(dataset), config.ratio_k
     if n == 0:
         raise InputError("cannot expand an empty dataset")
     root = RngStream.root(global_seed)
-    streams = [
-        root.child("method", method, "seed", seed_content_key(image, label))
-        for image, label in zip(dataset.images, dataset.labels)
-    ]
+    streams = [root.child("method", method, "seed", seed_content_key(record))
+               for record in _gifx(dataset)[1]]
+    pixels = np.empty((n * (1 + k),) + dataset.image_shape, dtype=np.float32)
+    pixels[:n] = dataset.pixels
+    variants = pixels[n:].reshape((n, k) + dataset.image_shape)  # seed j's variant i at [j, i]
+    records = []
     if method in GUIDED_METHODS:
-        per_block = max(1, ASCENT_BLOCK_ROWS // config.ratio_k)
-        per_seed = []
+        # looked up at call time, so a wrapper installed on the module applies
+        flow = gd.expand_embedding_block if method == "gif_embed" else gd.expand_latent_block
+        per_block = max(1, ASCENT_BLOCK_ROWS // k)
         for start in range(0, n, per_block):
             block = slice(start, start + per_block)
-            per_seed += _expand_guided_block(
-                dataset.images[block], method, config, backends, streams[block]
-            )
+            variants[block], per_seed, _ = flow(dataset.pixels[block], backends.codec,
+                                                backends.embedder, backends.head, config,
+                                                streams[block])
+            records += [rec for seed_records in per_seed for rec in seed_records]
     else:
-        per_seed = [
-            _expand_one_seed(image, method, config, backends, stream)
-            for image, stream in zip(dataset.images, streams)
-        ]
-    images = list(dataset.images)
-    labels = list(dataset.labels)
-    all_records = []
-    for j, ((variant_images, variant_records), label) in enumerate(zip(per_seed, dataset.labels)):
-        for rec in variant_records:
-            rec["seed_index"] = j
-        images.extend(variant_images)
-        labels.extend([label] * len(variant_images))
-        all_records.extend(variant_records)
-
-    expanded = LabeledDataset(
-        images=images, labels=np.array(labels), class_names=list(dataset.class_names)
-    )
+        for j, stream in enumerate(streams):
+            images, seed_records = _expand_one_seed(Image(dataset.pixels[j]), method, config,
+                                                    backends, stream)
+            for i, image in enumerate(images):
+                variants[j, i] = image.pixels
+            records += seed_records
+    for i, rec in enumerate(records):  # K records per seed, as the manifest requires
+        rec["seed_index"] = i // k
+    labels = np.concatenate([dataset.labels, np.repeat(dataset.labels, k)])
+    expanded = LabeledDataset(pixels, labels, list(dataset.class_names))
     manifest = ExpansionManifest(
         version=TOOL_VERSION,
         global_seed=int(global_seed),
@@ -458,7 +431,7 @@ def expand_dataset(
         config=config.as_dict(),
         seed_count=n,
         ratio_k=config.ratio_k,
-        records=all_records,
+        records=records,
         original_digest=dataset_digest(dataset),
         expanded_digest=dataset_digest(expanded),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count
+from .errors import ParameterError, check_count
 
 
 def derive_key(parts: tuple) -> int:
@@ -22,7 +22,7 @@ def derive_key(parts: tuple) -> int:
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, bool) or not isinstance(part, (int, str)):
-            raise TypeError(f"stream id parts must be int or str, got {part!r}")
+            raise ParameterError(f"stream id parts must be int or str, got {part!r}")
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest()[:16], "little")

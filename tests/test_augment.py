@@ -69,6 +69,23 @@ def test_cutout_rejects_out_of_range_fracs():
             ag.cutout(img, frac, _stream("co-bad"))
 
 
+def test_augment_sizes_and_fractions_follow_one_rule():
+    img = _const_image()
+    for frac in (True, "0.4", None):
+        with pytest.raises(ParameterError):
+            ag.cutout(img, frac, _stream("co-type"))
+    for period, keep in ((4.0, 0.5), (True, 0.5), (8, True)):
+        with pytest.raises(ParameterError):
+            ag.gridmask(img, period, keep)
+    data = bk.gen_toy_dataset(2, 1, 16, seed=7)
+    embedder = bk.make_embedder(data.image_shape, 16, seed=0)
+    head = bk.fit_prototype_head(data, embedder)
+    for quota, budget in ((2.5, None), (True, None), (2, 4.5)):
+        with pytest.raises(ParameterError):
+            ag.selective_expand(data, ag.rand_lite, embedder, head, quota, _stream("sel-type"),
+                                candidate_budget=budget)
+
+
 # ---------------------------------------------------------------- gridmask
 
 

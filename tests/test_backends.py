@@ -9,8 +9,10 @@ import pytest
 from expandforge import backends as bk
 from expandforge import guidance as gd
 from expandforge import latentmath as lm
+from expandforge import errors, rng
 from expandforge.errors import (
     CoverageError,
+    NumericInputError,
     ParameterError,
     RankError,
     ShapeError,
@@ -29,7 +31,7 @@ def test_toygen_shapes_counts_and_range():
     data = _toy(classes=3, per_class=4, side=12)
     assert len(data) == 12
     assert data.image_shape == (12, 12, 1)
-    assert data.labels == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+    assert data.labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
     assert data.class_names == ["disc", "hstripes", "triangle"]
     for img in data.images:
         assert img.pixels.dtype == np.float32
@@ -76,11 +78,98 @@ def test_root_stream_takes_only_an_int_seed():
     assert RngStream.root(-3).parts == (-3,)
 
 
+def test_stream_id_parts_are_ints_or_strings():
+    # a float, bool or None part raises the package's error, as a bad root does
+    for parts in ((1.5,), (True,), (0, None), (0, "a", 2.0)):
+        with pytest.raises(ParameterError):
+            rng.derive_key(parts)
+    with pytest.raises(ParameterError):
+        RngStream.root(0).child(True).generator()
+    assert rng.derive_key((0, "a", -1)) == rng.derive_key((0, "a", -1))
+
+
+def test_check_real_ends_infinities_and_types():
+    errors.check_real("x", 0, 0)
+    errors.check_real("x", 1, 0, 1)
+    errors.check_real("x", np.float32(0.5), 0, 1, open_low=True, open_high=True)
+    errors.check_real("x", np.int64(3), 0)
+    errors.check_real("x", 10**400, None)  # an int too large for a float is still a real
+    errors.check_real("x", math.inf, 0, finite=False)
+    errors.check_real("x", -math.inf, None, finite=False)
+    for value, low, high, kw in (
+        (0, 0, None, dict(open_low=True)),
+        (1, 0, 1, dict(open_high=True)),
+        (-1e-300, 0, None, {}),
+        (1.5, 0, 1, {}),
+        (math.inf, 0, None, {}),
+        (-math.inf, 0, None, dict(finite=False)),
+        (math.nan, None, None, dict(finite=False)),
+        (np.float32("nan"), None, None, {}),
+        (True, 0, None, {}),
+        (np.bool_(True), 0, None, {}),
+        ("1", 0, None, {}),
+        (None, 0, None, {}),
+        (1j, None, None, {}),
+    ):
+        with pytest.raises(ParameterError):
+            errors.check_real("x", value, low, high, **kw)
+
+
 def test_image_validation():
     with pytest.raises(ParameterError):
         bk.Image(np.full((4, 4, 1), 1.5))
     with pytest.raises(ShapeError):
         bk.Image(np.zeros((4, 4)))
+
+
+def test_dataset_from_images_equals_dataset_from_pixel_array():
+    data = _toy(classes=3, per_class=4, side=12)
+    from_images = bk.LabeledDataset(
+        images=[bk.Image(p.copy()) for p in data.pixels], labels=data.labels.tolist(),
+        class_names=list(data.class_names),
+    )
+    from_array = bk.LabeledDataset(
+        images=data.pixels.copy(), labels=data.labels, class_names=list(data.class_names)
+    )
+    for built in (from_images, from_array):
+        assert built.pixels.dtype == np.float32 and built.labels.dtype == np.int64
+        assert built.pixels.tobytes() == data.pixels.tobytes()
+        assert built.labels.tolist() == data.labels.tolist()
+        assert built.image_shape == (12, 12, 1) and len(built) == 12
+
+
+@pytest.mark.parametrize("bad, error", [
+    (math.nan, NumericInputError), (math.inf, NumericInputError),
+    (-math.inf, NumericInputError), (1.5, ParameterError), (-0.1, ParameterError),
+])
+def test_dataset_rejects_bad_pixels_as_an_image_does(bad, error):
+    data = _toy(classes=3, per_class=4, side=12)
+    pixels = data.pixels.copy()
+    pixels[5, 3, 2, 0] = bad
+    pixels[7, 0, 0, 0] = math.nan  # a later bad image is not the one named
+    with pytest.raises(error):
+        bk.Image(pixels[5])
+    with pytest.raises(error, match="image 5"):
+        bk.LabeledDataset(images=pixels, labels=data.labels, class_names=data.class_names)
+
+
+def test_dataset_images_view_is_built_once():
+    data = _toy(classes=2, per_class=3, side=8)
+    images = data.images
+    assert data.images is images and len(images) == 6
+    for img, pixels in zip(images, data.pixels):
+        assert np.shares_memory(img.pixels, data.pixels)
+        assert np.array_equal(img.pixels, pixels)
+
+
+def test_empty_subset_keeps_the_image_shape():
+    data = _toy(classes=2, per_class=3, side=8)
+    empty = data.subset([])
+    assert len(empty) == 0 and empty.image_shape == (8, 8, 1)
+    assert empty.pixels.shape == (0, 8, 8, 1) and empty.labels.shape == (0,)
+    picked = data.subset([4, 1])
+    assert picked.labels.tolist() == [1, 0]
+    assert picked.pixels.tobytes() == data.pixels[[4, 1]].tobytes()
 
 
 def test_dataset_validation():
@@ -159,6 +248,14 @@ def test_codec_rejects_bad_parameters_and_rank():
     with pytest.raises(RankError) as err:
         bk.fit_linear_codec(degenerate, 2, (1, 2))
     assert "rank 0" in str(err.value)
+
+
+def test_codec_sizes_are_counts():
+    # a float latent size would reach the latent reshape of gif_latent
+    data = _toy(per_class=3)
+    for latent_dim, latent_shape in ((8.0, (2, 4)), (8, (2, 4.0)), (8, (2.0, 4)), (True, (1, 1))):
+        with pytest.raises(ParameterError):
+            bk.fit_linear_codec(data, latent_dim, latent_shape)
 
 
 def test_codec_encode_decode_shape_checks():
@@ -273,6 +370,13 @@ def test_head_rejects_a_non_finite_or_non_positive_tau():
         with pytest.raises(ParameterError):
             bk.ZeroShotHead(prototypes=protos, tau=tau)
     assert bk.ZeroShotHead(prototypes=protos, tau=1e-3).tau == 1e-3
+
+
+def test_head_tau_is_a_real():
+    for tau in ("1", True, None):
+        with pytest.raises(ParameterError):
+            bk.ZeroShotHead(prototypes=np.eye(2, 4), tau=tau)
+    assert bk.ZeroShotHead(prototypes=np.eye(2, 4), tau=np.float32(0.5)).tau == 0.5
 
 
 def test_head_rejects_empty_class():

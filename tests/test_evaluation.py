@@ -41,6 +41,13 @@ def test_classifier_config_validation():
     assert cfg.hidden == 32 and cfg.epochs == 100 and cfg.lr == 0.05
 
 
+def test_classifier_lr_is_a_real():
+    for lr in (True, "0.05", None):
+        with pytest.raises(ParameterError):
+            ev.ClassifierConfig(lr=lr)
+    assert ev.ClassifierConfig(lr=1).lr == 1
+
+
 # --------------------------------------------------------------- training
 
 

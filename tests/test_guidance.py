@@ -58,6 +58,12 @@ def test_config_rejects_bad_values():
             pl.ExpansionConfig(**bad)
 
 
+def test_init_perturbations_count_is_an_int():
+    for k in (2.5, True, "2"):
+        with pytest.raises(ParameterError):
+            gd.init_perturbations((3, 5), k, "full", _stream("init-type"))
+
+
 def test_config_flow_defaults():
     emb = gd.flow_config(pl.ExpansionConfig(), "gif_embed")
     assert emb.epsilon == 0.1
@@ -341,7 +347,7 @@ def test_embedding_decode_stack_is_bit_equal_to_per_embedding_reference(monkeypa
         return out
 
     monkeypatch.setattr(gd, "_expand_with_chain", capture)
-    seeds = [data.images[i] for i in (0, 30, 60, 90)]
+    seeds = data.pixels[[0, 30, 60, 90]]
     cfg = pl.ExpansionConfig(ratio_k=3, steps=2)
     streams = [_stream("stacked-decode", i) for i in range(len(seeds))]
     images, _, _ = gd.expand_embedding_block(seeds, codec, embedder, head, cfg, streams)
@@ -350,7 +356,7 @@ def test_embedding_decode_stack_is_bit_equal_to_per_embedding_reference(monkeypa
     for group, rows in zip(images, values):
         for img, row in zip(group, rows):
             want = _decode_embedding(codec, embedder, row.ravel())
-            assert np.array_equal(img.pixels, want.pixels)
+            assert np.array_equal(img, want.pixels)
     # an embedder whose pixels are not the codec's cannot decode
     small = bk.gen_toy_dataset(4, 25, 8, seed=7)
     other = bk.fit_linear_codec(small, latent_dim=16, latent_shape=(4, 4))

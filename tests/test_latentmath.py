@@ -355,6 +355,25 @@ def test_guidance_objective_rejects_mismatch_and_bad_weights():
         lm.GuidanceScores(s_con=1.0, s_ent=0.0, s_div=0.0, weights=(math.inf, 1.0, 1.0))
 
 
+def test_kernel_reals_follow_one_rule():
+    f = lm.Latent(np.ones((2, 2)))
+    params = lm.PerturbationParams(z=np.zeros((2, 2)), b=np.zeros((2, 2)))
+    for bad in ("0.1", True, None, math.nan):
+        with pytest.raises(ParameterError):
+            lm.perturb_and_project(f, params, bad)
+        with pytest.raises(ParameterError):
+            lm.softmax([1.0, 2.0], tau=bad)
+        with pytest.raises(ParameterError):
+            lm.objective_gradient_fd(lambda x: 0.0, np.zeros(2), h=bad)
+        with pytest.raises(ParameterError):
+            lm.GuidanceScores(s_con=1.0, s_ent=0.0, s_div=0.0, weights=(1.0, bad, 1.0))
+    with pytest.raises(ParameterError):
+        lm.GuidanceScores(s_con=1.0, s_ent=0.0, s_div=0.0, weights=5)
+    # the ranges accepted before still are: an infinite epsilon or temperature
+    assert np.array_equal(lm.perturb_and_project(f, params, math.inf).values, f.values)
+    assert np.array_equal(lm.softmax([1.0, 2.0], tau=math.inf), [0.5, 0.5])
+
+
 # ---------------------------------------------------------------- finite differences
 
 def test_fd_quadratic_example():

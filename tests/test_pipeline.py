@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import expandforge.backends as bk
 import expandforge.pipeline as pl
@@ -51,7 +52,7 @@ def test_gifx_round_trip_identity(tmp_path):
     pl.write_dataset(data, path)
     loaded = pl.read_dataset(path)
     assert loaded.class_names == data.class_names
-    assert loaded.labels == data.labels
+    assert loaded.labels.tolist() == data.labels.tolist()
     for a, b in zip(loaded.images, data.images):
         assert np.array_equal(a.pixels, b.pixels)
     assert pl.dataset_bytes(loaded) == pl.dataset_bytes(data)
@@ -131,6 +132,51 @@ def test_gifx_byte_mutations_raise_only_format_error(data):
         pl.dataset_from_bytes(bytes(blob))
     except FormatError:
         pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gifx_round_trip_is_bit_exact_at_any_offset(data):
+    n, h, w, c = (data.draw(st.integers(1, 5)) for _ in range(4))
+    classes = data.draw(st.integers(2, 5))
+    # a name of odd UTF-8 length puts the record block at an unaligned offset
+    odd = st.text(max_size=4).map(lambda s: s if len(s.encode("utf-8")) % 2 else s + "x")
+    names = data.draw(st.lists(odd, min_size=classes, max_size=classes))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    pixels = data.draw(arrays(np.float32, (n, h, w, c), elements=st.floats(0, 1, width=32)))
+    buf = pl.dataset_bytes(bk.LabeledDataset(images=pixels, labels=labels, class_names=names))
+    start = 28 + sum(4 + len(name.encode("utf-8")) for name in names)
+    assert len(buf) == start + n * (4 + 4 * h * w * c)
+    loaded = pl.dataset_from_bytes(buf)
+    assert loaded.pixels.tobytes() == pixels.tobytes()
+    assert loaded.labels.tolist() == labels.tolist() and loaded.class_names == names
+    assert pl.dataset_bytes(loaded) == buf
+    assert pl.dataset_digest(loaded) == hashlib.sha256(buf).hexdigest()
+
+
+def test_gifx_huge_declared_dims_raise_format_error():
+    blob = _small_blob()
+    for fields in ((12,), (16,), (20,), (8, 12, 16, 20)):
+        huge = bytearray(blob)
+        for offset in fields:
+            struct.pack_into("<I", huge, offset, 2**32 - 1)
+        with pytest.raises(FormatError, match="truncated"):
+            pl.dataset_from_bytes(bytes(huge))
+
+
+def test_seed_content_key_hashes_the_seed_record_in_the_file(tmp_path):
+    data = _data()
+    path = tmp_path / "seeds.gifx"
+    pl.write_dataset(data, path)
+    raw = path.read_bytes()
+    start, size = 28 + _name_block_size(data), 4 + 4 * int(np.prod(data.image_shape))
+    records = np.frombuffer(raw, pl.record_dtype(data.image_shape), len(data), start)
+    want = [hashlib.sha256(raw[start + j * size : start + (j + 1) * size]).hexdigest()
+            for j in range(len(data))]
+    assert [pl.seed_content_key(record) for record in records] == want
+    _, manifest = pl.expand_dataset(data, "cutout", _small_config(), _bundle(), global_seed=1)
+    for record in manifest.records:
+        assert f"/seed/{want[record['seed_index']]}/" in record["stream_id"]
 
 
 def test_gifx_rejects_empty_dataset():
@@ -492,6 +538,29 @@ def test_expand_rejects_empty_dataset():
         pl.expand_dataset(
             _data().subset([]), "cutout", _small_config(), _bundle(), global_seed=0
         )
+
+
+def test_expansion_config_reals_follow_one_rule():
+    for bad in (
+        dict(step_size="0.1"),
+        dict(step_size=True),
+        dict(step_size=math.nan),
+        dict(epsilon=True),
+        dict(epsilon="1"),
+        dict(weights=(1.0, True, 1.0)),
+        dict(weights=("1", 1.0, 1.0)),
+        dict(weights=5),
+        dict(cutout_frac=True),
+        dict(cutout_frac="0.4"),
+        dict(grid_keep=True),
+        dict(grid_keep=None),
+    ):
+        with pytest.raises(ParameterError):
+            pl.ExpansionConfig(**bad)
+    # every range accepted before still is; step_size still takes inf
+    assert pl.ExpansionConfig(step_size=math.inf).step_size == math.inf
+    cfg = pl.ExpansionConfig(epsilon=0, cutout_frac=1, grid_keep=1, weights=[0, 0, 2])
+    assert cfg.weights == (0.0, 0.0, 2.0)
 
 
 def test_expansion_config_validation():
