@@ -106,12 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     traineval = sub.add_parser("traineval", help="train the probe classifier and evaluate")
     traineval.add_argument("--train", required=True, help="training GIFX path")
     traineval.add_argument("--test", required=True, help="test GIFX path")
-    traineval.add_argument("--hidden", type=int, default=32,
-                           help="hidden units (default 32)")
-    traineval.add_argument("--epochs", type=int, default=100,
-                           help="training epochs (default 100)")
-    traineval.add_argument("--lr", type=float, default=0.05,
-                           help="learning rate (default 0.05)")
+    clf = ev.ClassifierConfig()
+    traineval.add_argument("--hidden", type=int, default=clf.hidden,
+                           help=f"hidden units (default {clf.hidden})")
+    traineval.add_argument("--epochs", type=int, default=clf.epochs,
+                           help=f"training epochs (default {clf.epochs})")
+    traineval.add_argument("--lr", type=float, default=clf.lr,
+                           help=f"learning rate (default {clf.lr})")
     traineval.add_argument("--embed-dim", type=int, default=64,
                            help="embedding dimension for covering radius (default 64)")
     traineval.add_argument("--embed-seed", type=int, default=0,
@@ -235,6 +236,7 @@ _REPORT_COLUMNS = ("method", "ratio", "seed", "accuracy", "macro_accuracy", "cov
 
 
 def _cmd_report(args) -> int:
+    _check_outputs(args.metrics, [args.out])
     rows = []
     for path in args.metrics:
         try:

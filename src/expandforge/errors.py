@@ -55,8 +55,8 @@ class NumericDivergenceError(ExpandForgeError):
 def check_count(name: str, value, low: int | None, high: int | None = None) -> None:
     """Raise ParameterError unless value is an int in [low, high], a None
     bound left open: the one rule for every count and seed argument."""
-    # a bool is an int to isinstance, but no count or seed
-    if (isinstance(value, bool) or not isinstance(value, int)
+    # int before Integral (numpy), the slower check; a bool is an int, but no count or seed
+    if (isinstance(value, bool) or not isinstance(value, (int, numbers.Integral))
             or (low is not None and value < low) or (high is not None and value > high)):
         bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
         raise ParameterError(f"{name} must be an int{bound}, got {value!r}")

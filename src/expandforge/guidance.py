@@ -35,20 +35,18 @@ test_row_kernels_are_bit_equal_to_per_vector_calls checks them:
 - each group's s_con, s_ent and s_div totals add over K in variant order
 - a sum masked to p > 0 stays masked for every row with a zero entry
 
-The module also owns the manifest record layout: a record is the plain
-dict the manifest stores, laid out by _RECORD_TYPES, checked by
-check_record and made for every method by the one builder, _records. The
-guided flows fill it from their traces; every baseline, plain or
-selective, fills it through selected_records from the scores that
-augment.score_candidates measured. Each score term has one formula, in
-latentmath: a record's s_con and entropy gain come from
-consistency_entropy_rows and its s_div from diversity_terms_rows, each
-variant's clamped term of the diversity_rows sum the ascent raises.
+Each flow reports what happened to each variant as named columns: the
+(s_con, s_ent, s_div) scores of the first evaluated and of the emitted
+variants as scores_initial and scores_final, (G, K, 3) each, and
+consistent, retry_count and fallback, (G, K) each; the pipeline builds
+the manifest records from them. Each score term has one formula, in
+latentmath: s_con and entropy gain come from consistency_entropy_rows and
+s_div from diversity_terms_rows, each variant's clamped term of the
+diversity_rows sum the ascent raises.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -56,8 +54,8 @@ import numpy as np
 
 from . import latentmath as lm
 from .backends import Embedder, Image, LinearCodec, ZeroShotHead
-from .errors import (InputError, NumericDivergenceError, NumericInputError, ParameterError,
-                     ShapeError, check_count)
+from .errors import (NumericDivergenceError, NumericInputError, ParameterError, ShapeError,
+                     check_count)
 from .rng import RngStream
 
 if TYPE_CHECKING:
@@ -83,7 +81,7 @@ class OptimizationTrace:
     """One entry per evaluation (steps + 1): the (G,) objective of every seed
     group and the (G, K, C) variant class probabilities; initial holds the
     first evaluation's projected variants. The flows read the probabilities
-    and initial for the records; the objective is what the ascent raises."""
+    and initial for the score columns; the objective is what the ascent raises."""
 
     objective: list = field(default_factory=list)
     probs: list = field(default_factory=list)
@@ -97,63 +95,6 @@ class OptimizationTrace:
 
     def __len__(self) -> int:
         return len(self.objective)
-
-
-# a record's keys and value types, in the order _records fills them: one
-# record per emitted variant, scores_initial and scores_final laid out as
-# _SCORE_TYPES
-_RECORD_TYPES = {
-    "seed_index": int,
-    "variant_index": int,
-    "method": str,
-    "stream_id": str,
-    "scores_initial": dict,
-    "scores_final": dict,
-    "consistent": bool,
-    "retry_count": int,
-    "fallback": bool,
-    "qualified": bool,
-}
-_SCORE_TYPES = {"s_con": float, "s_ent": float, "s_div": float, "total": float, "weights": list}
-
-
-def check_record(data, what: str) -> None:
-    """Raise InputError unless data has the layout and types of a record."""
-    check_json_types(what, data, _RECORD_TYPES)
-    for key in ("scores_initial", "scores_final"):
-        scores = data[key]
-        check_json_types(f"{what} {key}", scores, _SCORE_TYPES)
-        weights = scores["weights"]
-        if len(weights) != 3 or not all(_has_type(w, float) for w in weights):
-            raise InputError(f"{what} {key} weights must be three finite reals")
-
-
-def _has_type(value, kind) -> bool:
-    # a bool is never a number here, though Python counts it as an int
-    if isinstance(value, (bool, np.bool_)) or kind is bool:
-        return kind is bool and isinstance(value, (bool, np.bool_))
-    if isinstance(value, (int, np.integer)):
-        return kind in (int, float)
-    if kind is float:
-        return isinstance(value, (float, np.floating)) and math.isfinite(value)
-    return isinstance(value, kind)
-
-
-def check_json_types(what: str, data, types: dict) -> None:
-    """Raise InputError unless data is a dict with exactly the keys of types,
-    each value of its type; float means a finite real and admits ints."""
-    if not isinstance(data, dict):
-        raise InputError(f"{what} must be an object, got {type(data).__name__}")
-    if data.keys() != types.keys():
-        raise InputError(f"{what} has keys {sorted(data)}, expected {sorted(types)}")
-    for key, kind in types.items():
-        value = data[key]
-        # exact types first, as every manifest this package writes has them;
-        # type(True) is bool, not int
-        if type(value) is kind and (kind is not float or math.isfinite(value)):
-            continue
-        if not _has_type(value, kind):
-            raise InputError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
 
 
 def _draw_params(shape: tuple, noise_mode: str, gen: np.random.Generator):
@@ -296,41 +237,10 @@ class ScoreChain:
         return lm.weighted_total(s_con, s_ent, s_div, self.weights), grads, probs
 
 
-def _records(method, weights, stream_ids, initial, final, consistent, retry_counts,
-             fallbacks, qualified):
-    """The one record builder: variant i's record from the i-th entry of each
-    column. initial and final are the (s_con, s_ent, s_div) score columns,
-    (K,) each, of the first evaluated and of the emitted variants; the other
-    columns are lists. seed_index stays -1 until the pipeline fills it in."""
-    k = len(stream_ids)
-    scores = []
-    for terms in (initial, final):
-        s_con, s_ent, s_div = (np.asarray(t, dtype=float) for t in terms)
-        total = lm.weighted_total(s_con, s_ent, s_div, weights)
-        rows = zip(s_con.tolist(), s_ent.tolist(), s_div.tolist(), total.tolist())
-        scores.append([dict(zip(_SCORE_TYPES, (*row, list(weights)))) for row in rows])
-    columns = ([-1] * k, range(k), [method] * k, stream_ids, *scores,
-               consistent, retry_counts, fallbacks, qualified)
-    return [dict(zip(_RECORD_TYPES, row)) for row in zip(*columns)]
-
-
-def selected_records(selected, method, weights):
-    """Records for a baseline's variants, from the augment.SelectionRecords
-    that augment.score_candidates measured for them: nothing is embedded
-    again. Every baseline, plain or selective, takes its records from here."""
-    terms = ([sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
-             lm.diversity_terms_rows(np.stack([sel.embedding for sel in selected])))
-    k = len(selected)
-    return _records(method, weights, [sel.stream_id for sel in selected], terms, terms,
-                    [sel.consistent for sel in selected], [0] * k, [False] * k,
-                    [sel.qualified for sel in selected])
-
-
 def _expand_with_chain(
     chain,
     seeds: np.ndarray,
     seed_probs: np.ndarray,
-    method: str,
     config: ExpansionConfig,
     rng_streams: list,
 ):
@@ -344,8 +254,8 @@ def _expand_with_chain(
     so the round equals per-variant retries run one after another.
     Probabilities come from the traces: the first evaluation for the
     initial scores, the last for emitted variants; a fallback takes the
-    seed's own. Returns the (G, K, T, D) emitted variants, one record list
-    per seed, and the trace.
+    seed's own. Returns the (G, K, T, D) emitted variants, the named
+    (G, K) columns of the module docstring, and the trace.
     """
     k = config.ratio_k
     shape = seeds.shape[1:]
@@ -375,19 +285,15 @@ def _expand_with_chain(
     probs[groups, variants] = seed_probs[groups]
     retry_counts[fallbacks] += 1
     consistent = probs.argmax(axis=-1) == target
-    # (s_con, s_ent, s_div) of the step-0 and of the emitted variants, (G, K) each
+    # (s_con, s_ent, s_div) of the step-0 and of the emitted variants, (G, K, 3)
     initial, final = (
-        (*lm.consistency_entropy_rows(p, seed_probs),
-         lm.diversity_terms_rows(v.reshape(len(v), k, -1)))
+        np.stack((*lm.consistency_entropy_rows(p, seed_probs),
+                  lm.diversity_terms_rows(v.reshape(len(v), k, -1))), axis=-1)
         for p, v in ((trace.probs[0], trace.initial), (probs, emitted))
     )
-    records = [
-        _records(method, config.weights, [stream.child("variant", i).id for i in range(k)],
-                 [t[g] for t in initial], [t[g] for t in final], consistent[g].tolist(),
-                 retry_counts[g].tolist(), fallbacks[g].tolist(), [True] * k)
-        for g, stream in enumerate(rng_streams)
-    ]
-    return emitted, records, trace
+    columns = dict(scores_initial=initial, scores_final=final, consistent=consistent,
+                   retry_count=retry_counts, fallback=fallbacks)
+    return emitted, columns, trace
 
 
 def expand_embedding_block(
@@ -402,17 +308,16 @@ def expand_embedding_block(
     decode them as one stack: through the embedder's orthonormal transpose
     into pixel space, then a codec round trip to stay on the image manifold.
     seed_pixels is (G, H, W, C); returns the (G, K, H, W, C) float32 variant
-    pixels, one record list per seed, and the trace. config fields left
-    None take their gif_embed FLOW_DEFAULTS."""
+    pixels, their (G, K) columns and the trace. config fields left None
+    take their gif_embed FLOW_DEFAULTS."""
     config = flow_config(config, "gif_embed")
     e0 = embedder.embed_images(seed_pixels)
     seed_probs = head.predict_rows(e0)
     chain = ScoreChain(head, config.weights, seed_probs)
-    emitted, records, trace = _expand_with_chain(
-        chain, e0[:, None, :], seed_probs, "gif_embed", config, rng_streams
-    )
+    emitted, columns, trace = _expand_with_chain(chain, e0[:, None, :], seed_probs, config,
+                                                 rng_streams)
     pixels = lm.matvec(embedder.projection.T, emitted.reshape(emitted.shape[:2] + (-1,))) + 0.5
-    return _decoded(codec, codec.encode_flat(pixels)), records, trace
+    return _decoded(codec, codec.encode_flat(pixels)), columns, trace
 
 
 def expand_latent_block(
@@ -425,8 +330,8 @@ def expand_latent_block(
 ):
     """Optimize K perturbed codec latents of each seed in one stack, scoring
     decoded intermediates. seed_pixels is (G, H, W, C); returns the
-    (G, K, H, W, C) float32 variant pixels, one record list per seed, and
-    the trace. config fields left None take their gif_latent FLOW_DEFAULTS."""
+    (G, K, H, W, C) float32 variant pixels, their (G, K) columns and the
+    trace. config fields left None take their gif_latent FLOW_DEFAULTS."""
     config = flow_config(config, "gif_latent")
     if seed_pixels.shape[1:] != codec.image_shape:
         raise ShapeError(f"image shape {seed_pixels.shape[1:]} vs codec {codec.image_shape}")
@@ -437,11 +342,10 @@ def expand_latent_block(
     recon_pixels, _ = codec.decode_with_mask(f0)
     seed_probs = head.predict_rows(embedder.embed_flat(recon_pixels))
     chain = ScoreChain(head, config.weights, seed_probs, decode_lift(codec, embedder))
-    emitted, records, trace = _expand_with_chain(
-        chain, f0.reshape((len(f0),) + codec.latent_shape), seed_probs, "gif_latent", config,
-        rng_streams,
+    emitted, columns, trace = _expand_with_chain(
+        chain, f0.reshape((len(f0),) + codec.latent_shape), seed_probs, config, rng_streams
     )
-    return _decoded(codec, emitted.reshape(emitted.shape[:2] + (-1,))), records, trace
+    return _decoded(codec, emitted.reshape(emitted.shape[:2] + (-1,))), columns, trace
 
 
 def _decoded(codec: LinearCodec, flat_latents: np.ndarray) -> np.ndarray:
@@ -459,10 +363,10 @@ def expand_seed_embedding_flow(
     rng_stream: RngStream,
 ):
     """Optimize K perturbed copies of the seed's embedding, then decode them."""
-    (pixels,), (records,), trace = expand_embedding_block(
+    pixels, columns, trace = expand_embedding_block(
         seed_image.pixels[None], codec, embedder, head, config, [rng_stream]
     )
-    return [Image(p) for p in pixels], records, trace.group(0)
+    return [Image(p) for p in pixels[0]], {k: c[0] for k, c in columns.items()}, trace.group(0)
 
 
 def expand_seed_latent_flow(
@@ -474,7 +378,7 @@ def expand_seed_latent_flow(
     rng_stream: RngStream,
 ):
     """Optimize K perturbed codec latents, scoring decoded intermediates."""
-    (pixels,), (records,), trace = expand_latent_block(
+    pixels, columns, trace = expand_latent_block(
         seed_image.pixels[None], codec, embedder, head, config, [rng_stream]
     )
-    return [Image(p) for p in pixels], records, trace.group(0)
+    return [Image(p) for p in pixels[0]], {k: c[0] for k, c in columns.items()}, trace.group(0)

@@ -211,6 +211,82 @@ def canonical_json(obj) -> str:
 # --------------------------------------------------------------- manifest
 
 
+# a record's keys and value types, in the order _records fills them: one
+# record per emitted variant, scores_initial and scores_final laid out as
+# _SCORE_TYPES
+_RECORD_TYPES = {
+    "seed_index": int,
+    "variant_index": int,
+    "method": str,
+    "stream_id": str,
+    "scores_initial": dict,
+    "scores_final": dict,
+    "consistent": bool,
+    "retry_count": int,
+    "fallback": bool,
+    "qualified": bool,
+}
+_SCORE_TYPES = {"s_con": float, "s_ent": float, "s_div": float, "total": float, "weights": list}
+
+
+def check_record(data, what: str) -> None:
+    """Raise InputError unless data has the layout and types of a record."""
+    check_json_types(what, data, _RECORD_TYPES)
+    for key in ("scores_initial", "scores_final"):
+        scores = data[key]
+        check_json_types(f"{what} {key}", scores, _SCORE_TYPES)
+        weights = scores["weights"]
+        if len(weights) != 3 or not all(_has_type(w, float) for w in weights):
+            raise InputError(f"{what} {key} weights must be three finite reals")
+
+
+def _has_type(value, kind) -> bool:
+    # a bool is never a number here, though Python counts it as an int
+    if isinstance(value, (bool, np.bool_)) or kind is bool:
+        return kind is bool and isinstance(value, (bool, np.bool_))
+    if isinstance(value, (int, np.integer)):
+        return kind in (int, float)
+    if kind is float:
+        return isinstance(value, (float, np.floating)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def check_json_types(what: str, data, types: dict) -> None:
+    """Raise InputError unless data is a dict with exactly the keys of types,
+    each value of its type; float means a finite real and admits ints."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be an object, got {type(data).__name__}")
+    if data.keys() != types.keys():
+        raise InputError(f"{what} has keys {sorted(data)}, expected {sorted(types)}")
+    for key, kind in types.items():
+        value = data[key]
+        # exact types first, as every manifest this package writes has them;
+        # type(True) is bool, not int
+        if type(value) is kind and (kind is not float or math.isfinite(value)):
+            continue
+        if not _has_type(value, kind):
+            raise InputError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
+
+
+def _records(method: str, weights: tuple, stream_ids: list, columns: dict) -> list:
+    """The one record builder: seed j's variant i gets entry [j, i] of each
+    (N, K) column and stream_ids[j * K + i]; its seed_index and variant_index
+    are j and i. Totals come from lm.weighted_total on whole columns, and
+    values from .tolist(), so every record float keeps its bits."""
+    n, k = columns["consistent"].shape
+    scores = []
+    for key in ("scores_initial", "scores_final"):
+        terms = columns[key].reshape(n * k, 3).T  # the s_con, s_ent and s_div columns
+        total = lm.weighted_total(*terms, weights)
+        scores.append([dict(zip(_SCORE_TYPES, (*row, list(weights))))
+                       for row in zip(*terms.tolist(), total.tolist())])
+    flags = [columns[key].ravel().tolist()
+             for key in ("consistent", "retry_count", "fallback", "qualified")]
+    rows = zip(*np.indices((n, k)).reshape(2, -1).tolist(), [method] * (n * k), stream_ids,
+               *scores, *flags)
+    return [dict(zip(_RECORD_TYPES, row)) for row in rows]
+
+
 @dataclass(eq=False)
 class ExpansionManifest:
     """Provenance for one expansion run, one record per synthetic sample; its
@@ -227,7 +303,7 @@ class ExpansionManifest:
     expanded_digest: str
 
     def validate(self) -> None:
-        gd.check_json_types("manifest", self.as_dict(), _MANIFEST_TYPES)
+        check_json_types("manifest", self.as_dict(), _MANIFEST_TYPES)
         parse_method(self.method)
         if self.seed_count < 1 or self.ratio_k < 1:
             raise InputError(
@@ -244,7 +320,7 @@ class ExpansionManifest:
             if len(digest) != 64 or any(ch not in "0123456789abcdef" for ch in digest):
                 raise InputError(f"malformed sha256 digest {digest!r}")
         for i, record in enumerate(self.records):
-            gd.check_record(record, f"record {i}")
+            check_record(record, f"record {i}")
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in _MANIFEST_TYPES}
@@ -368,9 +444,10 @@ def _augmenter(method, config):
 
 
 def _expand_one_seed(image, method, config, backends, stream):
-    """All K variants of one seed by an augmentation baseline: the plain
-    methods score their K variants, the selective ones pick K from a scored
-    candidate pool (sample_wise)."""
+    """All K variants of one seed by an augmentation baseline, their stream
+    ids and their (K,) columns: the plain methods score their K variants, the
+    selective ones pick K from a scored candidate pool (sample_wise). Both
+    score columns hold the scores augment.score_candidates measured."""
     augmenter = _augmenter(method, config)
     if method.startswith("selective_"):
         images, selected = ag.selective_expand(
@@ -381,7 +458,13 @@ def _expand_one_seed(image, method, config, backends, stream):
         streams = [stream.child("variant", i) for i in range(config.ratio_k)]
         images = [augmenter(image, sub) for sub in streams]
         selected = ag.score_candidates(image, images, streams, backends.embedder, backends.head)
-    return images, gd.selected_records(selected, method, config.weights)
+    scores = np.stack([[sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
+                       lm.diversity_terms_rows(np.stack([sel.embedding for sel in selected]))],
+                      axis=-1)
+    columns = dict(scores_initial=scores, scores_final=scores,
+                   consistent=[sel.consistent for sel in selected],
+                   qualified=[sel.qualified for sel in selected])
+    return images, [sel.stream_id for sel in selected], columns
 
 
 def expand_dataset(
@@ -402,26 +485,32 @@ def expand_dataset(
     pixels = np.empty((n * (1 + k),) + dataset.image_shape, dtype=np.float32)
     pixels[:n] = dataset.pixels
     variants = pixels[n:].reshape((n, k) + dataset.image_shape)  # seed j's variant i at [j, i]
-    records = []
+    # the (N, K) columns of _records, filled like variants; a baseline never
+    # retries or falls back, and every guided variant qualifies
+    columns = dict(scores_initial=np.empty((n, k, 3)), scores_final=np.empty((n, k, 3)),
+                   consistent=np.empty((n, k), bool), retry_count=np.zeros((n, k), int),
+                   fallback=np.zeros((n, k), bool), qualified=np.ones((n, k), bool))
     if method in GUIDED_METHODS:
         # looked up at call time, so a wrapper installed on the module applies
         flow = gd.expand_embedding_block if method == "gif_embed" else gd.expand_latent_block
         per_block = max(1, ASCENT_BLOCK_ROWS // k)
         for start in range(0, n, per_block):
             block = slice(start, start + per_block)
-            variants[block], per_seed, _ = flow(dataset.pixels[block], backends.codec,
-                                                backends.embedder, backends.head, config,
-                                                streams[block])
-            records += [rec for seed_records in per_seed for rec in seed_records]
+            variants[block], block_columns, _ = flow(dataset.pixels[block], backends.codec,
+                                                     backends.embedder, backends.head, config,
+                                                     streams[block])
+            for key, column in block_columns.items():
+                columns[key][block] = column
+        stream_ids = [stream.child("variant", i).id for stream in streams for i in range(k)]
     else:
+        stream_ids = []
         for j, stream in enumerate(streams):
-            images, seed_records = _expand_one_seed(Image(dataset.pixels[j]), method, config,
-                                                    backends, stream)
-            for i, image in enumerate(images):
-                variants[j, i] = image.pixels
-            records += seed_records
-    for i, rec in enumerate(records):  # K records per seed, as the manifest requires
-        rec["seed_index"] = i // k
+            images, ids, seed_columns = _expand_one_seed(Image(dataset.pixels[j]), method, config,
+                                                         backends, stream)
+            variants[j] = [image.pixels for image in images]
+            for key, column in seed_columns.items():
+                columns[key][j] = column
+            stream_ids += ids
     labels = np.concatenate([dataset.labels, np.repeat(dataset.labels, k)])
     expanded = LabeledDataset(pixels, labels, list(dataset.class_names))
     manifest = ExpansionManifest(
@@ -431,7 +520,7 @@ def expand_dataset(
         config=config.as_dict(),
         seed_count=n,
         ratio_k=config.ratio_k,
-        records=records,
+        records=_records(method, config.weights, stream_ids, columns),
         original_digest=dataset_digest(dataset),
         expanded_digest=dataset_digest(expanded),
     )

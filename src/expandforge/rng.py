@@ -10,6 +10,7 @@ made. Equal identifiers give bit-identical draws.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,9 @@ def derive_key(parts: tuple) -> int:
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, bool) or not isinstance(part, (int, str)):
-            raise ParameterError(f"stream id parts must be int or str, got {part!r}")
+            if isinstance(part, bool) or not isinstance(part, numbers.Integral):
+                raise ParameterError(f"stream id parts must be int or str, got {part!r}")
+            part = int(part)  # a numpy integer hashes as the int of equal value
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest()[:16], "little")

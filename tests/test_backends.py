@@ -69,6 +69,14 @@ def test_toygen_rejects_out_of_range_parameters():
         with pytest.raises(ParameterError):
             bk.gen_toy_dataset(2, 2, 8, seed)
     assert len(bk.gen_toy_dataset(2, 2, 8, -3)) == 4
+    # a numpy integer, such as a dataset label, is the int of equal value
+    label = bk.gen_toy_dataset(2, 2, 8, 0).labels[3]
+    assert np.array_equal(bk.gen_toy_dataset(2, 2, 8, label).pixels,
+                          bk.gen_toy_dataset(2, 2, 8, int(label)).pixels)
+    assert len(bk.gen_toy_dataset(np.int32(2), np.uint8(2), np.int64(8), 0)) == 4
+    for flag in (np.bool_(True), np.bool_(False)):
+        with pytest.raises(ParameterError):
+            bk.gen_toy_dataset(2, 2, 8, flag)
 
 
 def test_root_stream_takes_only_an_int_seed():
@@ -86,6 +94,17 @@ def test_stream_id_parts_are_ints_or_strings():
     with pytest.raises(ParameterError):
         RngStream.root(0).child(True).generator()
     assert rng.derive_key((0, "a", -1)) == rng.derive_key((0, "a", -1))
+    # a numpy integer part draws what the int of equal value draws, and the
+    # key of an int part is its repr, as it always was
+    root = RngStream.root(np.int64(0))
+    assert root.child(np.int64(1)).generator().random(4).tolist() == (
+        RngStream.root(0).child(1).generator().random(4).tolist())
+    assert rng.derive_key((np.uint8(7), "a", np.int32(-1))) == rng.derive_key((7, "a", -1))
+    assert root.child(np.int64(1)).id == "0/1"
+    with pytest.raises(ParameterError):
+        RngStream.root(0).child(np.bool_(True)).generator()
+    with pytest.raises(ParameterError):
+        RngStream.root(np.bool_(False))
 
 
 def test_check_real_ends_infinities_and_types():

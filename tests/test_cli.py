@@ -182,6 +182,15 @@ def test_traineval_output_naming_an_input_exits_one(tmp_path):
         assert out.read_bytes() == before
 
 
+def test_report_output_naming_an_input_exits_one(tmp_path):
+    metrics = tmp_path / "m.json"
+    metrics.write_text(json.dumps({"method": "cutout", "ratio": 2, "seed": 0, "accuracy": 0.5,
+                                   "macro_accuracy": 0.5, "covering_radius": 1.0}))
+    before = metrics.read_bytes()
+    assert cli.main(["report", "--metrics", str(metrics), "--out", str(metrics)]) == 1
+    assert metrics.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "method", ["cutout", "gridmask", "randlite", "selective_randlite", "selective_cutout"]
 )

@@ -369,35 +369,42 @@ def test_embedding_decode_stack_is_bit_equal_to_per_embedding_reference(monkeypa
 def test_embedding_flow_epsilon_zero_emits_decoded_seed():
     data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(epsilon=0.0, ratio_k=3, steps=4)
-    images, records, trace = gd.expand_seed_embedding_flow(
+    images, columns, trace = gd.expand_seed_embedding_flow(
         data.images[0], codec, embedder, head, cfg, _stream("eps0")
     )
     reference = _decode_embedding(codec, embedder, embedder.embed(data.images[0]))
     for img in images:
         assert np.array_equal(img.pixels, reference.pixels)
     assert np.allclose(trace.objective, trace.objective[0])
-    for rec in records:
-        assert rec["consistent"] and not rec["fallback"] and rec["retry_count"] == 0
+    assert columns["consistent"].all() and not columns["fallback"].any()
+    assert (columns["retry_count"] == 0).all()
+
+
+# the per-variant shape of each column a guided flow reports
+_COLUMN_SHAPES = {"scores_initial": (3,), "scores_final": (3,), "consistent": (),
+                  "retry_count": (), "fallback": ()}
 
 
 def test_embedding_flow_consistency_and_shapes():
     data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(ratio_k=5, steps=10)
-    images, records, trace = gd.expand_seed_embedding_flow(
+    images, columns, trace = gd.expand_seed_embedding_flow(
         data.images[0], codec, embedder, head, cfg, _stream("emb-flow")
     )
-    assert len(images) == 5 and len(records) == 5
+    assert len(images) == 5
+    # one entry per variant
+    assert sorted(columns) == sorted(_COLUMN_SHAPES)
+    for key, shape in _COLUMN_SHAPES.items():
+        assert columns[key].shape == (5,) + shape
     assert len(trace) == 11
     target = head.predict(embedder.embed(data.images[0])).argmax_class
-    for rec, img in zip(records, images):
-        assert rec["consistent"]
-        assert rec["method"] == "gif_embed"
+    assert columns["consistent"].all()
+    for i, img in enumerate(images):
         assert img.pixels.shape == data.images[0].pixels.shape
-        assert rec["retry_count"] <= cfg.retries + 1
-        if rec["fallback"]:
-            assert rec["retry_count"] == cfg.retries + 1
+        assert columns["retry_count"][i] <= cfg.retries + 1
+        if columns["fallback"][i]:
+            assert columns["retry_count"][i] == cfg.retries + 1
             assert head.predict(embedder.embed(img)).argmax_class == target
-    assert [rec["variant_index"] for rec in records] == list(range(5))
 
 
 def test_latent_flow_consistency_and_determinism():
@@ -406,8 +413,8 @@ def test_latent_flow_consistency_and_determinism():
     run = lambda s: gd.expand_seed_latent_flow(
         data.images[1], codec, embedder, head, cfg, s
     )
-    images_a, records_a, _ = run(_stream("lat-flow"))
-    images_b, _, _ = run(_stream("lat-flow"))
+    images_a, columns_a, _ = run(_stream("lat-flow"))
+    images_b, columns_b, _ = run(_stream("lat-flow"))
     images_c, _, _ = run(_stream("lat-flow-alt"))
     assert len(images_a) == 4
     for a, b in zip(images_a, images_b):
@@ -415,8 +422,9 @@ def test_latent_flow_consistency_and_determinism():
     assert any(
         not np.array_equal(a.pixels, c.pixels) for a, c in zip(images_a, images_c)
     )
-    for rec in records_a:
-        assert rec["consistent"] and rec["method"] == "gif_latent"
+    for key, column in columns_a.items():
+        assert np.array_equal(column, columns_b[key])
+    assert columns_a["consistent"].all()
     # the consistency contract holds in the emitted image domain
     recon, _ = codec.decode_with_mask(codec.encode(data.images[1]).flat())
     target = head.predict(embedder.embed_flat(recon)).argmax_class
@@ -427,13 +435,13 @@ def test_latent_flow_consistency_and_determinism():
 def test_latent_flow_epsilon_zero_bit_identical():
     data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(epsilon=0.0, ratio_k=2, steps=3)
-    images, records, _ = gd.expand_seed_latent_flow(
+    images, columns, _ = gd.expand_seed_latent_flow(
         data.images[2], codec, embedder, head, cfg, _stream("lat0")
     )
     reference = codec.decode(codec.encode(data.images[2]))
     for img in images:
         assert np.array_equal(img.pixels, reference.pixels)
-    assert all(rec["consistent"] for rec in records)
+    assert columns["consistent"].all()
 
 
 class _HostilePath:
@@ -458,8 +466,8 @@ def test_fallback_after_exhausted_retries():
     stream = _stream("fallback")
     for steps in (0, 2):
         cfg = pl.ExpansionConfig(epsilon=0.5, ratio_k=3, steps=steps, retries=2, noise_mode="full")
-        emitted, (records,), trace = gd._expand_with_chain(
-            path, seed_values[None], seed_probs, "gif_embed", cfg, [stream]
+        emitted, columns, trace = gd._expand_with_chain(
+            path, seed_values[None], seed_probs, cfg, [stream]
         )
         # the initial scores are those of the init draw, whatever the retries
         # and the fallback wrote over the emitted variants (at steps 0 the
@@ -471,25 +479,28 @@ def test_fallback_after_exhausted_retries():
         ]
         assert np.array_equal(trace.initial[0], np.stack([v.values for v in initial]))
         r = lm.softmax(np.mean([v.values.ravel() for v in initial], axis=0))
-        for v, rec in zip(initial, records):
-            assert rec["scores_initial"]["s_div"] == lm.kl_divergence(lm.softmax(v.values.ravel()), r)
-            assert rec["scores_initial"]["s_div"] > 0
-        for lat, rec in zip(emitted[0], records):
+        s_div_initial = columns["scores_initial"][0, :, 2]
+        for v, s_div in zip(initial, s_div_initial):
+            assert s_div == lm.kl_divergence(lm.softmax(v.values.ravel()), r)
+            assert s_div > 0
+        for lat in emitted[0]:
             assert np.array_equal(lat, seed_values)
-            assert rec["fallback"]
-            assert rec["retry_count"] == cfg.retries + 1
-            assert rec["consistent"]
-            # identical emitted latents: diversity is zero up to mean rounding
-            assert abs(rec["scores_final"]["s_div"]) < 1e-12
+        assert columns["fallback"][0].all()
+        assert (columns["retry_count"][0] == cfg.retries + 1).all()
+        assert columns["consistent"][0].all()
+        # identical emitted latents: diversity is zero up to mean rounding
+        assert (abs(columns["scores_final"][0, :, 2]) < 1e-12).all()
 
 
 def test_record_stream_ids_name_the_variant():
     data, codec, embedder, head = _setup()
     cfg = pl.ExpansionConfig(ratio_k=2, steps=1)
-    stream = _stream("ids")
-    _, records, _ = gd.expand_seed_embedding_flow(
-        data.images[0], codec, embedder, head, cfg, stream
-    )
-    for i, rec in enumerate(records):
-        assert rec["stream_id"] == stream.child("variant", i).id
-        assert rec["seed_index"] == -1 and rec["qualified"]
+    seeds = data.subset([0, 30, 60])
+    bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)
+    _, manifest = pl.expand_dataset(seeds, "gif_embed", cfg, bundle, global_seed=3)
+    keys = [pl.seed_content_key(record) for record in pl._gifx(seeds)[1]]
+    for rec in manifest.records:
+        stream = RngStream.root(3).child("method", "gif_embed", "seed", keys[rec["seed_index"]])
+        assert rec["stream_id"] == stream.child("variant", rec["variant_index"]).id
+        assert rec["qualified"]
+    assert [rec["seed_index"] for rec in manifest.records] == [0, 0, 1, 1, 2, 2]

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 import expandforge.backends as bk
 import expandforge.pipeline as pl
 from expandforge.errors import FormatError, InputError, ParameterError
+from expandforge.rng import RngStream
 
 
 @functools.lru_cache(maxsize=None)
@@ -445,10 +446,19 @@ def test_expand_contracts_per_method(method):
             px = expanded.images[idx].pixels
             assert np.all(px >= 0.0) and np.all(px <= 1.0)
     assert len(manifest.records) == n * k
-    assert [r["seed_index"] for r in manifest.records] == [
-        j for j in range(n) for _ in range(k)
+    assert [(r["seed_index"], r["variant_index"]) for r in manifest.records] == [
+        (j, i) for j in range(n) for i in range(k)
     ]
     assert all(r["method"] == method for r in manifest.records)
+    # seed j's streams, keyed by its content as expand_dataset keys them
+    streams = [RngStream.root(1).child("method", method, "seed", pl.seed_content_key(record))
+               for record in pl._gifx(data)[1]]
+    for r in manifest.records:
+        stream = streams[r["seed_index"]]
+        if method.startswith("selective_"):
+            assert r["stream_id"].startswith(f"{stream.id}/seed/0/cand/")
+        else:
+            assert r["stream_id"] == stream.child("variant", r["variant_index"]).id
     if method in ("gif_embed", "gif_latent"):
         assert all(r["consistent"] for r in manifest.records)
     again, manifest2 = pl.expand_dataset(
