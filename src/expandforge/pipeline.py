@@ -178,34 +178,25 @@ _encode_str = json.encoder.encode_basestring
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 9-significant-digit floats."""
-    # exact types first, as a manifest holds mostly floats, dicts, lists and
-    # str; None, bools, ints, numpy scalars and subclasses take the isinstance
-    # chain, where a bool (an int to isinstance) must come before the ints
-    kind = type(obj)
-    if kind is float:
-        return _format_float(obj)
-    if kind is str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):  # before the ints: a bool is an int to isinstance
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
         return _encode_str(obj)
-    if kind is not dict and kind is not list and kind is not tuple:
-        if obj is None:
-            return "null"
-        if isinstance(obj, (bool, np.bool_)):
-            return "true" if obj else "false"
-        if isinstance(obj, (int, np.integer)):
-            return str(int(obj))
-        if isinstance(obj, (float, np.floating)):
-            return _format_float(float(obj))
-        if isinstance(obj, str):
-            return _encode_str(obj)
-        if not isinstance(obj, (dict, list, tuple)):
-            raise InputError(f"canonical JSON cannot hold {type(obj).__name__}")
     if isinstance(obj, dict):
         for key in obj:  # before sorting, which would raise TypeError on mixed keys
             if not isinstance(key, str):
                 raise InputError(f"canonical JSON keys must be strings, got {key!r}")
         inner = ",".join([f"{_encode_str(k)}:{canonical_json(obj[k])}" for k in sorted(obj)])
         return "{" + inner + "}"
-    return "[" + ",".join(map(canonical_json, obj)) + "]"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, obj)) + "]"
+    raise InputError(f"canonical JSON cannot hold {type(obj).__name__}")
 
 
 # --------------------------------------------------------------- manifest
@@ -227,6 +218,13 @@ _RECORD_TYPES = {
     "qualified": bool,
 }
 _SCORE_TYPES = {"s_con": float, "s_ent": float, "s_div": float, "total": float, "weights": list}
+_TERMS = tuple(_SCORE_TYPES)[:4]
+
+# a manifest's record columns, each (seed_count, ratio_k) plus its tail, and
+# "stream_id", the list of N·K stream ids; a score column holds the _TERMS
+_COLUMN_TYPES = {"scores_initial": (np.float64, (4,)), "scores_final": (np.float64, (4,)),
+                 "consistent": (np.bool_, ()), "retry_count": (np.int64, ()),
+                 "fallback": (np.bool_, ()), "qualified": (np.bool_, ())}
 
 
 def check_record(data, what: str) -> None:
@@ -268,29 +266,89 @@ def check_json_types(what: str, data, types: dict) -> None:
             raise InputError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _records(method: str, weights: tuple, stream_ids: list, columns: dict) -> list:
-    """The one record builder: seed j's variant i gets entry [j, i] of each
-    (N, K) column and stream_ids[j * K + i]; its seed_index and variant_index
-    are j and i. Totals come from lm.weighted_total on whole columns, and
-    values from .tolist(), so every record float keeps its bits."""
-    n, k = columns["consistent"].shape
-    scores = []
+def _check_header(header: dict) -> None:
+    """Raise InputError unless a manifest's header fields have their types and values."""
+    check_json_types("manifest", header, _HEADER_TYPES)
+    parse_method(header["method"])
+    if header["seed_count"] < 1 or header["ratio_k"] < 1:
+        raise InputError(f"manifest needs seed_count >= 1 and ratio_k >= 1, got "
+                         f"{header['seed_count']}, {header['ratio_k']}")
+    for digest in (header["original_digest"], header["expanded_digest"]):
+        if len(digest) != 64 or any(ch not in "0123456789abcdef" for ch in digest):
+            raise InputError(f"malformed sha256 digest {digest!r}")
+    config = header["config"]
+    try:
+        if (config.keys() != ExpansionConfig.__dataclass_fields__.keys()
+                or ExpansionConfig(**config).as_dict() != config):
+            raise ParameterError("it is not an ExpansionConfig's as_dict()")
+    except ParameterError as err:
+        raise InputError(f"manifest config {config!r}: {err}") from err
+
+
+def _record_columns(records: list, header: dict) -> dict:
+    """The record columns of a checked header's record dicts. Record p must be
+    seed p // ratio_k's variant p % ratio_k, by the header's method and weights."""
+    n, k, weights = header["seed_count"], header["ratio_k"], header["config"]["weights"]
+    if not isinstance(records, list) or len(records) != n * k:
+        raise InputError(f"manifest records must be a list of {n} * {k} = {n * k} records")
+    for p, r in enumerate(records):
+        check_record(r, f"record {p}")
+        if ((r["seed_index"], r["variant_index"], r["method"], r["scores_initial"]["weights"],
+             r["scores_final"]["weights"]) != (*divmod(p, k), header["method"], weights, weights)):
+            raise InputError(f"record {p} is not seed {p // k}'s variant {p % k} by "
+                             f"{header['method']} with the config's weights {weights}")
+    columns = {key: np.array([r[key] for r in records], dtype).reshape(n, k)
+               for key, (dtype, tail) in _COLUMN_TYPES.items() if not tail}
     for key in ("scores_initial", "scores_final"):
-        terms = columns[key].reshape(n * k, 3).T  # the s_con, s_ent and s_div columns
-        total = lm.weighted_total(*terms, weights)
-        scores.append([dict(zip(_SCORE_TYPES, (*row, list(weights))))
-                       for row in zip(*terms.tolist(), total.tolist())])
+        columns[key] = np.array([[r[key][t] for t in _TERMS] for r in records],
+                                np.float64).reshape(n, k, 4)
+    return {**columns, "stream_id": [r["stream_id"] for r in records]}
+
+
+def _records(method: str, weights, columns: dict) -> list:
+    """The record dicts of record columns, seed j's variant i (record j * K + i)
+    from entry [j, i] of each; .tolist() keeps every float's bits."""
+    n, k = columns["consistent"].shape
+    scores = [[dict(zip(_SCORE_TYPES, (*row, list(weights))))
+               for row in columns[key].reshape(n * k, 4).tolist()]
+              for key in ("scores_initial", "scores_final")]
     flags = [columns[key].ravel().tolist()
              for key in ("consistent", "retry_count", "fallback", "qualified")]
-    rows = zip(*np.indices((n, k)).reshape(2, -1).tolist(), [method] * (n * k), stream_ids,
-               *scores, *flags)
+    rows = zip(*np.indices((n, k)).reshape(2, -1).tolist(), [method] * (n * k),
+               columns["stream_id"], *scores, *flags)
     return [dict(zip(_RECORD_TYPES, row)) for row in rows]
+
+
+def _render_records(method: str, weights, columns: dict):
+    """canonical_json(_records(method, weights, columns)) of finite columns,
+    yielded in pieces, one per record, each in one fixed layout: sorted keys,
+    floats as _format_float writes them."""
+    n, k = columns["consistent"].shape
+    scores = ('{"s_con":%.9g,"s_div":%.9g,"s_ent":%.9g,"total":%.9g,"weights":'
+              + canonical_json(list(weights)) + "}")
+    layout = ('{"consistent":%s,"fallback":%s,"method":' + _encode_str(method)
+              + ',"qualified":%s,"retry_count":%d,"scores_final":' + scores + ',"scores_initial":'
+              + scores + ',"seed_index":%d,"stream_id":%s,"variant_index":%d}')
+    flags = [np.where(columns[key], "true", "false").ravel().tolist()
+             for key in ("consistent", "fallback", "qualified")]
+    # the terms of scores_final, then scores_initial, in sorted key order
+    terms = [term for key in ("scores_final", "scores_initial")
+             for term in columns[key].reshape(n * k, 4)[:, [0, 2, 1, 3]].T.tolist()]
+    seed_index, variant_index = np.indices((n, k)).reshape(2, -1).tolist()
+    rows = zip(*flags, columns["retry_count"].ravel().tolist(), *terms, seed_index,
+               map(_encode_str, columns["stream_id"]), variant_index)
+    texts = (layout % row for row in rows)
+    yield "[" + next(texts)
+    for text in texts:
+        yield "," + text
+    yield "]"
 
 
 @dataclass(eq=False)
 class ExpansionManifest:
-    """Provenance for one expansion run, one record per synthetic sample; its
-    fields are the manifest's keys, in order, and their types."""
+    """Provenance for one expansion run, one record per synthetic sample, held
+    as record columns (_COLUMN_TYPES); the other fields are the header's keys
+    and types. `records` builds the plain record dicts each time it is read."""
 
     version: str
     global_seed: int
@@ -298,44 +356,50 @@ class ExpansionManifest:
     config: dict
     seed_count: int
     ratio_k: int
-    records: list
+    columns: dict
     original_digest: str
     expanded_digest: str
 
     def validate(self) -> None:
-        check_json_types("manifest", self.as_dict(), _MANIFEST_TYPES)
-        parse_method(self.method)
-        if self.seed_count < 1 or self.ratio_k < 1:
-            raise InputError(
-                f"manifest needs seed_count >= 1 and ratio_k >= 1, got "
-                f"{self.seed_count}, {self.ratio_k}"
-            )
-        expected = self.seed_count * self.ratio_k
-        if len(self.records) != expected:
-            raise InputError(
-                f"manifest holds {len(self.records)} records, expected "
-                f"{self.seed_count} * {self.ratio_k} = {expected}"
-            )
-        for digest in (self.original_digest, self.expanded_digest):
-            if len(digest) != 64 or any(ch not in "0123456789abcdef" for ch in digest):
-                raise InputError(f"malformed sha256 digest {digest!r}")
-        for i, record in enumerate(self.records):
-            check_record(record, f"record {i}")
+        """Raise InputError unless the header and each record column are valid."""
+        _check_header({key: getattr(self, key) for key in _HEADER_TYPES})
+        columns, n, k = self.columns, self.seed_count, self.ratio_k
+        for key, (dtype, tail) in _COLUMN_TYPES.items():
+            column, shape = columns.get(key), (n, k, *tail)
+            if not isinstance(column, np.ndarray) or (column.dtype, column.shape) != (dtype, shape):
+                raise InputError(f"record column {key!r} must be {np.dtype(dtype)} of {shape}")
+            bad = np.flatnonzero(~np.isfinite(column) if tail else column < 0)
+            if bad.size:
+                p, term = divmod(int(bad[0]), len(_TERMS) if tail else 1)
+                rule = (f"{key} field {_TERMS[term]!r} must be float" if tail
+                        else f"field {key!r} must be >= 0")
+                raise InputError(f"record {p} {rule}, got {column.flat[bad[0]].item()!r}")
+        ids = columns.get("stream_id")
+        if (not isinstance(ids, list) or len(ids) != n * k
+                or not all(isinstance(i, str) for i in ids)):
+            raise InputError(f"record column 'stream_id' must be a list of {n * k} str")
+
+    @property
+    def records(self) -> list:
+        return _records(self.method, self.config["weights"], self.columns)
 
     def as_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _MANIFEST_TYPES}
+        return {**{key: getattr(self, key) for key in _HEADER_TYPES}, "records": self.records}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionManifest":
         if not isinstance(data, dict):
             raise FormatError("manifest root must be a JSON object")
         try:
-            manifest = cls(**{key: data[key] for key in _MANIFEST_TYPES})
+            header, records = {key: data[key] for key in _HEADER_TYPES}, data["records"]
         except KeyError as err:
             raise FormatError(f"manifest is missing field {err.args[0]!r}") from err
         try:
+            _check_header(header)
+            manifest = cls(**header, columns=_record_columns(records, header))
             manifest.validate()
-        except (InputError, ParameterError) as err:
+        # OverflowError: an int too large for its float64 or int64 column
+        except (InputError, ParameterError, OverflowError) as err:
             raise FormatError(f"manifest fails validation: {err}") from err
         return manifest
 
@@ -346,14 +410,24 @@ class ExpansionManifest:
             raise FormatError("expanded dataset digest does not match the manifest")
 
 
-_MANIFEST_TYPES = typing.get_type_hints(ExpansionManifest)
+_HEADER_TYPES = {key: kind for key, kind in typing.get_type_hints(ExpansionManifest).items()
+                 if key != "columns"}
 
 
 def write_manifest(manifest: ExpansionManifest, path) -> None:
+    """Write canonical_json(manifest.as_dict()) and a newline without building a
+    record dict or the whole text: the manifest is validated and its header
+    rendered before the file is opened, and each record is written as it is
+    rendered."""
     manifest.validate()
-    text = canonical_json(manifest.as_dict()) + "\n"
+    parts = {key: [canonical_json(getattr(manifest, key))] for key in _HEADER_TYPES}
+    parts["records"] = _render_records(manifest.method, manifest.config["weights"],
+                                       manifest.columns)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for i, key in enumerate(sorted(parts)):
+            fh.write(("," if i else "{") + _encode_str(key) + ":")
+            fh.writelines(parts[key])
+        fh.write("}\n")
 
 
 def read_manifest(path) -> ExpansionManifest:
@@ -485,10 +559,10 @@ def expand_dataset(
     pixels = np.empty((n * (1 + k),) + dataset.image_shape, dtype=np.float32)
     pixels[:n] = dataset.pixels
     variants = pixels[n:].reshape((n, k) + dataset.image_shape)  # seed j's variant i at [j, i]
-    # the (N, K) columns of _records, filled like variants; a baseline never
+    # the manifest's record columns, filled like variants; a baseline never
     # retries or falls back, and every guided variant qualifies
     columns = dict(scores_initial=np.empty((n, k, 3)), scores_final=np.empty((n, k, 3)),
-                   consistent=np.empty((n, k), bool), retry_count=np.zeros((n, k), int),
+                   consistent=np.empty((n, k), bool), retry_count=np.zeros((n, k), np.int64),
                    fallback=np.zeros((n, k), bool), qualified=np.ones((n, k), bool))
     if method in GUIDED_METHODS:
         # looked up at call time, so a wrapper installed on the module applies
@@ -511,6 +585,10 @@ def expand_dataset(
             for key, column in seed_columns.items():
                 columns[key][j] = column
             stream_ids += ids
+    for key in ("scores_initial", "scores_final"):
+        total = lm.weighted_total(*np.moveaxis(columns[key], -1, 0), config.weights)
+        columns[key] = np.concatenate([columns[key], total[..., None]], axis=-1)
+    columns["stream_id"] = stream_ids
     labels = np.concatenate([dataset.labels, np.repeat(dataset.labels, k)])
     expanded = LabeledDataset(pixels, labels, list(dataset.class_names))
     manifest = ExpansionManifest(
@@ -520,7 +598,7 @@ def expand_dataset(
         config=config.as_dict(),
         seed_count=n,
         ratio_k=config.ratio_k,
-        records=_records(method, config.weights, stream_ids, columns),
+        columns=columns,
         original_digest=dataset_digest(dataset),
         expanded_digest=dataset_digest(expanded),
     )

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import expandforge.cli as cli
+import expandforge.latentmath as lm
 import expandforge.pipeline as pl
 from expandforge.errors import ExpandForgeError, NumericDivergenceError, ParameterError
 
@@ -254,6 +256,17 @@ def test_unwritable_manifest_leaves_no_files(tmp_path):
     assert cli.main(_small_expand_args(src, out, step_size="inf")) == 2
     assert not out.exists()
     assert not (tmp_path / "inf.gifx.manifest.json").exists()
+
+
+def test_non_finite_record_score_leaves_no_files(tmp_path, monkeypatch, capsys):
+    # write_manifest checks the record columns before it opens a file
+    monkeypatch.setattr(lm, "diversity_terms_rows", lambda flats: np.full(len(flats), np.nan))
+    src = _toygen(tmp_path)
+    out = tmp_path / "nan.gifx"
+    assert cli.main(_small_expand_args(src, out)) == 2
+    assert "record 0 scores_initial field 's_div' must be float, got nan" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "nan.gifx.manifest.json").exists()
 
 
 def test_unwritable_dataset_leaves_no_manifest(tmp_path):

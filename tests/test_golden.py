@@ -79,7 +79,7 @@ def test_golden_covers_every_method():
 
 
 @pytest.mark.parametrize("method", pl.METHOD_IDS)
-def test_golden_digests(method):
+def test_golden_digests(method, tmp_path):
     data, bundle = _inputs()
     config = pl.ExpansionConfig(ratio_k=3, steps=4)
     expanded, manifest = pl.expand_dataset(data, method, config, bundle, global_seed=0)
@@ -88,6 +88,15 @@ def test_golden_digests(method):
         pl.canonical_json(manifest.as_dict()).encode("utf-8")
     ).hexdigest()
     assert (dataset_sha, manifest_sha) == GOLDEN[method]
+    # write_manifest renders the records itself: the file must be the same
+    # text, and a manifest read back must write the same bytes again
+    path, again = tmp_path / "golden.json", tmp_path / "again.json"
+    pl.write_manifest(manifest, path)
+    text = path.read_bytes()
+    assert text == (pl.canonical_json(manifest.as_dict()) + "\n").encode("utf-8")
+    assert hashlib.sha256(text[:-1]).hexdigest() == GOLDEN[method][1]
+    pl.write_manifest(pl.read_manifest(path), again)
+    assert again.read_bytes() == text
 
 
 def _values(tree):

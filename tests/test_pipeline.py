@@ -1,6 +1,7 @@
 """Tests for the GIFX container, canonical JSON, manifests, and expansion."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -306,11 +307,14 @@ def test_manifest_rejects_bad_contents(tmp_path):
     expanded, manifest = pl.expand_dataset(
         data, "cutout", _small_config(), _bundle(), global_seed=0
     )
-    broken = pl.ExpansionManifest(**{**manifest.as_dict(), "records": manifest.records[:-1]})
+    # one seed's row of record columns fewer than seed_count says
+    broken = dataclasses.replace(
+        manifest, columns={key: column[:-1] for key, column in manifest.columns.items()}
+    )
     with pytest.raises(InputError):
         broken.validate()
     with pytest.raises(FormatError):
-        pl.ExpansionManifest.from_dict(broken.as_dict())
+        pl.ExpansionManifest.from_dict({**manifest.as_dict(), "records": manifest.records[:-1]})
     tampered = pl.ExpansionManifest.from_dict(manifest.as_dict())
     tampered.expanded_digest = "0" * 64
     with pytest.raises(FormatError):
@@ -322,13 +326,24 @@ def test_manifest_rejects_bad_contents(tmp_path):
 
 
 def test_manifest_with_numpy_bools_validates_and_writes(tmp_path):
-    # whatever validate() accepts, write_manifest must be able to write
+    # whatever from_dict accepts, write_manifest must be able to write
     data = _cutout_manifest_dict()
     records = [{**r, "consistent": np.bool_(r["consistent"]), "fallback": np.False_}
                for r in data["records"]]
-    pl.write_manifest(pl.ExpansionManifest(**data), tmp_path / "plain.json")
-    pl.write_manifest(pl.ExpansionManifest(**{**data, "records": records}), tmp_path / "numpy.json")
+    pl.write_manifest(pl.ExpansionManifest.from_dict(data), tmp_path / "plain.json")
+    pl.write_manifest(pl.ExpansionManifest.from_dict({**data, "records": records}),
+                      tmp_path / "numpy.json")
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "numpy.json").read_bytes()
+
+
+def test_manifest_with_integer_scores_reads_and_writes(tmp_path):
+    # JSON writes an integral float as an int; the score columns stay float64
+    data = _cutout_manifest_dict()
+    scores = {"s_con": 1, "s_ent": 0, "s_div": 0, "total": 1, "weights": [1, 1, 1]}
+    records = [{**r, "scores_initial": scores, "scores_final": scores} for r in data["records"]]
+    data = {**data, "records": records}
+    pl.write_manifest(pl.ExpansionManifest.from_dict(data), tmp_path / "ints.json")
+    assert (tmp_path / "ints.json").read_text() == pl.canonical_json(data) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,6 +388,89 @@ def test_manifest_rejects_wrong_types(tamper):
     assert pl.ExpansionManifest.from_dict(_cutout_manifest_dict())
     with pytest.raises(FormatError):
         pl.ExpansionManifest.from_dict(tamper(copy.deepcopy(_cutout_manifest_dict())))
+
+
+def _scores_weights(key, weights):
+    return _first_record(lambda r: {**r, key: {**r[key], "weights": weights}})
+
+
+# each case is type-correct but contradicts itself: record p must be seed
+# p // ratio_k's variant p % ratio_k, by the manifest's method, with the
+# config's weights and retry_count >= 0, and the config must be a real one
+@pytest.mark.parametrize(
+    "tamper, named",
+    [
+        (_first_record(lambda r: {**r, "seed_index": 7}), "record 0"),
+        (_first_record(lambda r: {**r, "variant_index": -3}), "record 0"),
+        (_first_record(lambda r: {**r, "method": "nonsense"}), "record 0"),
+        (_first_record(lambda r: {**r, "method": "gif_latent"}), "record 0"),
+        (_scores_weights("scores_initial", [9, 9, 9]), "record 0"),
+        (_scores_weights("scores_final", [9.0, 9.0, 9.0]), "record 0"),
+        (lambda m: {**m, "config": {**m["config"], "weights": [2.0, 1.0, 1.0]}}, "record 0"),
+        (_first_record(lambda r: {**r, "retry_count": -4}), "record 0"),
+        (lambda m: {**m, "records": [m["records"][0], *m["records"][:-1]]}, "record 1"),
+        (lambda m: {**m, "config": {}}, "config"),
+        (lambda m: {**m, "config": {**m["config"], "ratio_k": 0}}, "config"),
+    ],
+    ids=[
+        "seed_index", "variant_index_negative", "method_unknown", "method_other",
+        "initial_weights", "final_weights", "config_weights", "retry_count_negative",
+        "record_copied", "config_empty", "config_invalid",
+    ],
+)
+def test_manifest_rejects_self_contradicting_records(tamper, named):
+    with pytest.raises(FormatError, match=rf"\b{named}\b"):
+        pl.ExpansionManifest.from_dict(tamper(copy.deepcopy(_cutout_manifest_dict())))
+
+
+@pytest.mark.parametrize(
+    "key, index, value, message",
+    [
+        ("scores_final", (3, 1, 2), math.nan, "record 7 scores_final field 's_div' must be float"),
+        ("scores_initial", (0, 0, 3), -math.inf, "record 0 scores_initial field 'total' must be"),
+        ("retry_count", (5, 0), -1, "record 10 field 'retry_count' must be >= 0"),
+    ],
+)
+def test_validate_names_the_first_bad_record(key, index, value, message):
+    _, manifest = pl.expand_dataset(_data(), "cutout", _small_config(), _bundle(), global_seed=0)
+    manifest.columns[key][index] = value
+    manifest.columns[key][-1, -1] = value  # a later bad record is not the one named
+    with pytest.raises(InputError, match=f"^{message}"):
+        manifest.validate()
+
+
+_SCORE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals included
+    st.sampled_from([
+        -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+        # on or next to a 9-significant-digit rounding boundary
+        0.1234567895, 1.0000000005, 999999999.5, 9.9999999995e-5, -123456788.5, 1e9,
+    ]),
+)
+_STREAM_IDS = st.text(st.sampled_from('"\\/ aé\x00\n\u2028☃𝄞') | st.characters(), max_size=6)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_render_records_matches_canonical_json_of_the_records(k, data):
+    n = data.draw(st.integers(1, 3))
+    def flags():
+        return data.draw(arrays(np.bool_, (n, k)))
+    columns = {
+        "scores_initial": data.draw(arrays(np.float64, (n, k, 4), elements=_SCORE_FLOATS)),
+        "scores_final": data.draw(arrays(np.float64, (n, k, 4), elements=_SCORE_FLOATS)),
+        "consistent": flags(),
+        "retry_count": data.draw(arrays(np.int64, (n, k), elements=st.integers(0, 2**63 - 1))),
+        "fallback": flags(),
+        "qualified": flags(),
+        "stream_id": data.draw(st.lists(_STREAM_IDS, min_size=n * k, max_size=n * k)),
+    }
+    method = data.draw(st.sampled_from(pl.METHOD_IDS))
+    weights = data.draw(st.lists(_SCORE_FLOATS.map(abs), min_size=3, max_size=3))
+    assert "".join(pl._render_records(method, weights, columns)) == pl.canonical_json(
+        pl._records(method, weights, columns)
+    )
 
 
 @pytest.mark.parametrize(
