@@ -408,7 +408,8 @@ def _scores_weights(key, weights):
         (_scores_weights("scores_final", [9.0, 9.0, 9.0]), "record 0"),
         (lambda m: {**m, "config": {**m["config"], "weights": [2.0, 1.0, 1.0]}}, "record 0"),
         (_first_record(lambda r: {**r, "retry_count": -4}), "record 0"),
-        (lambda m: {**m, "records": [m["records"][0], *m["records"][:-1]]}, "record 1"),
+        (lambda m: {**m, "records": [m["records"][0], *m["records"][:1], *m["records"][2:]]},
+         "record 1"),
         (lambda m: {**m, "config": {}}, "config"),
         (lambda m: {**m, "config": {**m["config"], "ratio_k": 0}}, "config"),
     ],
