@@ -169,7 +169,7 @@ def read_dataset(path) -> LabeledDataset:
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise InputError(f"canonical JSON cannot hold non-finite float {x}")
-    return "%.9g" % x
+    return "%.9g" % (x + 0.0)  # -0.0 as 0: JSON reads -0 back as the int 0
 
 
 # json.dumps(s, ensure_ascii=False) of a str, without building an encoder per call
@@ -227,48 +227,37 @@ _COLUMN_TYPES = {"scores_initial": (np.float64, (4,)), "scores_final": (np.float
                  "fallback": (np.bool_, ()), "qualified": (np.bool_, ())}
 
 
-def check_record(data, what: str) -> None:
-    """Raise InputError unless data has the layout and types of a record."""
-    check_json_types(what, data, _RECORD_TYPES)
-    for key in ("scores_initial", "scores_final"):
-        scores = data[key]
-        check_json_types(f"{what} {key}", scores, _SCORE_TYPES)
-        weights = scores["weights"]
-        if len(weights) != 3 or not all(_has_type(w, float) for w in weights):
-            raise InputError(f"{what} {key} weights must be three finite reals")
+# the types a manifest value of each kind may have; a bool is never a number
+# here, though Python counts it as an int
+_KINDS = {bool: (bool, np.bool_), int: (int, np.integer),
+          float: (int, float, np.integer, np.floating), str: str, dict: dict, list: list}
 
 
-def _has_type(value, kind) -> bool:
-    # a bool is never a number here, though Python counts it as an int
-    if isinstance(value, (bool, np.bool_)) or kind is bool:
-        return kind is bool and isinstance(value, (bool, np.bool_))
-    if isinstance(value, (int, np.integer)):
-        return kind in (int, float)
-    if kind is float:
-        return isinstance(value, (float, np.floating)) and math.isfinite(value)
-    return isinstance(value, kind)
+def _check_types(values: list, kind: type, what: str) -> None:
+    """Raise InputError unless each of values is of kind: the one type rule of a
+    manifest's header and record fields, run on the distinct types they hold."""
+    bad = sorted(t.__name__ for t in set(map(type, values)) if not issubclass(t, _KINDS[kind])
+                 or issubclass(t, (bool, np.bool_)) != (kind is bool))
+    if bad:
+        raise InputError(f"{what} must be {kind.__name__}, got {', '.join(bad)}")
 
 
-def check_json_types(what: str, data, types: dict) -> None:
-    """Raise InputError unless data is a dict with exactly the keys of types,
-    each value of its type; float means a finite real and admits ints."""
-    if not isinstance(data, dict):
-        raise InputError(f"{what} must be an object, got {type(data).__name__}")
-    if data.keys() != types.keys():
-        raise InputError(f"{what} has keys {sorted(data)}, expected {sorted(types)}")
+def _fields(rows: list, types: dict, what: str) -> dict:
+    """{key: [row[key] for row in rows]} for each key of types; each row must be
+    an object with exactly those keys, each value of its key's kind."""
+    _check_types(rows, dict, what)
+    if not all(map(types.keys().__eq__, map(dict.keys, rows))):
+        raise InputError(f"{what} must have the keys {list(types)}")
+    fields = {key: [row[key] for row in rows] for key in types}
     for key, kind in types.items():
-        value = data[key]
-        # exact types first, as every manifest this package writes has them;
-        # type(True) is bool, not int
-        if type(value) is kind and (kind is not float or math.isfinite(value)):
-            continue
-        if not _has_type(value, kind):
-            raise InputError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
+        _check_types(fields[key], kind, f"field {key!r} of {what}")
+    return fields
 
 
 def _check_header(header: dict) -> None:
-    """Raise InputError unless a manifest's header fields have their types and values."""
-    check_json_types("manifest", header, _HEADER_TYPES)
+    """Raise InputError unless a manifest's header fields have their types and
+    values, and canonical_json can write its config."""
+    _fields([header], _HEADER_TYPES, "the manifest")
     parse_method(header["method"])
     if header["seed_count"] < 1 or header["ratio_k"] < 1:
         raise InputError(f"manifest needs seed_count >= 1 and ratio_k >= 1, got "
@@ -281,28 +270,62 @@ def _check_header(header: dict) -> None:
         if (config.keys() != ExpansionConfig.__dataclass_fields__.keys()
                 or ExpansionConfig(**config).as_dict() != config):
             raise ParameterError("it is not an ExpansionConfig's as_dict()")
-    except ParameterError as err:
+        canonical_json(config)  # a config may hold an infinite step_size, a manifest not
+    except (ParameterError, InputError) as err:
         raise InputError(f"manifest config {config!r}: {err}") from err
 
 
-def _record_columns(records: list, header: dict) -> dict:
-    """The record columns of a checked header's record dicts. Record p must be
-    seed p // ratio_k's variant p % ratio_k, by the header's method and weights."""
-    n, k, weights = header["seed_count"], header["ratio_k"], header["config"]["weights"]
-    if not isinstance(records, list) or len(records) != n * k:
-        raise InputError(f"manifest records must be a list of {n} * {k} = {n * k} records")
-    for p, r in enumerate(records):
-        check_record(r, f"record {p}")
-        if ((r["seed_index"], r["variant_index"], r["method"], r["scores_initial"]["weights"],
-             r["scores_final"]["weights"]) != (*divmod(p, k), header["method"], weights, weights)):
-            raise InputError(f"record {p} is not seed {p // k}'s variant {p % k} by "
-                             f"{header['method']} with the config's weights {weights}")
-    columns = {key: np.array([r[key] for r in records], dtype).reshape(n, k)
-               for key, (dtype, tail) in _COLUMN_TYPES.items() if not tail}
-    for key in ("scores_initial", "scores_final"):
-        columns[key] = np.array([[r[key][t] for t in _TERMS] for r in records],
-                                np.float64).reshape(n, k, 4)
-    return {**columns, "stream_id": [r["stream_id"] for r in records]}
+def _check_columns(columns: dict, n: int, k: int) -> None:
+    """Raise InputError unless n * k records' columns have their dtypes and
+    shapes, finite scores and retry_count >= 0, naming the first bad record."""
+    for key, (dtype, tail) in _COLUMN_TYPES.items():
+        column, shape = columns.get(key), (n, k, *tail)
+        if not isinstance(column, np.ndarray) or (column.dtype, column.shape) != (dtype, shape):
+            raise InputError(f"record column {key!r} must be {np.dtype(dtype)} of {shape}")
+        bad = np.flatnonzero(~np.isfinite(column) if tail else column < 0)
+        if bad.size:
+            p, term = divmod(int(bad[0]), len(_TERMS) if tail else 1)
+            rule = (f"{key} field {_TERMS[term]!r} must be float" if tail
+                    else f"field {key!r} must be >= 0")
+            raise InputError(f"record {p} {rule}, got {column.flat[bad[0]].item()!r}")
+    ids = columns.get("stream_id")
+    if not isinstance(ids, list) or len(ids) != n * k:
+        raise InputError(f"record column 'stream_id' must be a list of {n * k} str")
+    _check_types(ids, str, "record column 'stream_id'")
+
+
+def _record_columns(records: list, start: int, header: dict) -> dict:
+    """The record columns, one row per record, of records start, start + 1, ...
+    under a checked header: one list per field, then one array per column.
+    Record p must be seed p // ratio_k's variant p % ratio_k, by the header's
+    method and with the config's weights. Each check runs on whole columns;
+    only when one fails is each record checked alone, naming the first to fail."""
+    m, k, method = len(records), header["ratio_k"], header["method"]
+    weights = header["config"]["weights"]
+    try:
+        fields = _fields(records, _RECORD_TYPES, "the record")
+        scores = {key: _fields(fields[key], _SCORE_TYPES, key)
+                  for key in ("scores_initial", "scores_final")}
+        seed_index, variant_index = divmod(np.arange(start, start + m), k)
+        if ([fields["seed_index"], fields["variant_index"], fields["method"],
+             *(score["weights"] for score in scores.values())]
+                != [seed_index.tolist(), variant_index.tolist(), [method] * m, [weights] * m,
+                    [weights] * m]):
+            raise InputError(f"the record is not its position's variant by {method} with the "
+                             f"config's weights {weights}")
+        for key, score in scores.items():  # the config's three weights, if only by value
+            _check_types([w for row in score["weights"] for w in row], float, f"weights of {key}")
+        columns = {key: np.array(fields[key], dtype)
+                   for key, (dtype, tail) in _COLUMN_TYPES.items() if not tail}
+        for key, score in scores.items():
+            columns[key] = np.stack([np.array(score[t], np.float64) for t in _TERMS], axis=-1)
+    except (InputError, OverflowError) as err:  # OverflowError: an int too large for its column
+        if m == 1:
+            raise InputError(f"record {start}: {err}") from err
+        for p in range(m):
+            _record_columns(records[p : p + 1], start + p, header)
+        raise
+    return {**columns, "stream_id": fields["stream_id"]}
 
 
 def _records(method: str, weights, columns: dict) -> list:
@@ -331,9 +354,10 @@ def _render_records(method: str, weights, columns: dict):
               + scores + ',"seed_index":%d,"stream_id":%s,"variant_index":%d}')
     flags = [np.where(columns[key], "true", "false").ravel().tolist()
              for key in ("consistent", "fallback", "qualified")]
-    # the terms of scores_final, then scores_initial, in sorted key order
+    # the terms of scores_final, then scores_initial, in sorted key order, each
+    # -0.0 made 0.0 as _format_float makes it
     terms = [term for key in ("scores_final", "scores_initial")
-             for term in columns[key].reshape(n * k, 4)[:, [0, 2, 1, 3]].T.tolist()]
+             for term in (columns[key].reshape(n * k, 4)[:, [0, 2, 1, 3]] + 0.0).T.tolist()]
     seed_index, variant_index = np.indices((n, k)).reshape(2, -1).tolist()
     rows = zip(*flags, columns["retry_count"].ravel().tolist(), *terms, seed_index,
                map(_encode_str, columns["stream_id"]), variant_index)
@@ -363,21 +387,7 @@ class ExpansionManifest:
     def validate(self) -> None:
         """Raise InputError unless the header and each record column are valid."""
         _check_header({key: getattr(self, key) for key in _HEADER_TYPES})
-        columns, n, k = self.columns, self.seed_count, self.ratio_k
-        for key, (dtype, tail) in _COLUMN_TYPES.items():
-            column, shape = columns.get(key), (n, k, *tail)
-            if not isinstance(column, np.ndarray) or (column.dtype, column.shape) != (dtype, shape):
-                raise InputError(f"record column {key!r} must be {np.dtype(dtype)} of {shape}")
-            bad = np.flatnonzero(~np.isfinite(column) if tail else column < 0)
-            if bad.size:
-                p, term = divmod(int(bad[0]), len(_TERMS) if tail else 1)
-                rule = (f"{key} field {_TERMS[term]!r} must be float" if tail
-                        else f"field {key!r} must be >= 0")
-                raise InputError(f"record {p} {rule}, got {column.flat[bad[0]].item()!r}")
-        ids = columns.get("stream_id")
-        if (not isinstance(ids, list) or len(ids) != n * k
-                or not all(isinstance(i, str) for i in ids)):
-            raise InputError(f"record column 'stream_id' must be a list of {n * k} str")
+        _check_columns(self.columns, self.seed_count, self.ratio_k)
 
     @property
     def records(self) -> list:
@@ -396,12 +406,17 @@ class ExpansionManifest:
             raise FormatError(f"manifest is missing field {err.args[0]!r}") from err
         try:
             _check_header(header)
-            manifest = cls(**header, columns=_record_columns(records, header))
-            manifest.validate()
-        # OverflowError: an int too large for its float64 or int64 column
+            n, k = header["seed_count"], header["ratio_k"]
+            if not isinstance(records, list) or len(records) != n * k:
+                raise InputError(f"manifest records must be a list of {n} * {k} = {n * k} records")
+            columns = _record_columns(records, 0, header)
+            for key, (dtype, tail) in _COLUMN_TYPES.items():
+                columns[key] = columns[key].reshape(n, k, *tail)
+            _check_columns(columns, n, k)
+        # OverflowError: a config weight too large for a float
         except (InputError, ParameterError, OverflowError) as err:
             raise FormatError(f"manifest fails validation: {err}") from err
-        return manifest
+        return cls(**header, columns=columns)
 
     def verify_against(self, original: LabeledDataset, expanded: LabeledDataset) -> None:
         if dataset_digest(original) != self.original_digest:

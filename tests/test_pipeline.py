@@ -2,15 +2,18 @@
 
 import copy
 import dataclasses
+import fractions
 import functools
 import hashlib
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -334,6 +337,17 @@ def test_manifest_with_numpy_bools_validates_and_writes(tmp_path):
     pl.write_manifest(pl.ExpansionManifest.from_dict({**data, "records": records}),
                       tmp_path / "numpy.json")
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "numpy.json").read_bytes()
+    # numpy ints and floats are numbers of their kinds too, in a record and its scores
+    def numpy_scores(scores):
+        return {key: list(map(np.float64, value)) if key == "weights" else np.float64(value)
+                for key, value in scores.items()}
+    records = [{**r, "seed_index": np.int64(r["seed_index"]),
+                "variant_index": np.int32(r["variant_index"]), "retry_count": np.int64(0),
+                "scores_initial": numpy_scores(r["scores_initial"]),
+                "scores_final": numpy_scores(r["scores_final"])} for r in data["records"]]
+    pl.write_manifest(pl.ExpansionManifest.from_dict({**data, "records": records}),
+                      tmp_path / "numbers.json")
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "numbers.json").read_bytes()
 
 
 def test_manifest_with_integer_scores_reads_and_writes(tmp_path):
@@ -358,6 +372,19 @@ def _first_record(change):
     return apply
 
 
+def _record_at(p, change):
+    """Replace record p by change(record), first growing the manifest to hold a
+    record p by repeating its records under further seed indices."""
+    def apply(m):
+        k, records = m["ratio_k"], m["records"]
+        n = max(m["seed_count"], p // k + 1)
+        grown = [{**records[q % len(records)], "seed_index": q // k, "variant_index": q % k}
+                 for q in range(n * k)]
+        grown[p] = change(grown[p])
+        return {**m, "seed_count": n, "records": grown}
+    return apply
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -376,12 +403,20 @@ def _first_record(change):
         _first_record(lambda r: {**r, "scores_final": {**r["scores_final"], "s_div": "0"}}),
         _first_record(lambda r: {**r, "scores_initial": {**r["scores_initial"], "weights": [1]}}),
         lambda m: [m],
+        # a column whose last value alone is of another type, or not an object
+        lambda m: {**m, "records": [*m["records"][:-1], {**m["records"][-1], "fallback": 0.0}]},
+        lambda m: {**m, "records": [*m["records"][:-1], list(m["records"][-1].items())]},
+        _first_record(lambda r: {**r, "scores_final": 0.5}),
+        # equal to the config's weights, but not a float
+        _first_record(lambda r: {**r, "scores_final": {**r["scores_final"],
+                                                       "weights": [fractions.Fraction(1), 1, 1]}}),
     ],
     ids=[
         "seed_count_str", "seed_count_bool", "seed_count_float", "records_int",
         "ratio_k_null", "digest_int", "config_list", "records_empty",
         "retry_count_bool", "consistent_int", "record_extra_key", "score_str",
-        "weights_short", "root_list",
+        "weights_short", "root_list", "last_fallback_float", "last_record_list",
+        "scores_float", "weights_fraction",
     ],
 )
 def test_manifest_rejects_wrong_types(tamper):
@@ -396,7 +431,8 @@ def _scores_weights(key, weights):
 
 # each case is type-correct but contradicts itself: record p must be seed
 # p // ratio_k's variant p % ratio_k, by the manifest's method, with the
-# config's weights and retry_count >= 0, and the config must be a real one
+# config's weights and retry_count >= 0, and the config must be a real one;
+# or it breaks one record's types deep in the manifest, which names it
 @pytest.mark.parametrize(
     "tamper, named",
     [
@@ -412,11 +448,25 @@ def _scores_weights(key, weights):
          "record 1"),
         (lambda m: {**m, "config": {}}, "config"),
         (lambda m: {**m, "config": {**m["config"], "ratio_k": 0}}, "config"),
+        # a valid config, but canonical JSON cannot write it back
+        (lambda m: {**m, "config": {**m["config"], "step_size": math.inf}}, "config"),
+        # each whole-column check fails, and names the first record that fails alone
+        (_record_at(37, lambda r: {**r, "consistent": 1}), "record 37"),
+        (_record_at(12, lambda r: {**r, "scores_final": {**r["scores_final"], "s_con": "0"}}),
+         "record 12"),
+        (_record_at(5, lambda r: {key: r[key] for key in r if key != "stream_id"}), "record 5"),
+        # equal to the config's weights by value, so only the bool rule rejects it
+        (_record_at(3, lambda r: {**r, "scores_initial": {**r["scores_initial"],
+                                                          "weights": [True, 1.0, 1.0]}}),
+         "record 3"),
+        (_record_at(9, lambda r: {**r, "retry_count": 2**70}), "record 9"),
     ],
     ids=[
         "seed_index", "variant_index_negative", "method_unknown", "method_other",
         "initial_weights", "final_weights", "config_weights", "retry_count_negative",
-        "record_copied", "config_empty", "config_invalid",
+        "record_copied", "config_empty", "config_invalid", "config_step_size_inf",
+        "record_37_consistent_int", "record_12_score_str", "record_5_no_stream_id",
+        "record_3_weights_bool", "record_9_retry_count_overflow",
     ],
 )
 def test_manifest_rejects_self_contradicting_records(tamper, named):
@@ -493,8 +543,24 @@ _JSON_VALUES = st.recursive(
 )
 
 
+class _Draws:
+    """A stand-in for hypothesis's data object in an @example: each draw returns
+    the next of the given values, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
+# the config's step_size set to inf: a valid config, but not a writable one
+@example(data=_Draws("config", True, "step_size", False, math.inf))
+# a -0.0 in the config and in a record: written as -0, it would read back as the int 0
+@example(data=_Draws("config", True, "cutout_frac", False, -0.0))
+@example(data=_Draws("records", True, 0, True, "scores_final", True, "s_con", False, -0.0))
 def test_manifest_field_mutations_raise_only_format_error(data):
     # one field, at the top level, in a record or in its scores, is replaced
     # by an arbitrary JSON value or deleted
@@ -512,9 +578,15 @@ def test_manifest_field_mutations_raise_only_format_error(data):
     else:
         target[key] = data.draw(_JSON_VALUES)
     try:
-        pl.ExpansionManifest.from_dict(mutated)
+        manifest = pl.ExpansionManifest.from_dict(mutated)
     except FormatError:
-        pass
+        return
+    # what is read can be written, and what is written reads back to the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp, "first.json"), Path(tmp, "again.json")
+        pl.write_manifest(manifest, first)
+        pl.write_manifest(pl.read_manifest(first), again)
+        assert first.read_bytes() == again.read_bytes()
 
 
 def test_parse_method_closed_set():
