@@ -400,13 +400,6 @@ class ZeroShotHead:
             raise ParameterError("prototypes must have unit norm")
         check_real("tau", self.tau, 0, open_low=True)
 
-    @property
-    def class_count(self) -> int:
-        return self.prototypes.shape[0]
-
-    def predict(self, embedding: np.ndarray) -> lm.Prediction:
-        return lm.classify(embedding, self.prototypes, self.tau)
-
     def predict_rows(self, embeddings: np.ndarray) -> np.ndarray:
         """Class probabilities (..., C) of every embedding row (..., E)."""
         _, probs, _ = lm.classify_rows(embeddings, self.prototypes, self.tau, need_jacobian=False)

@@ -204,6 +204,8 @@ def _cmd_expand(args) -> int:
 def _cmd_traineval(args) -> int:
     seed = _resolve_seed(args.seed)
     _check_outputs([args.train, args.test], [args.out])
+    if not pl.utf8_text(args.method):
+        raise ParameterError(f"--method {args.method!r} is not UTF-8 text")
     train = pl.read_dataset(args.train)
     test = pl.read_dataset(args.test)
     config = ev.ClassifierConfig(
@@ -253,6 +255,8 @@ def _cmd_report(args) -> int:
             value = data[key]
             if isinstance(value, float):
                 value = pl.canonical_json(value)
+            elif isinstance(value, str) and not pl.utf8_text(value):
+                raise FormatError(f"metrics file {path} key {key!r} is not UTF-8 text")
             row.append(value)
         rows.append(row)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

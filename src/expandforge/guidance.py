@@ -354,31 +354,19 @@ def _decoded(codec: LinearCodec, flat_latents: np.ndarray) -> np.ndarray:
     return pixels.reshape(flat_latents.shape[:2] + codec.image_shape).astype(np.float32)
 
 
-def expand_seed_embedding_flow(
-    seed_image: Image,
-    codec: LinearCodec,
-    embedder: Embedder,
-    head: ZeroShotHead,
-    config: ExpansionConfig,
-    rng_stream: RngStream,
-):
+def _seed_flow(block, seed: Image, codec, embedder, head, config, rng_stream):
+    """block at G = 1: the seed's K variant Images, its (K,) columns and its trace."""
+    pixels, columns, trace = block(seed.pixels[None], codec, embedder, head, config, [rng_stream])
+    return [Image(p) for p in pixels[0]], {k: c[0] for k, c in columns.items()}, trace.group(0)
+
+
+def expand_seed_embedding_flow(seed_image: Image, codec: LinearCodec, embedder: Embedder,
+                               head: ZeroShotHead, config: ExpansionConfig, rng_stream: RngStream):
     """Optimize K perturbed copies of the seed's embedding, then decode them."""
-    pixels, columns, trace = expand_embedding_block(
-        seed_image.pixels[None], codec, embedder, head, config, [rng_stream]
-    )
-    return [Image(p) for p in pixels[0]], {k: c[0] for k, c in columns.items()}, trace.group(0)
+    return _seed_flow(expand_embedding_block, seed_image, codec, embedder, head, config, rng_stream)
 
 
-def expand_seed_latent_flow(
-    seed_image: Image,
-    codec: LinearCodec,
-    embedder: Embedder,
-    head: ZeroShotHead,
-    config: ExpansionConfig,
-    rng_stream: RngStream,
-):
+def expand_seed_latent_flow(seed_image: Image, codec: LinearCodec, embedder: Embedder,
+                            head: ZeroShotHead, config: ExpansionConfig, rng_stream: RngStream):
     """Optimize K perturbed codec latents, scoring decoded intermediates."""
-    pixels, columns, trace = expand_latent_block(
-        seed_image.pixels[None], codec, embedder, head, config, [rng_stream]
-    )
-    return [Image(p) for p in pixels[0]], {k: c[0] for k, c in columns.items()}, trace.group(0)
+    return _seed_flow(expand_latent_block, seed_image, codec, embedder, head, config, rng_stream)

@@ -167,11 +167,6 @@ class Prediction:
         # np.argmax takes the first maximum, which is the required tie-break.
         self.argmax_class = int(np.argmax(self.probs))
 
-    @classmethod
-    def from_probs(cls, probs) -> "Prediction":
-        arr = _as_float_vector(probs, "probs")
-        return cls(affinities=arr.copy(), probs=arr)
-
 
 @dataclass(eq=False)
 class PerturbationParams:
@@ -243,22 +238,13 @@ def weighted_total(s_con, s_ent, s_div, weights):
 
 @dataclass(eq=False)
 class GuidanceScores:
-    """Component scores of the guidance objective and their weighted total."""
+    """The objective's terms, weights and weighted total, as guidance_objective builds them."""
 
     s_con: float
     s_ent: float
     s_div: float
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        w = self.weights = check_weights(self.weights)
-        self.s_con = float(self.s_con)
-        self.s_ent = float(self.s_ent)
-        self.s_div = float(self.s_div)
-        if self.s_div < 0:
-            raise ParameterError(f"s_div must be >= 0, got {self.s_div}")
-        self.total = weighted_total(self.s_con, self.s_ent, self.s_div, w)
+    weights: tuple[float, float, float]
+    total: float
 
 
 def consistency_entropy_rows(probs: np.ndarray, seed_probs: np.ndarray):
@@ -301,14 +287,9 @@ def diversity_rows(flats: np.ndarray):
     return np.maximum(total, 0.0), grads
 
 
-def diversity_score(variants: Sequence[Latent]) -> float:
-    """Sum over variants of KL(softmax(flat variant) || softmax(flat mean))."""
-    total, _ = diversity_score_grad([v.values for v in variants])
-    return total
-
-
 def diversity_score_grad(values: Sequence[np.ndarray]):
-    """Diversity score plus its gradient with respect to each variant's values."""
+    """Diversity score, the sum over variants of KL(softmax(flat variant) ||
+    softmax(flat mean)), plus its gradient with respect to each variant's values."""
     if len(values) < 1:
         raise ShapeError("diversity needs at least one variant")
     arrs = [np.asarray(v, dtype=np.float64) for v in values]
@@ -327,18 +308,19 @@ def guidance_objective(
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> GuidanceScores:
     """Aggregate consistency, entropy-gain, and diversity scores over K variants."""
+    weights = check_weights(weights)
     if len(s_primes) != len(variants):
         raise ShapeError(
             f"got {len(s_primes)} predictions for {len(variants)} variants"
         )
-    if len(variants) < 1:
-        raise ShapeError("objective needs at least one variant")
     if any(sp.probs.size != s.probs.size for sp in s_primes):
         raise ShapeError("class count mismatch between the seed and a variant prediction")
+    s_div, _ = diversity_score_grad([v.values for v in variants])  # ShapeError on no variants
     p_t, gains = consistency_entropy_rows(np.stack([sp.probs for sp in s_primes]), s.probs)
     # a Python sum adds over K in variant order, as the ascent's totals do
-    s_con, s_ent, s_div = sum(p_t.tolist()), sum(gains.tolist()), diversity_score(variants)
-    return GuidanceScores(s_con=s_con, s_ent=s_ent, s_div=s_div, weights=weights)
+    s_con, s_ent = sum(p_t.tolist()), sum(gains.tolist())
+    return GuidanceScores(s_con, s_ent, s_div, weights,
+                          weighted_total(s_con, s_ent, s_div, weights))
 
 
 def objective_gradient_fd(
@@ -348,9 +330,7 @@ def objective_gradient_fd(
     check_real("step h", h, 0, open_low=True, finite=False)
     base = np.asarray(params, dtype=np.float64)
     grad = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(base.shape):
         plus = base.copy()
         minus = base.copy()
         plus[idx] += h
@@ -360,7 +340,6 @@ def objective_gradient_fd(
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericInputError(f"objective non-finite near coordinate {idx}")
         grad[idx] = (fp - fm) / (2.0 * h)
-        it.iternext()
     return grad
 
 

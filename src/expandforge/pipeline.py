@@ -176,6 +176,12 @@ def _format_float(x: float) -> str:
 _encode_str = json.encoder.encode_basestring
 
 
+def utf8_text(text: str) -> bool:
+    """Whether UTF-8 can encode text: not if it holds a lone surrogate, as an
+    undecodable command-line byte or a JSON "\\ud800" escape gives."""
+    return text.encode("utf-8", "replace").decode("utf-8") == text  # a surrogate becomes "?"
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 9-significant-digit floats."""
     if obj is None:
@@ -234,12 +240,14 @@ _KINDS = {bool: (bool, np.bool_), int: (int, np.integer),
 
 
 def _check_types(values: list, kind: type, what: str) -> None:
-    """Raise InputError unless each of values is of kind: the one type rule of a
-    manifest's header and record fields, run on the distinct types they hold."""
+    """Raise InputError unless each of values is of kind, a str one UTF-8 text:
+    the one type rule of a manifest's header and record fields."""
     bad = sorted(t.__name__ for t in set(map(type, values)) if not issubclass(t, _KINDS[kind])
                  or issubclass(t, (bool, np.bool_)) != (kind is bool))
     if bad:
         raise InputError(f"{what} must be {kind.__name__}, got {', '.join(bad)}")
+    if kind is str and not utf8_text("".join(values)):
+        raise InputError(f"{what} must be UTF-8 text, got a lone surrogate")
 
 
 def _fields(rows: list, types: dict, what: str) -> dict:
@@ -268,8 +276,9 @@ def _check_header(header: dict) -> None:
     config = header["config"]
     try:
         if (config.keys() != ExpansionConfig.__dataclass_fields__.keys()
-                or ExpansionConfig(**config).as_dict() != config):
-            raise ParameterError("it is not an ExpansionConfig's as_dict()")
+                or ExpansionConfig(**config).as_dict() != config
+                or config["ratio_k"] != header["ratio_k"]):
+            raise ParameterError("not an ExpansionConfig's as_dict() with the header's ratio_k")
         canonical_json(config)  # a config may hold an infinite step_size, a manifest not
     except (ParameterError, InputError) as err:
         raise InputError(f"manifest config {config!r}: {err}") from err

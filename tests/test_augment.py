@@ -12,6 +12,7 @@ import pytest
 
 import expandforge.augment as ag
 import expandforge.backends as bk
+import expandforge.latentmath as lm
 from expandforge.errors import ParameterError, ShapeError
 from expandforge.rng import RngStream
 
@@ -295,7 +296,7 @@ def test_selective_expand_on_real_backends():
 def _per_candidate_selection(seeds, augmenter, embedder, head, quota_k, rng_stream, mode,
                              budget):
     """selective_expand as it was before it scored each seed's pool as one
-    stack: one embed and one head.predict per image, and gains from the
+    stack: one embed and one lm.classify per image, and gains from the
     masked entropy sum, which gives -0.0 for a one-hot row."""
     def entropy(p):
         q = p[p > 0.0]
@@ -303,14 +304,14 @@ def _per_candidate_selection(seeds, augmenter, embedder, head, quota_k, rng_stre
 
     pool = []
     for j, seed in enumerate(seeds):
-        seed_pred = head.predict(embedder.embed_flat(seed.flat()))
+        seed_pred = lm.classify(embedder.embed_flat(seed.flat()), head.prototypes, head.tau)
         seed_entropy = entropy(seed_pred.probs)
         target = seed_pred.argmax_class
         for c in range(budget):
             stream = rng_stream.child("seed", j, "cand", c)
             img = augmenter(seed, stream)
             embedding = embedder.embed_flat(img.flat())
-            pred = head.predict(embedding)
+            pred = lm.classify(embedding, head.prototypes, head.tau)
             gain = entropy(pred.probs) - seed_entropy
             consistent = pred.argmax_class == target
             record = ag.SelectionRecord(

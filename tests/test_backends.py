@@ -373,7 +373,7 @@ def test_head_predict_rows_are_the_per_embedding_predictions():
     probs = head.predict_rows(e)
     assert probs.shape == (4, 5, 4)
     for row, p in zip(e.reshape(20, -1), probs.reshape(20, -1)):
-        assert p.tobytes() == head.predict(row).probs.tobytes()
+        assert p.tobytes() == lm.classify(row, head.prototypes, head.tau).probs.tobytes()
 
 
 def test_head_prototypes_unit_norm():
@@ -414,20 +414,10 @@ def test_head_probe_accuracy_at_least_80_percent():
         emb = bk.make_embedder(ex.image_shape, 64, seed=0)
         head = bk.fit_prototype_head(ex, emb)
         hits = sum(
-            int(head.predict(emb.embed(img)).argmax_class == label)
+            int(head.predict_rows(emb.embed(img)).argmax() == label)
             for img, label in zip(probe.images, probe.labels)
         )
         assert hits / len(probe) >= 0.80
-
-
-def test_head_predict_matches_kernel_classifier():
-    ex = _toy(classes=4, per_class=5, seed=101)
-    emb = bk.make_embedder(ex.image_shape, 32, seed=0)
-    head = bk.fit_prototype_head(ex, emb, tau=0.5)
-    e = emb.embed(ex.images[3])
-    pred = head.predict(e)
-    ref = lm.classify(e, head.prototypes, 0.5)
-    np.testing.assert_allclose(pred.probs, ref.probs, atol=1e-15)
 
 
 # ---------------------------------------------------------------- decoder

@@ -184,6 +184,34 @@ def test_traineval_output_naming_an_input_exits_one(tmp_path):
         assert out.read_bytes() == before
 
 
+def test_traineval_method_utf8_cannot_encode_exits_one(tmp_path, capsys):
+    # an undecodable command-line byte reaches argv as a lone surrogate
+    train = _toygen(tmp_path, "train.gifx", per_class=3)
+    out = tmp_path / "m.json"
+    out.write_text("earlier metrics\n")
+    before = out.read_bytes()
+    code = cli.main(["traineval", "--train", str(train), "--test", str(train),
+                     "--epochs", "2", "--embed-dim", "32", "--method", "\udcff",
+                     "--out", str(out)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_report_text_utf8_cannot_encode_exits_two(tmp_path, capsys):
+    metrics = tmp_path / "m.json"
+    # json.dumps escapes the lone surrogate as "\ud800", which json.load reads back
+    metrics.write_text(json.dumps({"method": "\ud800", "ratio": 2, "seed": 0, "accuracy": 0.5,
+                                   "macro_accuracy": 0.5, "covering_radius": 1.0}))
+    out = tmp_path / "cmp.csv"
+    out.write_text("earlier,report\n")
+    before = out.read_bytes()
+    assert cli.main(["report", "--metrics", str(metrics), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(metrics) in err and "Traceback" not in err
+    assert out.read_bytes() == before
+
+
 def test_report_output_naming_an_input_exits_one(tmp_path):
     metrics = tmp_path / "m.json"
     metrics.write_text(json.dumps({"method": "cutout", "ratio": 2, "seed": 0, "accuracy": 0.5,

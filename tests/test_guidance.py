@@ -182,7 +182,7 @@ def test_zero_weights_freeze_the_variants():
     data, _, embedder, head = _setup()
     e0 = embedder.embed(data.images[0])
     seed = e0[None, None, :]
-    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
+    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict_rows(e0)[None])
     still = dict(epsilon=0.3, ratio_k=3, weights=(0.0, 0.0, 0.0), noise_mode="full")
     moving = pl.ExpansionConfig(steps=5, **still)
     frozen = pl.ExpansionConfig(steps=0, **still)
@@ -197,7 +197,7 @@ def test_divergence_error_names_the_step():
     # zero gradients times an infinite step size make the noise fields nan
     data, _, embedder, head = _setup()
     e0 = embedder.embed(data.images[0])
-    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict(e0).probs[None])
+    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict_rows(e0)[None])
     cfg = pl.ExpansionConfig(
         epsilon=0.3, ratio_k=2, steps=5, step_size=float("1e309"), weights=(0.0, 0.0, 0.0),
         noise_mode="full",
@@ -236,7 +236,7 @@ def test_embedding_path_gradient_matches_fd():
     e0 = embedder.embed(data.images[0])
     seed = lm.Latent(e0[None, :])
     weights = (1.0, 0.7, 0.3)
-    path = gd.ScoreChain(head, weights, head.predict(e0).probs[None], gd.identity_lift)
+    path = gd.ScoreChain(head, weights, head.predict_rows(e0)[None], gd.identity_lift)
     params = _params(seed.values.shape, 2, "full", _stream("fd-emb"))
     project = lambda z, b: lm.perturb_and_project_rows(seed.values, z, b, np.inf)
     _, grads, _ = path(project(*params))
@@ -272,10 +272,10 @@ def test_latent_path_gradient_matches_fd():
             break
     assert chosen is not None, "no seed with clamp-safe margins"
     f0, variants = chosen
-    seed_pred = head.predict(
+    seed_pred = head.predict_rows(
         embedder.embed_flat(codec.decode_with_mask(f0.flat())[0])
     )
-    path = gd.ScoreChain(head, weights, seed_pred.probs[None], gd.decode_lift(codec, embedder))
+    path = gd.ScoreChain(head, weights, seed_pred[None], gd.decode_lift(codec, embedder))
     _, grads, _ = path(variants)
     for i in range(2):
         def objective(flat, i=i):
@@ -294,14 +294,14 @@ def test_chain_predictions_are_the_head_predictions(flow):
     data, codec, embedder, head = _setup()
     if flow == "embedding":
         e0 = embedder.embed(data.images[0])
-        seed, seed_pred, lift = lm.Latent(e0[None, :]), head.predict(e0), gd.identity_lift
+        seed, seed_pred, lift = lm.Latent(e0[None, :]), head.predict_rows(e0), gd.identity_lift
         cfg = gd.flow_config(pl.ExpansionConfig(ratio_k=3, steps=4), "gif_embed")
     else:
         seed = codec.encode(data.images[0])
-        seed_pred = head.predict(embedder.embed_flat(codec.decode_with_mask(seed.flat())[0]))
+        seed_pred = head.predict_rows(embedder.embed_flat(codec.decode_with_mask(seed.flat())[0]))
         lift = gd.decode_lift(codec, embedder)
         cfg = gd.flow_config(pl.ExpansionConfig(ratio_k=3, steps=4), "gif_latent")
-    chain = gd.ScoreChain(head, cfg.weights, seed_pred.probs[None], lift)
+    chain = gd.ScoreChain(head, cfg.weights, seed_pred[None], lift)
     z, b = _params(seed.values.shape, 3, cfg.noise_mode, _stream("preds", flow))
     emitted, trace = gd.optimize_guidance(seed.values[None], chain, (z, b), cfg)
     assert len(trace.probs) == cfg.steps + 1
@@ -312,10 +312,10 @@ def test_chain_predictions_are_the_head_predictions(flow):
         )
     latents = np.concatenate([trace.initial[0], emitted[0]])
     for latent, got in zip(latents, np.concatenate([trace.probs[0][0], trace.probs[-1][0]])):
-        want = head.predict(lift(latent.ravel())[0])
-        assert np.array_equal(got, want.probs)
+        want = head.predict_rows(lift(latent.ravel())[0])
+        assert np.array_equal(got, want)
     _, _, at_seed = chain(seed.values[None, None])
-    assert np.array_equal(at_seed[0, 0], seed_pred.probs)
+    assert np.array_equal(at_seed[0, 0], seed_pred)
 
 
 # ---------------------------------------------------------- full flows
@@ -397,14 +397,14 @@ def test_embedding_flow_consistency_and_shapes():
     for key, shape in _COLUMN_SHAPES.items():
         assert columns[key].shape == (5,) + shape
     assert len(trace) == 11
-    target = head.predict(embedder.embed(data.images[0])).argmax_class
+    target = head.predict_rows(embedder.embed(data.images[0])).argmax()
     assert columns["consistent"].all()
     for i, img in enumerate(images):
         assert img.pixels.shape == data.images[0].pixels.shape
         assert columns["retry_count"][i] <= cfg.retries + 1
         if columns["fallback"][i]:
             assert columns["retry_count"][i] == cfg.retries + 1
-            assert head.predict(embedder.embed(img)).argmax_class == target
+            assert head.predict_rows(embedder.embed(img)).argmax() == target
 
 
 def test_latent_flow_consistency_and_determinism():
@@ -427,9 +427,9 @@ def test_latent_flow_consistency_and_determinism():
     assert columns_a["consistent"].all()
     # the consistency contract holds in the emitted image domain
     recon, _ = codec.decode_with_mask(codec.encode(data.images[1]).flat())
-    target = head.predict(embedder.embed_flat(recon)).argmax_class
+    target = head.predict_rows(embedder.embed_flat(recon)).argmax()
     for img in images_a:
-        assert head.predict(embedder.embed(img)).argmax_class == target
+        assert head.predict_rows(embedder.embed(img)).argmax() == target
 
 
 def test_latent_flow_epsilon_zero_bit_identical():

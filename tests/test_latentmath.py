@@ -230,15 +230,15 @@ def test_perturbation_params_mode_validation():
 # ---------------------------------------------------------------- prediction + scores
 
 def test_prediction_argmax_tie_breaks_low():
-    pred = lm.Prediction.from_probs([0.4, 0.4, 0.2])
+    pred = lm.Prediction([0.4, 0.4, 0.2], [0.4, 0.4, 0.2])
     assert pred.argmax_class == 0
 
 
 def test_prediction_rejects_bad_probs():
     with pytest.raises(SimplexError):
-        lm.Prediction.from_probs([0.7, 0.7])
+        lm.Prediction([0.7, 0.7], [0.7, 0.7])
     with pytest.raises(ShapeError):
-        lm.Prediction.from_probs([1.0])
+        lm.Prediction([1.0], [1.0])
 
 
 def _one_variant_scores(s, sp):
@@ -247,27 +247,27 @@ def _one_variant_scores(s, sp):
 
 
 def test_consistency_score_examples():
-    s = lm.Prediction.from_probs([0.7, 0.2, 0.1])
-    sp = lm.Prediction.from_probs([0.4, 0.5, 0.1])
+    s = lm.Prediction([0.7, 0.2, 0.1], [0.7, 0.2, 0.1])
+    sp = lm.Prediction([0.4, 0.5, 0.1], [0.4, 0.5, 0.1])
     assert _one_variant_scores(s, sp).s_con == pytest.approx(0.4, abs=1e-15)
     assert _one_variant_scores(s, s).s_con == pytest.approx(0.7, abs=1e-15)
     with pytest.raises(ShapeError):
-        _one_variant_scores(s, lm.Prediction.from_probs([0.5, 0.5]))
+        _one_variant_scores(s, lm.Prediction([0.5, 0.5], [0.5, 0.5]))
 
 
 def test_entropy_gain_frozen_example():
-    s = lm.Prediction.from_probs([0.9, 0.1])
-    sp = lm.Prediction.from_probs([0.5, 0.5])
+    s = lm.Prediction([0.9, 0.1], [0.9, 0.1])
+    sp = lm.Prediction([0.5, 0.5], [0.5, 0.5])
     # oracle: ln 2 - entropy([0.9, 0.1])
     assert _one_variant_scores(s, sp).s_ent == pytest.approx(0.3680642071684971, abs=1e-12)
 
 
 def test_entropy_gain_uniform_to_onehot():
     for c in (2, 4, 8):
-        s = lm.Prediction.from_probs(np.full(c, 1.0 / c))
+        s = lm.Prediction(np.full(c, 1.0 / c), np.full(c, 1.0 / c))
         onehot = np.zeros(c)
         onehot[1] = 1.0
-        assert _one_variant_scores(s, lm.Prediction.from_probs(onehot)).s_ent == pytest.approx(
+        assert _one_variant_scores(s, lm.Prediction(onehot, onehot)).s_ent == pytest.approx(
             -math.log(c), abs=1e-12
         )
 
@@ -277,30 +277,32 @@ def test_entropy_gain_uniform_to_onehot():
 def test_diversity_frozen_example():
     variants = [lm.Latent(np.array([[1.0, 0.0]])), lm.Latent(np.array([[0.0, 1.0]]))]
     # oracle (softmax each, softmax of mean, sum of the two KLs): 0.22188814334345475
-    assert lm.diversity_score(variants) == pytest.approx(0.22188814334345475, abs=1e-12)
+    assert lm.diversity_score_grad([v.values for v in variants])[0] == pytest.approx(
+        0.22188814334345475, abs=1e-12)
 
 
 def test_diversity_identical_variants_is_zero():
     rng = np.random.default_rng(9)
     base = rng.standard_normal((2, 4))
     variants = [lm.Latent(base.copy()) for _ in range(4)]
-    assert lm.diversity_score(variants) == 0.0
-    assert lm.diversity_score([lm.Latent(base)]) == 0.0
+    assert lm.diversity_score_grad([v.values for v in variants])[0] == 0.0
+    assert lm.diversity_score_grad([lm.Latent(base).values])[0] == 0.0
 
 
 def test_diversity_permutation_invariant():
     rng = np.random.default_rng(10)
     variants = [lm.Latent(rng.standard_normal((2, 3))) for _ in range(4)]
-    ref = lm.diversity_score(variants)
+    ref = lm.diversity_score_grad([v.values for v in variants])[0]
     perm = [variants[i] for i in (2, 0, 3, 1)]
-    assert lm.diversity_score(perm) == pytest.approx(ref, rel=1e-12)
+    assert lm.diversity_score_grad([v.values for v in perm])[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_diversity_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
-        lm.diversity_score([lm.Latent(np.ones((1, 2))), lm.Latent(np.ones((2, 2)))])
+        lm.diversity_score_grad([lm.Latent(np.ones((1, 2))).values,
+                                 lm.Latent(np.ones((2, 2))).values])
     with pytest.raises(ShapeError):
-        lm.diversity_score([])
+        lm.diversity_score_grad([])
 
 
 def test_diversity_matches_oracle_on_random_sets():
@@ -308,17 +310,17 @@ def test_diversity_matches_oracle_on_random_sets():
     for _ in range(50):
         k = rng.integers(1, 6)
         vals = [rng.standard_normal((2, 3)) for _ in range(k)]
-        got = lm.diversity_score([lm.Latent(v) for v in vals])
+        got = lm.diversity_score_grad([lm.Latent(v).values for v in vals])[0]
         assert got == pytest.approx(max(_oracle_diversity(vals), 0.0), abs=1e-10)
 
 
 # ---------------------------------------------------------------- guidance objective
 
 def test_guidance_objective_composite_against_oracle():
-    s = lm.Prediction.from_probs([0.9, 0.1])
+    s = lm.Prediction([0.9, 0.1], [0.9, 0.1])
     s_primes = [
-        lm.Prediction.from_probs([0.5, 0.5]),
-        lm.Prediction.from_probs([0.75, 0.25]),
+        lm.Prediction([0.5, 0.5], [0.5, 0.5]),
+        lm.Prediction([0.75, 0.25], [0.75, 0.25]),
     ]
     variants = [lm.Latent(np.array([[1.0, 0.0]])), lm.Latent(np.array([[0.0, 1.0]]))]
     scores = lm.guidance_objective(s, s_primes, variants)
@@ -334,8 +336,8 @@ def test_guidance_objective_composite_against_oracle():
 
 
 def test_guidance_objective_weighted_total():
-    s = lm.Prediction.from_probs([0.6, 0.4])
-    sp = [lm.Prediction.from_probs([0.55, 0.45])]
+    s = lm.Prediction([0.6, 0.4], [0.6, 0.4])
+    sp = [lm.Prediction([0.55, 0.45], [0.55, 0.45])]
     variants = [lm.Latent(np.array([[0.3, -0.2]]))]
     scores = lm.guidance_objective(s, sp, variants, weights=(2.0, 0.5, 0.0))
     assert scores.total == pytest.approx(
@@ -344,19 +346,20 @@ def test_guidance_objective_weighted_total():
 
 
 def test_guidance_objective_rejects_mismatch_and_bad_weights():
-    s = lm.Prediction.from_probs([0.6, 0.4])
-    sp = [lm.Prediction.from_probs([0.5, 0.5])]
+    s = lm.Prediction([0.6, 0.4], [0.6, 0.4])
+    sp = [lm.Prediction([0.5, 0.5], [0.5, 0.5])]
     variants = [lm.Latent(np.ones((1, 2))), lm.Latent(np.ones((1, 2)))]
     with pytest.raises(ShapeError):
         lm.guidance_objective(s, sp, variants)
     with pytest.raises(ParameterError):
-        lm.GuidanceScores(s_con=1.0, s_ent=0.0, s_div=0.0, weights=(-1.0, 1.0, 1.0))
+        lm.guidance_objective(s, sp, variants[:1], weights=(-1.0, 1.0, 1.0))
     with pytest.raises(ParameterError):
-        lm.GuidanceScores(s_con=1.0, s_ent=0.0, s_div=0.0, weights=(math.inf, 1.0, 1.0))
+        lm.guidance_objective(s, sp, variants[:1], weights=(math.inf, 1.0, 1.0))
 
 
 def test_kernel_reals_follow_one_rule():
     f = lm.Latent(np.ones((2, 2)))
+    pred = lm.Prediction([0.5, 0.5], [0.5, 0.5])
     params = lm.PerturbationParams(z=np.zeros((2, 2)), b=np.zeros((2, 2)))
     for bad in ("0.1", True, None, math.nan):
         with pytest.raises(ParameterError):
@@ -366,9 +369,9 @@ def test_kernel_reals_follow_one_rule():
         with pytest.raises(ParameterError):
             lm.objective_gradient_fd(lambda x: 0.0, np.zeros(2), h=bad)
         with pytest.raises(ParameterError):
-            lm.GuidanceScores(s_con=1.0, s_ent=0.0, s_div=0.0, weights=(1.0, bad, 1.0))
+            lm.guidance_objective(pred, [pred], [f], weights=(1.0, bad, 1.0))
     with pytest.raises(ParameterError):
-        lm.GuidanceScores(s_con=1.0, s_ent=0.0, s_div=0.0, weights=5)
+        lm.guidance_objective(pred, [pred], [f], weights=5)
     # the ranges accepted before still are: an infinite epsilon or temperature
     assert np.array_equal(lm.perturb_and_project(f, params, math.inf).values, f.values)
     assert np.array_equal(lm.softmax([1.0, 2.0], tau=math.inf), [0.5, 0.5])
@@ -571,13 +574,14 @@ def test_diversity_grad_matches_fd():
         k = int(rng.integers(1, 5))
         vals = [rng.standard_normal((2, 4)) for _ in range(k)]
         total, grads = lm.diversity_score_grad(vals)
-        assert total == pytest.approx(lm.diversity_score([lm.Latent(v) for v in vals]))
+        assert total == pytest.approx(
+            lm.diversity_score_grad([lm.Latent(v).values for v in vals])[0])
         for j in range(k):
 
             def objective(x, j=j):
                 probe = [v.copy() for v in vals]
                 probe[j] = x.reshape(2, 4)
-                return lm.diversity_score([lm.Latent(v) for v in probe])
+                return lm.diversity_score_grad([lm.Latent(v).values for v in probe])[0]
 
             fd = lm.objective_gradient_fd(objective, vals[j])
             assert _rel_err(grads[j], fd) < 1e-6

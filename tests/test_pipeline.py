@@ -460,6 +460,11 @@ def _scores_weights(key, weights):
                                                           "weights": [True, 1.0, 1.0]}}),
          "record 3"),
         (_record_at(9, lambda r: {**r, "retry_count": 2**70}), "record 9"),
+        # text UTF-8 cannot encode: a JSON "\ud800" escape reads as a lone surrogate
+        (_record_at(5, lambda r: {**r, "stream_id": r["stream_id"] + "\ud800"}), "record 5"),
+        (lambda m: {**m, "version": "\ud800"}, "version"),
+        # a config that contradicts the header it comes with
+        (lambda m: {**m, "config": {**m["config"], "ratio_k": 7}}, "config"),
     ],
     ids=[
         "seed_index", "variant_index_negative", "method_unknown", "method_other",
@@ -467,6 +472,7 @@ def _scores_weights(key, weights):
         "record_copied", "config_empty", "config_invalid", "config_step_size_inf",
         "record_37_consistent_int", "record_12_score_str", "record_5_no_stream_id",
         "record_3_weights_bool", "record_9_retry_count_overflow",
+        "record_5_stream_id_surrogate", "version_surrogate", "config_ratio_k_not_the_headers",
     ],
 )
 def test_manifest_rejects_self_contradicting_records(tamper, named):
@@ -561,6 +567,11 @@ class _Draws:
 # a -0.0 in the config and in a record: written as -0, it would read back as the int 0
 @example(data=_Draws("config", True, "cutout_frac", False, -0.0))
 @example(data=_Draws("records", True, 0, True, "scores_final", True, "s_con", False, -0.0))
+# a lone surrogate, which UTF-8 cannot write, in a record's stream id and in the version
+@example(data=_Draws("records", True, 0, True, "stream_id", False, "\ud800"))
+@example(data=_Draws("version", False, "\ud800"))
+# a config ratio_k other than the header's and the records'
+@example(data=_Draws("config", True, "ratio_k", False, 7))
 def test_manifest_field_mutations_raise_only_format_error(data):
     # one field, at the top level, in a record or in its scores, is replaced
     # by an arbitrary JSON value or deleted
@@ -581,6 +592,7 @@ def test_manifest_field_mutations_raise_only_format_error(data):
         manifest = pl.ExpansionManifest.from_dict(mutated)
     except FormatError:
         return
+    assert manifest.config["ratio_k"] == manifest.ratio_k
     # what is read can be written, and what is written reads back to the same bytes
     with tempfile.TemporaryDirectory() as tmp:
         first, again = Path(tmp, "first.json"), Path(tmp, "again.json")
