@@ -38,13 +38,12 @@ def cutout(image: Image, frac: float, rng_stream: RngStream) -> Image:
     check_cutout_frac(frac)
     h, w, _ = image.pixels.shape
     side = int(round(frac * min(h, w)))
-    if side < 1:
-        return Image(image.pixels.astype(np.float64).copy())
-    gen = rng_stream.generator()
-    y0 = int(gen.integers(0, h - side + 1))
-    x0 = int(gen.integers(0, w - side + 1))
-    px = image.pixels.astype(np.float64).copy()
-    px[y0 : y0 + side, x0 : x0 + side, :] = 0.5
+    px = image.pixels.copy()
+    if side >= 1:
+        gen = rng_stream.generator()
+        y0 = int(gen.integers(0, h - side + 1))
+        x0 = int(gen.integers(0, w - side + 1))
+        px[y0 : y0 + side, x0 : x0 + side, :] = 0.5
     return Image(px)
 
 
@@ -57,7 +56,7 @@ def gridmask(image: Image, period: int, keep_ratio: float, phase=(0, 0)) -> Imag
     if len(phase) != 2:
         raise ParameterError(f"phase must be two offsets, got {phase!r}")
     hole = int(round((1.0 - keep_ratio) * period))
-    px = image.pixels.astype(np.float64).copy()
+    px = image.pixels.copy()
     if hole > 0:
         h, w, _ = px.shape
         yy = (np.arange(h)[:, None] + int(phase[0])) % period < hole
@@ -99,7 +98,7 @@ def rand_lite(image: Image, rng_stream: RngStream) -> Image:
             dy = int(gen.integers(-max_dy, max_dy + 1))
             dx = int(gen.integers(-max_dx, max_dx + 1))
             px = _translate(px, dy, dx)
-    return Image(px.copy())
+    return Image(px)  # Image casts into a new float32 array
 
 
 @dataclass(eq=False)

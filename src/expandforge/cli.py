@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="expansion method")
     cfg = pl.ExpansionConfig()
     per_flow = lambda key: ", ".join(f"{d[key]} for {m}" for m, d in gd.FLOW_DEFAULTS.items())
-    expand.add_argument("--ratio", type=int, default=cfg.ratio_k,
+    expand.add_argument("--ratio", dest="ratio_k", metavar="RATIO", type=int, default=cfg.ratio_k,
                         help=f"synthetic variants per seed K (default {cfg.ratio_k})")
     expand.add_argument("--epsilon", type=float, default=cfg.epsilon,
                         help=f"L-inf ball radius (default: {per_flow('epsilon')})")
@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"perturbation tying (default: {per_flow('noise_mode')})")
     expand.add_argument("--retries", type=int, default=cfg.retries,
                         help=f"consistency retry budget (default {cfg.retries})")
-    expand.add_argument("--budget", type=int, default=cfg.candidate_budget,
+    expand.add_argument("--budget", dest="candidate_budget", metavar="BUDGET", type=int,
+                        default=cfg.candidate_budget,
                         help="candidate budget for selective methods (default 4*K)")
     expand.add_argument("--cutout-frac", type=float, default=cfg.cutout_frac,
                         help=f"cutout patch fraction (default {cfg.cutout_frac})")
@@ -171,18 +172,10 @@ def _cmd_expand(args) -> int:
     embedder = bk.make_embedder(data.image_shape, args.embed_dim, args.embed_seed)
     head = bk.fit_prototype_head(exemplars, embedder, tau=args.tau)
     bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)
-    config = pl.ExpansionConfig(
-        ratio_k=args.ratio,
-        epsilon=args.epsilon,
-        steps=args.steps,
-        step_size=args.step_size,
+    config = pl.ExpansionConfig(  # each config flag but the weights has its field's name
+        **{key: getattr(args, key) for key in pl.ExpansionConfig.__dataclass_fields__
+           if key != "weights"},
         weights=(args.lambda_con, args.lambda_ent, args.lambda_div),
-        noise_mode=args.noise_mode,
-        retries=args.retries,
-        candidate_budget=args.budget,
-        cutout_frac=args.cutout_frac,
-        grid_period=args.grid_period,
-        grid_keep=args.grid_keep,
     )
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)
     # the manifest first: write_manifest validates and renders it before it
@@ -290,13 +283,8 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ExpandForgeError as err:
+    except (ExpandForgeError, OSError) as err:  # an OSError's text names its file
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        name = getattr(err, "filename", None)
-        suffix = f" ({name})" if name else ""
-        print(f"error: {err}{suffix}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,7 @@ every expansion method being compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,7 @@ class Metrics:
     train_loss_curve: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_accuracy": self.macro_accuracy,
-            "per_class_recall": self.per_class_recall,
-            "absent_classes": self.absent_classes,
-            "train_loss_curve": self.train_loss_curve,
-        }
+        return asdict(self)
 
 
 class MLPClassifier:
@@ -145,21 +139,14 @@ def evaluate(model, dataset: LabeledDataset) -> Metrics:
     preds = model.predict(dataset.stacked_flat())
     labels = dataset.labels
     accuracy = float(np.mean(preds == labels))
-    recalls = []
-    present = []
-    for c in range(dataset.class_count):
-        mask = labels == c
-        if not np.any(mask):
-            recalls.append(None)
-            continue
-        recall = float(np.mean(preds[mask] == c))
-        recalls.append(recall)
-        present.append(recall)
+    masks = [labels == c for c in range(dataset.class_count)]
+    recalls = [float(np.mean(preds[m] == c)) if m.any() else None for c, m in enumerate(masks)]
+    present = [r for r in recalls if r is not None]
     return Metrics(
         accuracy=accuracy,
         macro_accuracy=float(np.mean(present)),
         per_class_recall=recalls,
-        absent_classes=any(r is None for r in recalls),
+        absent_classes=len(present) < len(recalls),
         train_loss_curve=list(getattr(model, "loss_curve", [])),
     )
 
