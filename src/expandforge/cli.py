@@ -20,7 +20,8 @@ from . import evaluation as ev
 from . import guidance as gd
 from . import latentmath as lm
 from . import pipeline as pl
-from .errors import ExpandForgeError, FormatError, NumericDivergenceError, ParameterError
+from .errors import (ExpandForgeError, FormatError, InputError, NumericDivergenceError,
+                     ParameterError)
 
 SEED_ENV = "EXPANDFORGE_SEED"
 
@@ -158,6 +159,9 @@ def _cmd_expand(args) -> int:
     _check_outputs([args.input, args.exemplars or args.input], [args.out, manifest_path])
     data = pl.read_dataset(args.input)
     exemplars = pl.read_dataset(args.exemplars) if args.exemplars else data
+    if exemplars.class_names != data.class_names:
+        raise InputError(f"exemplars {args.exemplars} have classes {exemplars.class_names}, "
+                         f"not the input's {data.class_names}")
     if args.latent_tokens < 1 or args.latent_dim % args.latent_tokens != 0:
         raise ParameterError(
             f"--latent-tokens {args.latent_tokens} must divide --latent-dim {args.latent_dim}"
@@ -185,7 +189,7 @@ def _cmd_expand(args) -> int:
         pl.write_dataset(expanded, args.out)
     except OSError:
         # a manifest whose expanded_digest names no file must not stay behind
-        os.remove(manifest_path)
+        pl.remove_output(manifest_path)
         raise
     print(
         f"expanded {len(data)} -> {len(expanded)} samples with {args.method}; "
@@ -201,6 +205,9 @@ def _cmd_traineval(args) -> int:
         raise ParameterError(f"--method {args.method!r} is not UTF-8 text")
     train = pl.read_dataset(args.train)
     test = pl.read_dataset(args.test)
+    if (test.class_names, test.image_shape) != (train.class_names, train.image_shape):
+        raise InputError(f"test set {args.test} has classes {test.class_names} of shape "
+                         f"{test.image_shape}, not {train.class_names} of {train.image_shape}")
     config = ev.ClassifierConfig(
         hidden=args.hidden, epochs=args.epochs, lr=args.lr, seed=seed
     )
@@ -216,9 +223,9 @@ def _cmd_traineval(args) -> int:
         **metrics.as_dict(),
     }
     # rendered before the file is opened, so a payload that cannot be written
-    # (a non-finite metric) leaves no empty file behind
+    # (a non-finite metric) leaves an earlier file at --out as it was
     text = pl.canonical_json(payload) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with pl.output_file(args.out) as fh:
         fh.write(text)
     print(
         f"accuracy {metrics.accuracy:.4f}, macro {metrics.macro_accuracy:.4f}, "
@@ -252,7 +259,7 @@ def _cmd_report(args) -> int:
                 raise FormatError(f"metrics file {path} key {key!r} is not UTF-8 text")
             row.append(value)
         rows.append(row)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with pl.output_file(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_REPORT_COLUMNS)
         writer.writerows(rows)

@@ -12,9 +12,11 @@ cannot change a byte either.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import asdict, dataclass
@@ -97,9 +99,32 @@ def dataset_digest(dataset: LabeledDataset) -> str:
     return h.hexdigest()
 
 
+def remove_output(path) -> None:
+    """Remove a partly written output file; a device such as /dev/null stays."""
+    if os.path.isfile(path):
+        os.remove(path)
+
+
+@contextlib.contextmanager
+def output_file(path, binary: bool = False):
+    """Open path for writing, as bytes or as UTF-8 text written untranslated.
+    If anything raises once it is open, the file is removed, so no partial
+    output stays behind, and an OSError that names no file gets the path."""
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    fh = open(path, "wb" if binary else "w", **text)
+    try:
+        with fh:
+            yield fh
+    except BaseException as err:
+        remove_output(path)
+        if isinstance(err, OSError) and err.filename is None:
+            err.filename = os.fspath(path)
+        raise
+
+
 def write_dataset(dataset: LabeledDataset, path) -> None:
     header, records = _gifx(dataset)
-    with open(path, "wb") as fh:
+    with output_file(path, binary=True) as fh:
         fh.write(header)
         fh.write(records)
 
@@ -447,7 +472,7 @@ def write_manifest(manifest: ExpansionManifest, path) -> None:
     parts = {key: [canonical_json(getattr(manifest, key))] for key in _HEADER_TYPES}
     parts["records"] = _render_records(manifest.method, manifest.config["weights"],
                                        manifest.columns)
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         for i, key in enumerate(sorted(parts)):
             fh.write(("," if i else "{") + _encode_str(key) + ":")
             fh.writelines(parts[key])

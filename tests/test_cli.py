@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import errno
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import expandforge.backends as bk
 import expandforge.cli as cli
+import expandforge.evaluation as ev
 import expandforge.latentmath as lm
 import expandforge.pipeline as pl
 from expandforge.errors import ExpandForgeError, NumericDivergenceError, ParameterError
@@ -308,6 +312,17 @@ def test_unwritable_dataset_leaves_no_manifest(tmp_path):
     assert not any(out.iterdir())
 
 
+def test_unwritable_dataset_leaves_a_device_manifest_in_place(tmp_path, monkeypatch):
+    # the manifest written before a failed GIFX write is removed only if it
+    # is a regular file
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    src = _toygen(tmp_path)
+    args = _small_expand_args(src, tmp_path / "missing" / "o.gifx") + ["--manifest", os.devnull]
+    assert cli.main(args) == 2
+    assert removed == []
+
+
 def test_traineval_on_mismatched_image_sizes_exits_two(tmp_path, capsys):
     train = _toygen(tmp_path, "train.gifx", size=16)
     test = _toygen(tmp_path, "test.gifx", size=8)
@@ -317,6 +332,114 @@ def test_traineval_on_mismatched_image_sizes_exits_two(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _renamed(tmp_path, src, name="renamed.gifx"):
+    """A copy of the dataset at src whose classes are named a, b, c, ..."""
+    data = pl.read_dataset(src)
+    names = [chr(ord("a") + c) for c in range(data.class_count)]
+    path = tmp_path / name
+    pl.write_dataset(bk.LabeledDataset(data.pixels, data.labels, names), path)
+    return path
+
+
+@pytest.mark.parametrize("test_set", ["eight_classes", "renamed_classes"])
+def test_traineval_on_other_classes_exits_two_before_training(tmp_path, monkeypatch, capsys,
+                                                              test_set):
+    train = _toygen(tmp_path, "train.gifx", classes=4)
+    if test_set == "eight_classes":
+        test = _toygen(tmp_path, "test.gifx", classes=8)
+    else:
+        test = _renamed(tmp_path, train)
+    monkeypatch.setattr(ev, "train_classifier", lambda *a: pytest.fail("trained"))
+    out = tmp_path / "m.json"
+    code = cli.main(["traineval", "--train", str(train), "--test", str(test),
+                     "--epochs", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(pl.read_dataset(train).class_names) in err
+    assert str(pl.read_dataset(test).class_names) in err
+    assert not out.exists()
+
+
+def test_expand_with_exemplars_of_other_classes_exits_two_before_fitting(tmp_path, monkeypatch,
+                                                                         capsys):
+    src = _toygen(tmp_path)
+    exemplars = _renamed(tmp_path, src)
+    monkeypatch.setattr(bk, "fit_prototype_head", lambda *a, **kw: pytest.fail("fitted"))
+    out = tmp_path / "ex.gifx"
+    assert cli.main(_small_expand_args(src, out, exemplars=exemplars)) == 2
+    err = capsys.readouterr().err
+    assert "['a', 'b', 'c', 'd']" in err and str(pl.read_dataset(src).class_names) in err
+    assert not out.exists()
+    assert not (tmp_path / "ex.gifx.manifest.json").exists()
+
+
+def test_every_expand_config_flag_reaches_the_manifest(tmp_path):
+    src = _toygen(tmp_path, per_class=3)
+    out = tmp_path / "cfg.gifx"
+    assert cli.main([
+        "expand", "--in", str(src), "--method", "gif_embed", "--ratio", "3",
+        "--epsilon", "0.25", "--steps", "1", "--step-size", "0.2", "--lambda-con", "0.5",
+        "--lambda-ent", "0.25", "--lambda-div", "2", "--noise-mode", "token", "--retries", "1",
+        "--budget", "7", "--cutout-frac", "0.25", "--grid-period", "4", "--grid-keep", "0.75",
+        "--latent-dim", "8", "--latent-tokens", "2", "--embed-dim", "16", "--seed", "1",
+        "--out", str(out),
+    ]) == 0
+    assert pl.read_manifest(f"{out}.manifest.json").config == {
+        "ratio_k": 3, "epsilon": 0.25, "steps": 1, "step_size": 0.2,
+        "weights": [0.5, 0.25, 2.0], "noise_mode": "token", "retries": 1,
+        "candidate_budget": 7, "cutout_frac": 0.25, "grid_period": 4, "grid_keep": 0.75,
+    }
+
+
+def _cli_with_file_limit(limit: int, argv):
+    """Run the CLI in a child process whose files cannot grow past limit bytes.
+    CPython ignores SIGXFSZ, so a write past the limit raises EFBIG. The child
+    writes no bytecode (-B): importlib would rename a .pyc cut short by the
+    limit into place, and every later import of that module would fail."""
+    resource = pytest.importorskip("resource")
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "expandforge.cli", *map(str, argv)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+        capture_output=True, text=True,
+    )
+
+
+def _file_too_large(path) -> str:
+    return f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(path)!r}\n"
+
+
+@pytest.mark.parametrize("cut_short", ["gifx", "manifest"])
+def test_expand_write_cut_short_leaves_neither_file(tmp_path, cut_short):
+    # the manifest is written first, so a limit between the two files' sizes
+    # cuts the GIFX short and a limit below the manifest's cuts the manifest
+    src = _toygen(tmp_path)
+    full = tmp_path / "full.gifx"
+    assert cli.main(_small_expand_args(src, full, ratio=5)) == 0
+    manifest_size = (tmp_path / "full.gifx.manifest.json").stat().st_size
+    gifx_size = full.stat().st_size
+    assert manifest_size < gifx_size
+    out = tmp_path / "out.gifx"
+    manifest = tmp_path / "out.gifx.manifest.json"
+    limit = (manifest_size + gifx_size) // 2 if cut_short == "gifx" else manifest_size // 2
+    proc = _cli_with_file_limit(limit, _small_expand_args(src, out, ratio=5))
+    assert proc.returncode == 2
+    assert not out.exists()
+    assert not manifest.exists()
+    assert proc.stderr == _file_too_large(out if cut_short == "gifx" else manifest)
+
+
+def test_traineval_write_cut_short_leaves_no_metrics(tmp_path):
+    data = _toygen(tmp_path)
+    out = tmp_path / "m.json"
+    out.write_text("earlier metrics\n")
+    # the metrics file holds a 100-point loss curve, well over 512 bytes
+    proc = _cli_with_file_limit(512, ["traineval", "--train", data, "--test", data,
+                                      "--embed-dim", "16", "--out", out])
+    assert proc.returncode == 2
+    assert not out.exists()
+    assert proc.stderr == _file_too_large(out)
 
 
 @pytest.mark.parametrize("error", ExpandForgeError.__subclasses__(), ids=lambda e: e.__name__)

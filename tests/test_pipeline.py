@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -188,6 +189,18 @@ def test_gifx_rejects_empty_dataset():
     data = _data().subset([])
     with pytest.raises(InputError):
         pl.dataset_bytes(data)
+
+
+def test_output_file_leaves_a_device_in_place(monkeypatch):
+    # a failed write removes the file it opened, but only a regular file
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    removed = []
+    monkeypatch.setattr(pl.os, "remove", removed.append)
+    with pytest.raises(OSError, match="/dev/full"):
+        with pl.output_file("/dev/full") as fh:
+            fh.write("x")
+    assert removed == []
 
 
 # -------------------------------------------------------- canonical JSON
