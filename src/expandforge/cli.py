@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -177,8 +178,8 @@ def _cmd_expand(args) -> int:
     head = bk.fit_prototype_head(exemplars, embedder, tau=args.tau)
     bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)
     config = pl.ExpansionConfig(  # each config flag but the weights has its field's name
-        **{key: getattr(args, key) for key in pl.ExpansionConfig.__dataclass_fields__
-           if key != "weights"},
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(pl.ExpansionConfig)
+           if f.name != "weights"},
         weights=(args.lambda_con, args.lambda_ent, args.lambda_div),
     )
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)

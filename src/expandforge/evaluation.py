@@ -139,14 +139,21 @@ def evaluate(model, dataset: LabeledDataset) -> Metrics:
     preds = model.predict(dataset.stacked_flat())
     labels = dataset.labels
     accuracy = float(np.mean(preds == labels))
-    masks = [labels == c for c in range(dataset.class_count)]
-    recalls = [float(np.mean(preds[m] == c)) if m.any() else None for c, m in enumerate(masks)]
-    present = [r for r in recalls if r is not None]
+    recalls = []
+    present = []
+    for c in range(dataset.class_count):
+        mask = labels == c
+        if not np.any(mask):
+            recalls.append(None)
+            continue
+        recall = float(np.mean(preds[mask] == c))
+        recalls.append(recall)
+        present.append(recall)
     return Metrics(
         accuracy=accuracy,
         macro_accuracy=float(np.mean(present)),
         per_class_recall=recalls,
-        absent_classes=len(present) < len(recalls),
+        absent_classes=any(r is None for r in recalls),
         train_loss_curve=list(getattr(model, "loss_curve", [])),
     )
 

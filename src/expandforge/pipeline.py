@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import struct
 import typing
 from dataclasses import asdict, dataclass
@@ -100,9 +101,12 @@ def dataset_digest(dataset: LabeledDataset) -> str:
 
 
 def remove_output(path) -> None:
-    """Remove a partly written output file; a device such as /dev/null stays."""
-    if os.path.isfile(path):
-        os.remove(path)
+    """Remove a partly written output file. Only a regular file goes: a device
+    such as /dev/null stays, and so does a symbolic link (os.remove would
+    delete the link, not the file it names), so the check does not follow one."""
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
 
 
 @contextlib.contextmanager

@@ -442,6 +442,22 @@ def test_traineval_write_cut_short_leaves_no_metrics(tmp_path):
     assert proc.stderr == _file_too_large(out)
 
 
+def test_traineval_write_cut_short_leaves_a_symlink_in_place(tmp_path):
+    # only a regular file is removed: os.remove on a link would delete the
+    # link and leave the file it names cut short behind it
+    data = _toygen(tmp_path)
+    target = tmp_path / "real.json"
+    target.write_text("earlier metrics\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    proc = _cli_with_file_limit(512, ["traineval", "--train", data, "--test", data,
+                                      "--embed-dim", "16", "--out", link])
+    assert proc.returncode == 2
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.exists()
+    assert proc.stderr == _file_too_large(link)
+
+
 @pytest.mark.parametrize("error", ExpandForgeError.__subclasses__(), ids=lambda e: e.__name__)
 def test_every_package_error_has_its_exit_code(monkeypatch, capsys, error):
     def fail(args):
