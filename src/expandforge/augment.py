@@ -1,25 +1,38 @@
 """Augmentation baselines and prediction-filtered selective expansion.
 
-The augmenters are plain image transforms fed by the same counter-based
-streams as the guided flows, so every candidate is reproducible from its
-identifiers. score_candidates scores a seed's augmented images with the
-zero-shot head as one stack, and every baseline scores through it: a plain
-baseline its K variants, a selective one its candidate pool. Selective
-expansion then keeps the candidates that preserve the seed's predicted
-class while increasing prediction entropy, either per seed (sample_wise)
-or from one global pool (sample_agnostic).
+Each baseline is a draw step and an apply step. The draw step takes one
+variant's parameters from the variant's own counter-based stream: the
+cutout corner, the gridmask phase, or the rand_lite op list and its
+values. So every candidate is reproducible from its identifiers. The apply
+step writes the transform in place into a stack of images, all the
+variants of a block at once. cutout, gridmask and rand_lite are the
+one-image forms of the same two steps.
+
+expand_block runs a baseline on a block of seeds. It draws every variant
+through one re-keyed generator (rng.rekeyed), writes the variants into the
+caller's pixel array and scores each seed with its R variants as one
+(1 + R) stack, one gemv per row, so no variant's bytes depend on the block
+it shares. score_candidates scores one seed's augmented images the same
+way for selective_expand, which takes any (image, stream) -> Image
+augmenter. Selective expansion keeps the candidates that preserve the
+seed's predicted class while increasing prediction entropy, either per
+seed (sample_wise) or from one global pool (sample_agnostic).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import latentmath as lm
 from .backends import Image
 from .errors import ParameterError, ShapeError, check_count, check_real
-from .rng import RngStream
+from .rng import RngStream, rekeyed
+
+if TYPE_CHECKING:
+    from .pipeline import ExpansionConfig
 
 SELECTION_MODES = ("sample_wise", "sample_agnostic")
 
@@ -33,18 +46,56 @@ def check_gridmask_params(period: int, keep_ratio: float) -> None:
     check_real("keep_ratio", keep_ratio, 0.0, 1.0, open_low=True)
 
 
+def _check_square(shape: tuple) -> None:
+    if shape[0] != shape[1]:
+        raise ShapeError(f"rand_lite needs square images for rotation, got {shape[0]}x{shape[1]}")
+
+
+def _blank(pixels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set to mid-gray each pixel of pixels (..., H, W, C) whose row is true
+    in rows (..., H) and whose column is true in cols (..., W)."""
+    np.copyto(pixels, 0.5, where=(rows[..., :, None] & cols[..., None, :])[..., None])
+
+
+def cutout_side(frac: float, shape: tuple) -> int:
+    return int(round(frac * min(shape[0], shape[1])))
+
+
+def draw_cutout(gen: np.random.Generator, shape: tuple, side: int) -> tuple:
+    """The corner (y0, x0) of one side x side patch, side >= 1, in an image of shape (H, W, C)."""
+    return int(gen.integers(0, shape[0] - side + 1)), int(gen.integers(0, shape[1] - side + 1))
+
+
+def apply_cutout(pixels: np.ndarray, corners: np.ndarray, side: int) -> None:
+    """Blank the side x side patch at corners (..., 2) of each image of pixels (..., H, W, C)."""
+    y = np.arange(pixels.shape[-3]) - corners[..., :1]
+    x = np.arange(pixels.shape[-2]) - corners[..., 1:]
+    _blank(pixels, (0 <= y) & (y < side), (0 <= x) & (x < side))
+
+
 def cutout(image: Image, frac: float, rng_stream: RngStream) -> Image:
     """Blank a random square patch, side = round(frac * min(H, W)), to mid-gray."""
     check_cutout_frac(frac)
-    h, w, _ = image.pixels.shape
-    side = int(round(frac * min(h, w)))
     px = image.pixels.copy()
+    side = cutout_side(frac, px.shape)
     if side >= 1:
-        gen = rng_stream.generator()
-        y0 = int(gen.integers(0, h - side + 1))
-        x0 = int(gen.integers(0, w - side + 1))
-        px[y0 : y0 + side, x0 : x0 + side, :] = 0.5
+        apply_cutout(px, np.array(draw_cutout(rng_stream.generator(), px.shape, side)), side)
     return Image(px)
+
+
+def grid_hole(period: int, keep_ratio: float) -> int:
+    return int(round((1.0 - keep_ratio) * period))
+
+
+def draw_grid_phase(gen: np.random.Generator, period: int) -> np.ndarray:
+    """One gridmask phase (dy, dx), each uniform in [0, period)."""
+    return gen.integers(0, period, 2)
+
+
+def apply_gridmask(pixels: np.ndarray, phases: np.ndarray, period: int, hole: int) -> None:
+    """Blank the grid of holes at phases (..., 2) of each image of pixels (..., H, W, C)."""
+    _blank(pixels, (np.arange(pixels.shape[-3]) + phases[..., :1]) % period < hole,
+           (np.arange(pixels.shape[-2]) + phases[..., 1:]) % period < hole)
 
 
 def gridmask(image: Image, period: int, keep_ratio: float, phase=(0, 0)) -> Image:
@@ -55,50 +106,112 @@ def gridmask(image: Image, period: int, keep_ratio: float, phase=(0, 0)) -> Imag
     check_gridmask_params(period, keep_ratio)
     if len(phase) != 2:
         raise ParameterError(f"phase must be two offsets, got {phase!r}")
-    hole = int(round((1.0 - keep_ratio) * period))
     px = image.pixels.copy()
+    hole = grid_hole(period, keep_ratio)
     if hole > 0:
-        h, w, _ = px.shape
-        yy = (np.arange(h)[:, None] + int(phase[0])) % period < hole
-        xx = (np.arange(w)[None, :] + int(phase[1])) % period < hole
-        px[yy & xx] = 0.5
+        apply_gridmask(px, np.array([int(p) for p in phase]), period, hole)
     return Image(px)
 
 
-def _translate(px: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    out = np.full_like(px, 0.5)
-    h, w, _ = px.shape
-    ys = slice(max(0, dy), h + min(0, dy))
-    xs = slice(max(0, dx), w + min(0, dx))
-    ys_src = slice(max(0, -dy), h + min(0, -dy))
-    xs_src = slice(max(0, -dx), w + min(0, -dx))
-    out[ys, xs] = px[ys_src, xs_src]
+def _shift(pixels: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Each image of pixels (M, H, W, C) moved down by dy and right by dx,
+    shifts (M, 2) holding each image's (dy, dx); what it uncovers is mid-gray."""
+    m, h, w = pixels.shape[:3]
+    y = np.arange(h) - shifts[:, :1]  # each output row's source row
+    x = np.arange(w) - shifts[:, 1:]
+    out = pixels[np.arange(m)[:, None, None], y.clip(0, h - 1)[:, :, None],
+                 x.clip(0, w - 1)[:, None, :]]
+    out[((y < 0) | (y >= h))[:, :, None] | ((x < 0) | (x >= w))[:, None, :]] = 0.5
     return out
+
+
+def _translate(px: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    return _shift(px[None], np.array([[dy, dx]]))[0]
+
+
+# rand_lite's ops, each on a stack (M, H, W, C) of square images with one
+# value per image: flip, rotate, brightness, shift
+_RAND_LITE_OPS = (
+    lambda px, values: px[:, :, ::-1],
+    lambda px, values: np.rot90(px, axes=(1, 2)),
+    lambda px, values: np.clip(px * np.array(values)[:, None, None, None], 0.0, 1.0),
+    lambda px, values: _shift(px, np.array(values)),
+)
+
+
+def draw_rand_lite(gen: np.random.Generator, shape: tuple) -> list:
+    """One rand_lite op list for an image of shape (H, W, C): one or two
+    distinct ops, each (op, value), value the brightness factor of op 2, the
+    shift (dy, dx) of op 3 and None for a flip (0) or rotation (1)."""
+    h, w = shape[:2]
+    ops = []
+    for op in gen.choice(4, size=int(gen.integers(1, 3)), replace=False).tolist():
+        value = None
+        if op == 2:
+            value = float(gen.uniform(0.7, 1.3))
+        elif op == 3:
+            value = (int(gen.integers(-(h // 4), h // 4 + 1)),
+                     int(gen.integers(-(w // 4), w // 4 + 1)))
+        ops.append((op, value))
+    return ops
+
+
+def apply_rand_lite(pixels: np.ndarray, draws: list) -> None:
+    """Apply each image's op list (draw_rand_lite) to the square stack pixels
+    (M, H, W, C) in place. Step s of every image runs before step s + 1 of
+    any, each op on all the images that take it at that step at once. A
+    brightness factor multiplies in float64 and rounds to float32 once;
+    flips, rotations and shifts only move pixels and fill 0.5, so rounding
+    before them gives the bytes of rounding after them."""
+    for step in range(2):
+        for op, apply in enumerate(_RAND_LITE_OPS):
+            picked = [(m, ops[step][1]) for m, ops in enumerate(draws)
+                      if len(ops) > step and ops[step][0] == op]
+            if picked:
+                index, values = (list(t) for t in zip(*picked))
+                pixels[index] = apply(pixels[index], values)
 
 
 def rand_lite(image: Image, rng_stream: RngStream) -> Image:
     """One or two light transforms drawn from flip, rotate, brightness, shift."""
-    h, w, _ = image.pixels.shape
-    if h != w:
-        raise ShapeError(f"rand_lite needs square images for rotation, got {h}x{w}")
-    gen = rng_stream.generator()
-    n_ops = int(gen.integers(1, 3))
-    ops = gen.choice(4, size=n_ops, replace=False)
-    px = image.pixels.astype(np.float64)
-    for op in ops:
-        if op == 0:
-            px = px[:, ::-1, :]
-        elif op == 1:
-            px = np.rot90(px, k=1, axes=(0, 1))
-        elif op == 2:
-            alpha = float(gen.uniform(0.7, 1.3))
-            px = np.clip(px * alpha, 0.0, 1.0)
-        else:
-            max_dy, max_dx = h // 4, w // 4
-            dy = int(gen.integers(-max_dy, max_dy + 1))
-            dx = int(gen.integers(-max_dx, max_dx + 1))
-            px = _translate(px, dy, dx)
-    return Image(px)  # Image casts into a new float32 array
+    _check_square(image.pixels.shape)
+    px = image.pixels[None].copy()
+    apply_rand_lite(px, [draw_rand_lite(rng_stream.generator(), px.shape[1:])])
+    return Image(px[0])
+
+
+def baseline_steps(name: str, config: ExpansionConfig, shape: tuple):
+    """The (draw, apply) steps of baseline name, "cutout", "gridmask" or
+    "randlite", under config on images of shape (H, W, C): draw(gen) takes
+    one variant's parameters from its generator, and apply(pixels, params)
+    writes the M variants of a stack (M, H, W, C) in place from their M
+    parameters. None for a patch or hole of side 0, which changes nothing.
+    Raises ParameterError where the config can blank a whole image, which
+    leaves no embedding to score, and ShapeError where rand_lite meets a
+    non-square image."""
+    h, w = shape[:2]
+    if name == "cutout":
+        side = cutout_side(config.cutout_frac, shape)
+        if side == h == w:
+            raise ParameterError(f"--cutout-frac {config.cutout_frac} blanks the whole "
+                                 f"{h}x{w} image, which leaves nothing to score")
+        if side == 0:
+            return None
+        return (lambda gen: draw_cutout(gen, shape, side),
+                lambda px, corners: apply_cutout(px, np.array(corners), side))
+    if name == "gridmask":
+        period, hole = config.grid_period, grid_hole(config.grid_period, config.grid_keep)
+        # each axis is all hole at phase 0 once the hole spans the period or the image
+        if hole >= min(period, h) and hole >= min(period, w):
+            raise ParameterError(f"--grid-keep {config.grid_keep} with --grid-period {period} "
+                                 f"blanks the whole {h}x{w} image at some phase, which leaves "
+                                 f"nothing to score")
+        if hole == 0:
+            return None
+        return (lambda gen: draw_grid_phase(gen, period),
+                lambda px, phases: apply_gridmask(px, np.array(phases), period, hole))
+    _check_square(shape)
+    return lambda gen: draw_rand_lite(gen, shape), apply_rand_lite
 
 
 @dataclass(eq=False)
@@ -116,29 +229,84 @@ class SelectionRecord:
     embedding: np.ndarray | None = field(default=None, repr=False)
 
 
-def _rank_key(record: SelectionRecord):
+def _rank(qualified: bool, consistent: bool, gain: float, stream_id: str) -> tuple:
     # qualified candidates first, then consistent ones, each by gain
     # descending; the stream id breaks exact ties deterministically
-    tier = 0 if record.qualified else (1 if record.consistent else 2)
-    return (tier, -record.entropy_gain, record.stream_id)
+    return (0 if qualified else (1 if consistent else 2), -gain, stream_id)
+
+
+def _rank_key(record: SelectionRecord):
+    return _rank(record.qualified, record.consistent, record.entropy_gain, record.stream_id)
+
+
+def _top(k: int, qualified, consistent, gains, stream_ids) -> list:
+    """The indices of the k first of one seed's candidates in _rank order."""
+    ranks = [_rank(*key) for key in zip(qualified, consistent, gains, stream_ids)]
+    return sorted(range(len(ranks)), key=ranks.__getitem__)[:k]
+
+
+def _score_rows(embeddings: np.ndarray, head) -> tuple:
+    """(s_con, gain, consistent, qualified), each (..., R), of R images
+    against their seed, from embeddings (..., 1 + R, E) whose row 0 is the
+    seed's. An image qualifies when it keeps the seed's predicted class and
+    gains prediction entropy."""
+    probs = head.predict_rows(embeddings)
+    s_con, gains = lm.consistency_entropy_rows(probs[..., 1:, :], probs[..., 0, :])
+    consistent = probs[..., 1:, :].argmax(axis=-1) == probs[..., :1, :].argmax(axis=-1)
+    return s_con, gains, consistent, consistent & (gains > 0.0)
 
 
 def score_candidates(seed, candidates, streams, embedder, head, seed_index: int = 0):
     """One SelectionRecord per candidate image of one seed, candidate c drawn
     from streams[c]. The seed and its candidates are embedded as one stack
-    (embedder.embed_images) and classified as one (head.predict_rows). A
-    candidate qualifies when it keeps the seed's predicted class and gains
-    prediction entropy."""
+    (embedder.embed_images) and scored by _score_rows."""
     # row 0 is the seed, row 1 + c candidate c
     embeddings = embedder.embed_images([seed, *candidates])
-    probs = head.predict_rows(embeddings)
-    s_con, gains = (t.tolist() for t in lm.consistency_entropy_rows(probs[1:], probs[0]))
-    consistent = (probs[1:].argmax(axis=-1) == probs[0].argmax()).tolist()
-    return [
-        SelectionRecord(seed_index, c, stream.id, s_con[c], gains[c], consistent[c],
-                        consistent[c] and gains[c] > 0.0, embeddings[1 + c])
-        for c, stream in enumerate(streams)
-    ]
+    rows = zip(*(t.tolist() for t in _score_rows(embeddings, head)))
+    return [SelectionRecord(seed_index, c, stream.id, *row, embeddings[1 + c])
+            for c, (stream, row) in enumerate(zip(streams, rows))]
+
+
+def expand_block(seed_pixels, out, steps, embedder, head, streams, budget=None):
+    """Expand G seeds, seed_pixels (G, H, W, C), by a baseline's steps
+    (baseline_steps), writing seed g's K variants into out[g], out being
+    (G, K, H, W, C). Returns their (G, K) columns and their G * K stream ids.
+
+    A plain baseline draws variant i of seed g from streams[g].child("variant",
+    i). A selective one (budget set) draws budget candidates per seed from
+    streams[g].child("seed", 0, "cand", c) and keeps each seed's top K in
+    _rank order, as selective_expand does for one seed in sample_wise mode.
+    Both score columns hold each variant's s_con, entropy gain and
+    diversity term among the seed's K."""
+    g, k = out.shape[:2]
+    parts = ("variant",) if budget is None else ("seed", 0, "cand")
+    subs = [[stream.child(*parts, c) for c in range(budget or k)] for stream in streams]
+    pool = out if budget is None else np.empty((g, budget) + out.shape[2:], np.float32)
+    pool[...] = seed_pixels[:, None]
+    if steps is not None:
+        draw, apply = steps
+        params = [draw(gen) for gen in rekeyed(sub for row in subs for sub in row)]
+        apply(pool.reshape((-1,) + pool.shape[2:]), params)  # a view: pool is contiguous
+    stack = np.concatenate([seed_pixels[:, None], pool], axis=1)
+    # one embed_flat call per seed, its row 0 the seed, and below one
+    # diversity_terms_rows call per seed: the call shapes the per-seed path
+    # made, which tests pin; a call per block measured no faster
+    embeddings = np.stack([embedder.embed_flat(one.reshape(len(one), -1)) for one in stack])
+    terms = (*_score_rows(embeddings, head), embeddings[:, 1:])
+    ids = [[sub.id for sub in row] for row in subs]
+    if budget is not None:
+        s_con, gains, consistent, qualified, _ = terms
+        picks = np.array([_top(k, *seed) for seed in zip(
+            qualified.tolist(), consistent.tolist(), gains.tolist(), ids)])
+        rows = np.arange(g)[:, None]
+        out[...] = pool[rows, picks]
+        terms = tuple(t[rows, picks] for t in terms)
+        ids = [[row[c] for c in pick] for row, pick in zip(ids, picks.tolist())]
+    s_con, gains, consistent, qualified, embeddings = terms
+    scores = np.stack([s_con, gains, [lm.diversity_terms_rows(e) for e in embeddings]], axis=-1)
+    columns = dict(scores_initial=scores, scores_final=scores, consistent=consistent,
+                   qualified=qualified)
+    return columns, [i for row in ids for i in row]
 
 
 def selective_expand(

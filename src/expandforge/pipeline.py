@@ -27,7 +27,7 @@ import numpy as np
 from . import augment as ag
 from . import guidance as gd
 from . import latentmath as lm
-from .backends import Embedder, Image, LabeledDataset, LinearCodec, ZeroShotHead, bad_image_index
+from .backends import Embedder, LabeledDataset, LinearCodec, ZeroShotHead, bad_image_index
 from .errors import (FormatError, InputError, NumericInputError, ParameterError, check_count,
                      check_real)
 from .rng import RngStream
@@ -549,49 +549,11 @@ def seed_content_key(record: np.void) -> str:
     return hashlib.sha256(record).hexdigest()
 
 
-# variant rows (seeds x K) per guided ascent stack: 32 seeds at K=5. A
-# block's stacked Jacobians and decoded pixels stay a few hundred kB each,
-# so peak memory does not grow with the dataset
+# variant rows (seeds x K, or x the candidate budget) per block: 32 seeds at
+# K=5. A guided block's stacked Jacobians and decoded pixels, or a baseline
+# block's candidate pool, stay a few hundred kB each, so peak memory does
+# not grow with the dataset
 ASCENT_BLOCK_ROWS = 160
-
-
-def _augmenter(method, config):
-    """The (image, stream) -> Image transform of a baseline method; a
-    selective method augments as its plain counterpart does."""
-
-    def grid(image, stream):
-        phase = tuple(int(v) for v in stream.generator().integers(0, config.grid_period, 2))
-        return ag.gridmask(image, config.grid_period, config.grid_keep, phase)
-
-    return {
-        "cutout": lambda image, stream: ag.cutout(image, config.cutout_frac, stream),
-        "gridmask": grid,
-        "randlite": ag.rand_lite,
-    }[method.removeprefix("selective_")]
-
-
-def _expand_one_seed(image, method, config, backends, stream):
-    """All K variants of one seed by an augmentation baseline, their stream
-    ids and their (K,) columns: the plain methods score their K variants, the
-    selective ones pick K from a scored candidate pool (sample_wise). Both
-    score columns hold the scores augment.score_candidates measured."""
-    augmenter = _augmenter(method, config)
-    if method.startswith("selective_"):
-        images, selected = ag.selective_expand(
-            [image], augmenter, backends.embedder, backends.head, config.ratio_k, stream,
-            mode="sample_wise", candidate_budget=config.candidate_budget,
-        )
-    else:
-        streams = [stream.child("variant", i) for i in range(config.ratio_k)]
-        images = [augmenter(image, sub) for sub in streams]
-        selected = ag.score_candidates(image, images, streams, backends.embedder, backends.head)
-    scores = np.stack([[sel.s_con for sel in selected], [sel.entropy_gain for sel in selected],
-                       lm.diversity_terms_rows(np.stack([sel.embedding for sel in selected]))],
-                      axis=-1)
-    columns = dict(scores_initial=scores, scores_final=scores,
-                   consistent=[sel.consistent for sel in selected],
-                   qualified=[sel.qualified for sel in selected])
-    return images, [sel.stream_id for sel in selected], columns
 
 
 def expand_dataset(
@@ -620,24 +582,30 @@ def expand_dataset(
     if method in GUIDED_METHODS:
         # looked up at call time, so a wrapper installed on the module applies
         flow = gd.expand_embedding_block if method == "gif_embed" else gd.expand_latent_block
-        per_block = max(1, ASCENT_BLOCK_ROWS // k)
-        for start in range(0, n, per_block):
-            block = slice(start, start + per_block)
+        budget = None
+    else:
+        # a selective method draws a candidate pool, 4K per seed unless the
+        # config sets it, by its plain counterpart's steps
+        steps = ag.baseline_steps(method.removeprefix("selective_"), config, dataset.image_shape)
+        budget = ((4 * k if config.candidate_budget is None else config.candidate_budget)
+                  if method.startswith("selective_") else None)
+    per_block = max(1, ASCENT_BLOCK_ROWS // (budget or k))
+    stream_ids = []
+    for start in range(0, n, per_block):
+        block = slice(start, start + per_block)
+        if method in GUIDED_METHODS:
             variants[block], block_columns, _ = flow(dataset.pixels[block], backends.codec,
                                                      backends.embedder, backends.head, config,
                                                      streams[block])
-            for key, column in block_columns.items():
-                columns[key][block] = column
-        stream_ids = [stream.child("variant", i).id for stream in streams for i in range(k)]
-    else:
-        stream_ids = []
-        for j, stream in enumerate(streams):
-            images, ids, seed_columns = _expand_one_seed(Image(dataset.pixels[j]), method, config,
-                                                         backends, stream)
-            variants[j] = [image.pixels for image in images]
-            for key, column in seed_columns.items():
-                columns[key][j] = column
+            stream_ids += [stream.child("variant", i).id for stream in streams[block]
+                           for i in range(k)]
+        else:
+            block_columns, ids = ag.expand_block(dataset.pixels[block], variants[block], steps,
+                                                 backends.embedder, backends.head,
+                                                 streams[block], budget)
             stream_ids += ids
+        for key, column in block_columns.items():
+            columns[key][block] = column
     for key in ("scores_initial", "scores_final"):
         total = lm.weighted_total(*np.moveaxis(columns[key], -1, 0), config.weights)
         columns[key] = np.concatenate([columns[key], total[..., None]], axis=-1)

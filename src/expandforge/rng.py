@@ -5,12 +5,21 @@ identifiers (global seed, seed index, variant index, purpose tag, ...).
 The key is hashed into a Philox counter key, so draws depend only on the
 identifiers, never on scheduling order or on how many draws other streams
 made. Equal identifiers give bit-identical draws.
+
+`rekeyed(streams)` draws many streams through one bit generator. For each
+stream it sets the Philox key to the stream's key and resets the counter,
+the output buffer and the buffered 32-bit half to a fresh Philox's, so
+the Generator it yields draws exactly what `stream.generator()` would,
+whatever the previous stream left behind. Re-keying costs about a tenth of
+building a fresh generator. The Generator is one shared object: draw from
+it before asking for the next stream, and keep no reference to it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +27,8 @@ import numpy as np
 from .errors import ParameterError, check_count
 
 
-def derive_key(parts: tuple) -> int:
-    """Hash a tuple of ints/strings into a 128-bit Philox key."""
-    h = hashlib.sha256()
+def _hashed(parts: tuple, h):
+    """h updated with each id part in turn, h returned."""
     for part in parts:
         if isinstance(part, bool) or not isinstance(part, (int, str)):
             if isinstance(part, bool) or not isinstance(part, numbers.Integral):
@@ -28,7 +36,31 @@ def derive_key(parts: tuple) -> int:
             part = int(part)  # a numpy integer hashes as the int of equal value
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
-    return int.from_bytes(h.digest()[:16], "little")
+    return h
+
+
+def derive_key(parts: tuple) -> int:
+    """Hash a tuple of ints/strings into a 128-bit Philox key."""
+    return int.from_bytes(_hashed(parts, hashlib.sha256()).digest()[:16], "little")
+
+
+def rekeyed(streams):
+    """Yield, for each stream in turn, a Generator that draws what
+    stream.generator() draws: one Philox re-keyed for every stream, see the
+    module docstring. Consecutive streams that differ only in their last id
+    part share the hash of the parts before it."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh Philox's: zero counter, empty buffers
+    prefix, prefix_hash = None, None
+    for stream in streams:
+        if stream.parts[:-1] != prefix:
+            prefix = stream.parts[:-1]
+            prefix_hash = _hashed(prefix, hashlib.sha256())
+        digest = _hashed(stream.parts[-1:], prefix_hash.copy()).digest()
+        state["state"]["key"] = list(struct.unpack_from("<2Q", digest))  # derive_key's two words
+        bitgen.state = state
+        yield gen
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ are derivable by hand instead of depending on the toy renderer.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -373,3 +374,30 @@ def test_selective_expand_checks_every_image_shape():
     shrink = lambda im, st: small if st.id.endswith("/cand/2") else ag.rand_lite(im, st)
     with pytest.raises(ShapeError):
         ag.selective_expand(data.images[:1], shrink, embedder, head, 1, _stream("shape"))
+
+
+def test_baseline_steps_refuse_exactly_the_configs_that_can_blank_an_image():
+    # some phase or patch corner blanks every pixel just when the steps
+    # refuse; a cutout patch blanks everything only where it has one corner
+    config = types.SimpleNamespace(cutout_frac=0.4, grid_period=2, grid_keep=0.5)
+    for h, w, period, keep in itertools.product(range(1, 6), range(1, 6), range(2, 7),
+                                                (0.01, 0.3, 0.5, 0.8, 1.0)):
+        config.grid_period, config.grid_keep = period, keep
+        img = bk.Image(np.full((h, w, 1), 0.9))
+        can_blank = any(np.all(ag.gridmask(img, period, keep, (py, px)).pixels == 0.5)
+                        for py in range(period) for px in range(period))
+        if can_blank:
+            with pytest.raises(ParameterError, match="--grid-keep"):
+                ag.baseline_steps("gridmask", config, (h, w, 1))
+        else:
+            ag.baseline_steps("gridmask", config, (h, w, 1))
+    for h, w, frac in itertools.product(range(1, 7), range(1, 7), (0.0, 0.5, 0.9, 1.0)):
+        config.cutout_frac = frac
+        img = bk.Image(np.full((h, w, 1), 0.9))
+        if np.all(ag.cutout(img, frac, _stream("co-blank")).pixels == 0.5):
+            with pytest.raises(ParameterError, match="--cutout-frac"):
+                ag.baseline_steps("cutout", config, (h, w, 1))
+        else:
+            ag.baseline_steps("cutout", config, (h, w, 1))
+    with pytest.raises(ShapeError):
+        ag.baseline_steps("randlite", config, (8, 12, 1))

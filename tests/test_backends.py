@@ -107,6 +107,30 @@ def test_stream_id_parts_are_ints_or_strings():
         RngStream.root(np.bool_(False))
 
 
+def _draws(gen, n_ints):
+    # small-range integers and choice draw 32 bits at a time, so an odd
+    # count leaves the second half of a 64-bit output buffered
+    return ([int(gen.integers(0, 7)) for _ in range(n_ints)]
+            + gen.choice(4, size=2, replace=False).tolist() + [gen.uniform(0.7, 1.3)])
+
+
+def test_rekeyed_generator_draws_what_a_fresh_one_draws():
+    # runs of siblings that share all but their last id part, as a block's
+    # variants do, then streams with new prefixes of other lengths
+    root = RngStream.root(11)
+    streams = [root.child("seed", j, "cand", c) for j in range(40) for c in range(25)]
+    streams += [root.child(j) for j in range(30)] + [RngStream.root(j) for j in range(30)]
+    streams += [RngStream(("x",) * j) for j in range(5)]  # down to the empty id
+    buffered = 0
+    for s, (stream, gen) in enumerate(zip(streams, rng.rekeyed(streams))):
+        n_ints = s % 4  # every other stream leaves a buffered uint32 behind
+        assert _draws(gen, n_ints) == _draws(stream.generator(), n_ints), stream.id
+        buffered += gen.bit_generator.state["has_uint32"]
+    assert s + 1 == len(streams) > 1000 and buffered > 500
+    with pytest.raises(ParameterError):
+        next(rng.rekeyed([root.child(1.5)]))
+
+
 def test_check_real_ends_infinities_and_types():
     errors.check_real("x", 0, 0)
     errors.check_real("x", 1, 0, 1)

@@ -6,10 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expandforge.backends as bk
 import expandforge.cli as cli
@@ -391,6 +394,65 @@ def test_every_expand_config_flag_reaches_the_manifest(tmp_path):
         "weights": [0.5, 0.25, 2.0], "noise_mode": "token", "retries": 1,
         "candidate_budget": 7, "cutout_frac": 0.25, "grid_period": 4, "grid_keep": 0.75,
     }
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("cutout", dict(cutout_frac=1)),
+    ("selective_cutout", dict(cutout_frac=1)),
+    ("gridmask", dict(grid_keep=0.06)),  # hole round(0.94 * 8) = 8, the period
+    ("gridmask", dict(grid_period=100)),
+])
+def test_a_setting_that_blanks_every_pixel_exits_one_before_writing(tmp_path, capsys, method,
+                                                                     flags):
+    # a blank image embeds to the zero vector, which the head cannot score
+    src = _toygen(tmp_path, classes=2, per_class=3, size=8)
+    out = tmp_path / "blank.gifx"
+    assert cli.main(_small_expand_args(src, out, method=method, **flags)) == 1
+    flag = "--" + next(iter(flags)).replace("_", "-")
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
+
+
+@pytest.mark.parametrize("method", ["randlite", "selective_randlite"])
+def test_randlite_on_non_square_images_exits_two_before_writing(tmp_path, capsys, method):
+    data = bk.gen_toy_dataset(2, 3, 8, seed=7)
+    src = tmp_path / "wide.gifx"
+    pl.write_dataset(bk.LabeledDataset(np.concatenate([data.pixels, data.pixels], axis=2),
+                                       data.labels, data.class_names), src)
+    assert cli.main(_small_expand_args(src, tmp_path / "o.gifx", method=method)) == 2
+    assert "square" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.gifx"]
+
+
+_FUZZ_INPUT = pl.dataset_bytes(bk.gen_toy_dataset(2, 3, 8, seed=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(method=st.sampled_from(["cutout", "gridmask", "randlite", "selective_cutout",
+                               "selective_randlite"]),
+       ratio=st.integers(1, 4), budget=st.none() | st.integers(1, 9),
+       cutout_frac=st.sampled_from([0, 0.01, 0.4, 1]), grid_period=st.sampled_from([2, 3, 8, 100]),
+       grid_keep=st.sampled_from([0.01, 0.5, 1]), tau=st.sampled_from([1e-300, 1, 1e308]))
+def test_baseline_expand_flags_fuzz(method, ratio, budget, cutout_frac, grid_period, grid_keep,
+                                    tau):
+    # the input is valid, so no setting may end in a data error (exit 2)
+    flags = dict(cutout_frac=cutout_frac, grid_period=grid_period, grid_keep=grid_keep, tau=tau)
+    if budget is not None:
+        flags["budget"] = budget
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "in.gifx"), Path(tmp, "out.gifx")
+        src.write_bytes(_FUZZ_INPUT)
+        code = cli.main(_small_expand_args(src, out, method=method, ratio=ratio, **flags))
+        assert code in (0, 1, 3)
+        if code != 0:
+            assert sorted(os.listdir(tmp)) == ["in.gifx"]
+            return
+        manifest_path = Path(f"{out}.manifest.json")
+        manifest = pl.read_manifest(manifest_path)
+        manifest.verify_against(pl.read_dataset(src), pl.read_dataset(out))
+        again = Path(tmp, "again.json")
+        pl.write_manifest(manifest, again)
+        assert again.read_bytes() == manifest_path.read_bytes()
 
 
 def _cli_with_file_limit(limit: int, argv):

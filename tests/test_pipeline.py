@@ -18,9 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import expandforge.augment as ag
 import expandforge.backends as bk
+import expandforge.latentmath as lm
 import expandforge.pipeline as pl
-from expandforge.errors import FormatError, InputError, ParameterError
+from expandforge.errors import FormatError, InputError, ParameterError, ShapeError
 from expandforge.rng import RngStream
 
 
@@ -737,6 +739,82 @@ def test_selective_methods_embed_each_image_once(method, monkeypatch):
     else:
         # each seed with its K variants, in one call
         assert rows == [(1 + k,)] * n
+
+
+BASELINES = ("cutout", "gridmask", "randlite", "selective_cutout", "selective_randlite")
+
+
+def _one_image_expansion(data, method, config, bundle, global_seed):
+    """A baseline's variants, (N, K, 3) scores and flag columns and stream
+    ids as the one-image functions make them, one seed at a time: each
+    variant by cutout, gridmask or rand_lite with its own stream.generator(),
+    scored by score_candidates, a selective method's picked by
+    selective_expand over its seed alone."""
+    augmenter = {
+        "cutout": lambda image, stream: ag.cutout(image, config.cutout_frac, stream),
+        "gridmask": lambda image, stream: ag.gridmask(
+            image, config.grid_period, config.grid_keep,
+            stream.generator().integers(0, config.grid_period, 2)),
+        "randlite": ag.rand_lite,
+    }[method.removeprefix("selective_")]
+    k, root = config.ratio_k, RngStream.root(global_seed)
+    variants, scores, consistent, qualified, ids = [], [], [], [], []
+    for record, image in zip(pl._gifx(data)[1], data.images):
+        stream = root.child("method", method, "seed", pl.seed_content_key(record))
+        if method.startswith("selective_"):
+            images, picked = ag.selective_expand([image], augmenter, bundle.embedder, bundle.head,
+                                                 k, stream,
+                                                 candidate_budget=config.candidate_budget)
+        else:
+            subs = [stream.child("variant", i) for i in range(k)]
+            images = [augmenter(image, sub) for sub in subs]
+            picked = ag.score_candidates(image, images, subs, bundle.embedder, bundle.head)
+        variants.append([img.pixels for img in images])
+        scores.append(np.stack([[r.s_con for r in picked], [r.entropy_gain for r in picked],
+                                lm.diversity_terms_rows(np.stack([r.embedding for r in picked]))],
+                               axis=-1))
+        consistent.append([r.consistent for r in picked])
+        qualified.append([r.qualified for r in picked])
+        ids += [r.stream_id for r in picked]
+    return np.array(variants), np.array(scores), np.array(consistent), np.array(qualified), ids
+
+
+@functools.lru_cache(maxsize=None)
+def _non_square():
+    data = _data()
+    data = bk.LabeledDataset(data.pixels[:, :, 2:14], data.labels, list(data.class_names))
+    embedder = bk.make_embedder(data.image_shape, 32, seed=0)
+    return data, pl.BackendBundle(None, embedder, bk.fit_prototype_head(data, embedder))
+
+
+@pytest.mark.parametrize("method", BASELINES)
+@pytest.mark.parametrize("seeds, config, block_rows", [
+    (12, pl.ExpansionConfig(ratio_k=1), 160),
+    (5, pl.ExpansionConfig(ratio_k=3, candidate_budget=3), 3),
+    (12, pl.ExpansionConfig(ratio_k=2, candidate_budget=5, cutout_frac=0.0, grid_keep=1.0), 9),
+    (7, pl.ExpansionConfig(ratio_k=4, cutout_frac=0.7, grid_period=3, grid_keep=0.4), 16),
+    (12, "non-square", 160),
+])
+def test_block_baselines_equal_the_one_image_functions(method, seeds, config, block_rows,
+                                                       monkeypatch):
+    # every block layout, from one seed per block to all in one
+    monkeypatch.setattr(pl, "ASCENT_BLOCK_ROWS", block_rows)
+    data, bundle = _data().subset(range(seeds)), _bundle()
+    if config == "non-square":
+        (data, bundle), config = _non_square(), pl.ExpansionConfig(ratio_k=2)
+        if method.endswith("randlite"):
+            with pytest.raises(ShapeError):
+                pl.expand_dataset(data, method, config, bundle, global_seed=3)
+            return
+    expanded, manifest = pl.expand_dataset(data, method, config, bundle, global_seed=3)
+    variants, scores, consistent, qualified, ids = _one_image_expansion(data, method, config,
+                                                                        bundle, 3)
+    assert expanded.pixels[seeds:].tobytes() == variants.tobytes()
+    for key in ("scores_initial", "scores_final"):
+        assert manifest.columns[key][..., :3].tobytes() == scores.tobytes()
+    assert np.array_equal(manifest.columns["consistent"], consistent)
+    assert np.array_equal(manifest.columns["qualified"], qualified)
+    assert manifest.columns["stream_id"] == ids
 
 
 def test_expand_rejects_empty_dataset():
