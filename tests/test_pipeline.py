@@ -791,7 +791,9 @@ def _non_square():
 @pytest.mark.parametrize("seeds, config, block_rows", [
     (12, pl.ExpansionConfig(ratio_k=1), 160),
     (5, pl.ExpansionConfig(ratio_k=3, candidate_budget=3), 3),
-    (12, pl.ExpansionConfig(ratio_k=2, candidate_budget=5, cutout_frac=0.0, grid_keep=1.0), 9),
+    # no patch or hole: every candidate ties, and the stream id orders them,
+    # so "cand/10" comes before "cand/2"
+    (12, pl.ExpansionConfig(ratio_k=3, candidate_budget=12, cutout_frac=0.0, grid_keep=1.0), 9),
     (7, pl.ExpansionConfig(ratio_k=4, cutout_frac=0.7, grid_period=3, grid_keep=0.4), 16),
     (12, "non-square", 160),
 ])
