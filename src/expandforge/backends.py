@@ -275,9 +275,7 @@ def fit_linear_codec(
     check_count("latent tokens", t, 1)
     check_count("latent channels", d, 1)
     if t * d != latent_dim:
-        raise ParameterError(
-            f"latent_shape {latent_shape} must factor latent_dim {latent_dim}"
-        )
+        raise ParameterError(f"latent_shape {latent_shape} must factor latent_dim {latent_dim}")
     x = dataset.stacked_flat()
     n, pixel_dim = x.shape
     if latent_dim > min(n, pixel_dim):
@@ -290,9 +288,7 @@ def fit_linear_codec(
     tol = max(n, pixel_dim) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
     if rank < latent_dim:
-        raise RankError(
-            f"data rank {rank} is below requested latent_dim {latent_dim}"
-        )
+        raise RankError(f"data rank {rank} is below requested latent_dim {latent_dim}")
     basis = vt[:latent_dim].copy()
     for row in basis:
         nz = np.flatnonzero(np.abs(row) > 1e-12)
@@ -362,22 +358,24 @@ class Embedder:
 
 
 def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:
-    """Gram-Schmidt orthonormalization of seeded Gaussian rows."""
+    """Two-pass modified Gram-Schmidt of seeded Gaussian rows. Pass 1 is
+    right-looking: once row i is normalized, every later row takes its step
+    against it at once, one dot per row as v @ q[i] gives it, so each row
+    sees a per-row loop's steps in its order; pass 2 loops per row."""
     pixel_dim = int(np.prod(image_shape))
     check_count("embed_dim", embed_dim, 1, pixel_dim)
     check_count("seed", seed, None)
     gen = RngStream(("embedder", seed)).generator()
-    rows = gen.standard_normal((embed_dim, pixel_dim))
-    q = np.zeros_like(rows)
+    q = gen.standard_normal((embed_dim, pixel_dim))  # at step i: q[i:] after pass 1 against q[:i]
     for i in range(embed_dim):
-        v = rows[i]
-        for _ in range(2):  # re-orthogonalize once for clean numerics
-            for j in range(i):
-                v = v - (v @ q[j]) * q[j]
+        v = q[i]
+        for j in range(i):
+            v = v - (v @ q[j]) * q[j]
         norm = np.linalg.norm(v)
         if norm < 1e-10:
             raise RankError(f"embedder row {i} collapsed during orthonormalization")
         q[i] = v / norm
+        q[i + 1:] -= np.matmul(q[i + 1:, None, :], q[i][:, None])[:, 0] * q[i]
     return Embedder(projection=q, image_shape=tuple(image_shape))
 
 
@@ -392,9 +390,7 @@ class ZeroShotHead:
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 2:
-            raise ShapeError(
-                f"prototypes must be (C >= 2, E), got {self.prototypes.shape}"
-            )
+            raise ShapeError(f"prototypes must be (C >= 2, E), got {self.prototypes.shape}")
         norms = np.linalg.norm(self.prototypes, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ParameterError("prototypes must have unit norm")

@@ -17,7 +17,9 @@ fills in an epsilon or noise_mode left None from FLOW_DEFAULTS (flow_config),
 so each default is written once.
 
 The engine ascends a block of G seeds with K variants each as one
-(G, K, T, D) stack of rows; the per-seed flows are its G = 1 case. A seed's
+(G, K, T, D) stack of rows; the per-seed flows are its G = 1 case. Each
+variant's init and retry noise comes from its own stream, and a block's
+draws go through one re-keyed generator (rng.rekeyed). A seed's
 variants are bit-identical whatever block it shares, because every stacked
 kernel rounds exactly as its one-vector form (checked on numpy 2.4 with
 OpenBLAS). Nothing in the code shows these conditions. Breaking one moves
@@ -56,7 +58,7 @@ from . import latentmath as lm
 from .backends import Embedder, Image, LinearCodec, ZeroShotHead
 from .errors import (NumericDivergenceError, NumericInputError, ParameterError, ShapeError,
                      check_count)
-from .rng import RngStream
+from .rng import RngStream, rekeyed
 
 if TYPE_CHECKING:
     from .pipeline import ExpansionConfig
@@ -97,14 +99,22 @@ class OptimizationTrace:
         return len(self.objective)
 
 
-def _draw_params(shape: tuple, noise_mode: str, gen: np.random.Generator):
-    """One (z, b) noise draw, each broadcast to shape; tied modes draw one
-    value per channel (constant along tokens) or per token."""
+def _noise(streams, lead: tuple, shape: tuple, noise_mode: str):
+    """One uniform/Gaussian (z, b) draw per stream, in order, into two lead + (T, D)
+    arrays; tied modes draw one value per channel (constant along tokens) or per token."""
     t, d = shape
     draw = {"channel": (1, d), "token": (t, 1)}.get(noise_mode, (t, d))
-    z = gen.uniform(0.0, 1.0, draw)
-    b = gen.standard_normal(draw)
-    return np.broadcast_to(z, shape), np.broadcast_to(b, shape)
+    z, b = np.empty((2, *lead, t, d))
+    for zi, bi, gen in zip(z.reshape(-1, t, d), b.reshape(-1, t, d), rekeyed(streams)):
+        zi[...] = gen.uniform(0.0, 1.0, draw)
+        bi[...] = gen.standard_normal(draw)
+    return z, b
+
+
+def _init_noise(rng_streams: list, k: int, shape: tuple, noise_mode: str):
+    """The (G, K, T, D) init (z, b) of each seed stream's K variants."""
+    inits = [s.child("variant", i, "init") for s in rng_streams for i in range(k)]
+    return _noise(inits, (len(rng_streams), k), shape, noise_mode)
 
 
 def init_perturbations(shape: tuple, k: int, noise_mode: str, rng_stream: RngStream):
@@ -112,15 +122,8 @@ def init_perturbations(shape: tuple, k: int, noise_mode: str, rng_stream: RngStr
     check_count("k", k, 1)
     if noise_mode not in lm.NOISE_MODES:
         raise ParameterError(f"noise_mode must be one of {lm.NOISE_MODES}, got {noise_mode!r}")
-    return _stacked([
-        _draw_params(shape, noise_mode, rng_stream.child("variant", i, "init").generator())
-        for i in range(k)
-    ])
-
-
-def _stacked(draws: list):
-    """A list of (z, b) pairs as one (z, b) pair with a leading axis."""
-    return np.stack([z for z, _ in draws]), np.stack([b for _, b in draws])
+    z, b = _init_noise([rng_stream], k, shape, noise_mode)
+    return z[0], b[0]
 
 
 # the token axis sums a channel-tied noise gradient, the channel axis a token-tied one
@@ -259,7 +262,7 @@ def _expand_with_chain(
     """
     k = config.ratio_k
     shape = seeds.shape[1:]
-    params = _stacked([init_perturbations(shape, k, config.noise_mode, s) for s in rng_streams])
+    params = _init_noise(rng_streams, k, shape, config.noise_mode)
     emitted, trace = optimize_guidance(seeds, chain, params, config)
     probs = trace.probs[-1].copy()
     target = np.argmax(seed_probs, axis=-1)[:, None]
@@ -268,13 +271,11 @@ def _expand_with_chain(
         groups, variants = np.nonzero(probs.argmax(axis=-1) != target)
         if groups.size == 0:
             break
-        z, b = _stacked([
-            _draw_params(shape, config.noise_mode,
-                         rng_streams[g].child("variant", int(i), "retry", r).generator())
-            for g, i in zip(groups, variants)
-        ])
+        retry = [rng_streams[g].child("variant", int(i), "retry", r)
+                 for g, i in zip(groups, variants)]
         single, single_trace = optimize_guidance(
-            seeds[groups], chain.select(groups), (z[:, None], b[:, None]), config
+            seeds[groups], chain.select(groups),
+            _noise(retry, (groups.size, 1), shape, config.noise_mode), config
         )
         emitted[groups, variants] = single[:, 0]
         probs[groups, variants] = single_trace.probs[-1][:, 0]

@@ -597,7 +597,7 @@ def expand_dataset(
             variants[block], block_columns, _ = flow(dataset.pixels[block], backends.codec,
                                                      backends.embedder, backends.head, config,
                                                      streams[block])
-            stream_ids += [stream.child("variant", i).id for stream in streams[block]
+            stream_ids += [f"{stream.id}/variant/{i}" for stream in streams[block]
                            for i in range(k)]
         else:
             block_columns, ids = ag.expand_block(dataset.pixels[block], variants[block], steps,

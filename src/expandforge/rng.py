@@ -6,19 +6,20 @@ The key is hashed into a Philox counter key, so draws depend only on the
 identifiers, never on scheduling order or on how many draws other streams
 made. Equal identifiers give bit-identical draws.
 
-`rekeyed(streams)` draws many streams through one bit generator. For each
-stream it sets the Philox key to the stream's key and resets the counter,
-the output buffer and the buffered 32-bit half to a fresh Philox's, so
-the Generator it yields draws exactly what `stream.generator()` would,
-whatever the previous stream left behind. Re-keying costs about a tenth of
-building a fresh generator. The Generator is one shared object: draw from
-it before asking for the next stream, and keep no reference to it.
+`rekeyed(streams)`, used by the baselines and the guided noise draws, draws
+many streams through one bit generator. For each stream it sets the Philox
+key to the stream's key and resets the counter, the output buffer and the
+buffered 32-bit half to a fresh Philox's, so the Generator it yields draws
+exactly what `stream.generator()` would, whatever the previous stream left
+behind, at about a tenth of a fresh generator's cost. The Generator is one
+shared object: draw from it before the next stream, and keep no reference.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -47,15 +48,17 @@ def derive_key(parts: tuple) -> int:
 def rekeyed(streams):
     """Yield, for each stream in turn, a Generator that draws what
     stream.generator() draws: one Philox re-keyed for every stream, see the
-    module docstring. Consecutive streams that differ only in their last id
-    part share the hash of the parts before it."""
+    module docstring. Consecutive streams whose parts before the last are
+    the same objects share those parts' hash."""
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh Philox's: zero counter, empty buffers
-    prefix, prefix_hash = None, None
+    prefix, prefix_hash = (), hashlib.sha256()  # the empty prefix's hash
     for stream in streams:
-        if stream.parts[:-1] != prefix:
-            prefix = stream.parts[:-1]
+        parts = stream.parts[:-1]
+        # the same objects, not equal ones: True == 1 == 1.0 but only 1 is valid
+        if len(parts) != len(prefix) or not all(map(operator.is_, parts, prefix)):
+            prefix = parts
             prefix_hash = _hashed(prefix, hashlib.sha256())
         digest = _hashed(stream.parts[-1:], prefix_hash.copy()).digest()
         state["state"]["key"] = list(struct.unpack_from("<2Q", digest))  # derive_key's two words

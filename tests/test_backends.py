@@ -1,6 +1,7 @@
 """Backend tests: toy generator, PCA codec, embedder, prototype head, and the
 embedding decode (embedder transpose then codec round trip)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -129,6 +130,23 @@ def test_rekeyed_generator_draws_what_a_fresh_one_draws():
     assert s + 1 == len(streams) > 1000 and buffered > 500
     with pytest.raises(ParameterError):
         next(rng.rekeyed([root.child(1.5)]))
+
+
+def test_rekeyed_checks_a_prefix_equal_to_the_last_but_not_the_same():
+    # True == 1 == 1.0, so a prefix compared by == alone would reuse the
+    # hash of (11, 1) for (11, True) and draw what root.child(1, "b") draws
+    root = RngStream.root(11)
+    for bad in (True, 1.0, np.float64(1.0), np.bool_(True)):
+        gens = rng.rekeyed([root.child(1, "a"), root.child(bad, "b")])
+        next(gens)
+        with pytest.raises(ParameterError):
+            next(gens)
+    # equal valid parts that are other objects draw what a fresh generator draws
+    big = 10**20
+    streams = [root.child(big, "a"), root.child(int(str(big)), "b"),
+               root.child(1, "c"), root.child(np.int64(1), "d"), root.child(1, "e")]
+    for stream, gen in zip(streams, rng.rekeyed(streams)):
+        assert _draws(gen, 3) == _draws(stream.generator(), 3), stream.id
 
 
 def test_check_real_ends_infinities_and_types():
@@ -345,6 +363,45 @@ def test_embedder_formula_and_bounds():
     assert bk.make_embedder((4, 4, 1), 8, seed=-1).embed_dim == 8
     with pytest.raises(ShapeError):
         emb.embed(bk.Image(np.zeros((5, 5, 1))))
+
+
+# sha256 of make_embedder's projection bytes, recorded from the left-looking
+# per-row loop below; (8, 8, 1) at 64 has embed_dim = pixel_dim
+EMBEDDER_SHA256 = {
+    ((16, 16, 1), 64, 0): "52d6b95b4697a45a1613dd5266a0bf4b8f6345274268166de4a7d73201d9656b",
+    ((32, 32, 1), 64, 0): "29e4264d6a2ff8723a13b44c0c4f20fcc049a3039f578d73c49eb164edc357ae",
+    ((12, 12, 3), 32, 7): "1b77b9e194a6accacc62c55342eb5eee1268ebf83cca4b5b0fcb44dec78be661",
+    ((8, 8, 1), 64, 0): "9627689026eb23e548dd7e61cc100b28969f1e509367dc9dadbb665b98a42448",
+}
+
+
+def _left_looking_projection(image_shape, embed_dim, seed):
+    """Two-pass modified Gram-Schmidt, one row at a time: both passes of row
+    i step against every earlier row in turn before row i + 1 starts."""
+    gen = RngStream(("embedder", seed)).generator()
+    rows = gen.standard_normal((embed_dim, int(np.prod(image_shape))))
+    q = np.zeros_like(rows)
+    for i in range(embed_dim):
+        v = rows[i]
+        for _ in range(2):
+            for j in range(i):
+                v = v - (v @ q[j]) * q[j]
+        q[i] = v / np.linalg.norm(v)
+    return q
+
+
+@pytest.mark.parametrize("case", list(EMBEDDER_SHA256),
+                         ids=lambda c: "x".join(map(str, c[0])) + f"@{c[1]}-seed{c[2]}")
+def test_embedder_projection_bits_are_pinned(case):
+    projection = bk.make_embedder(*case).projection
+    assert hashlib.sha256(projection.tobytes()).hexdigest() == EMBEDDER_SHA256[case]
+
+
+def test_embedder_equals_the_left_looking_loop():
+    case = ((12, 12, 3), 32, 7)
+    want = _left_looking_projection(*case)
+    assert bk.make_embedder(*case).projection.tobytes() == want.tobytes()
+    assert hashlib.sha256(want.tobytes()).hexdigest() == EMBEDDER_SHA256[case]
 
 
 def test_embed_dataset_matches_per_image_embed(monkeypatch):

@@ -459,6 +459,54 @@ class _HostilePath:
         return np.full(len(values), 0.5), np.zeros_like(values), probs
 
 
+def _fresh_noise(stream, shape, mode):
+    """A variant's (z, b) from its own fresh generator: a tied mode draws one
+    value per channel or per token and broadcasts it."""
+    t, d = shape
+    draw = {"channel": (1, d), "token": (t, 1)}.get(mode, (t, d))
+    gen = stream.generator()
+    z, b = gen.uniform(0.0, 1.0, draw), gen.standard_normal(draw)
+    return np.broadcast_to(z, shape), np.broadcast_to(b, shape)
+
+
+@pytest.mark.parametrize("mode", lm.NOISE_MODES)
+def test_block_noise_is_each_variants_own_fresh_draw(monkeypatch, mode):
+    # every variant is rejected, so each retry round redraws all G * K of them
+    calls = []
+    ascend = gd.optimize_guidance
+
+    def spy(seeds, score_fn, params, config):
+        calls.append(tuple(p.copy() for p in params))
+        return ascend(seeds, score_fn, params, config)
+
+    monkeypatch.setattr(gd, "optimize_guidance", spy)
+    g, k, shape = 3, 2, (2, 4)
+    seed_values = np.linspace(-1.0, 1.0, 8).reshape(shape)
+    streams = [_stream("block-noise", mode, j) for j in range(g)]
+    cfg = pl.ExpansionConfig(epsilon=0.5, ratio_k=k, steps=1, retries=2, noise_mode=mode)
+    gd._expand_with_chain(_HostilePath(seed_values), np.stack([seed_values] * g),
+                          np.tile([0.9, 0.1], (g, 1)), cfg, streams)
+    assert len(calls) == 1 + cfg.retries
+    (z0, b0), retries = calls[0], calls[1:]
+    assert z0.shape == b0.shape == (g, k) + shape
+    for j, stream in enumerate(streams):
+        for i in range(k):
+            want = _fresh_noise(stream.child("variant", i, "init"), shape, mode)
+            assert [z0[j, i].tobytes(), b0[j, i].tobytes()] == [w.tobytes() for w in want]
+            for r, (z, b) in enumerate(retries, start=1):
+                assert z.shape == b.shape == (g * k, 1) + shape
+                want = _fresh_noise(stream.child("variant", i, "retry", r), shape, mode)
+                got = [z[j * k + i, 0].tobytes(), b[j * k + i, 0].tobytes()]
+                assert got == [w.tobytes() for w in want]
+        # the one-seed draw is the same block's row
+        z, b = gd.init_perturbations(shape, k, mode, stream)
+        assert [z.tobytes(), b.tobytes()] == [z0[j].tobytes(), b0[j].tobytes()]
+    with pytest.raises(ParameterError):
+        gd.init_perturbations(shape, 2.0, mode, streams[0])
+    with pytest.raises(ParameterError):
+        gd.init_perturbations(shape, k, "pixel", streams[0])
+
+
 def test_fallback_after_exhausted_retries():
     seed_values = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
     path = _HostilePath(seed_values)
