@@ -10,18 +10,19 @@ one-image forms of the same two steps.
 
 expand_block runs a baseline on a block of seeds. It draws every variant
 through one re-keyed generator (rng.rekeyed), writes the variants into the
-caller's pixel array and scores each seed with its R variants as one
-(1 + R) stack, one gemv per row, so no variant's bytes depend on the block
-it shares. score_candidates scores one seed's augmented images the same
-way for selective_expand, which takes any (image, stream) -> Image
-augmenter. Selective expansion keeps the candidates that preserve the
-seed's predicted class while increasing prediction entropy, either per
-seed (sample_wise) or from one global pool (sample_agnostic).
+caller's pixel array and scores the block as one (G, 1 + R) stack, each
+seed's row 0 and its R variants after it, one gemv per row, so no
+variant's bytes depend on the block it shares. selective_expand takes any
+(image, stream) -> Image augmenter and scores each seed's pool the same
+way. Selective expansion keeps the candidates that preserve the seed's
+predicted class while increasing prediction entropy, either per seed
+(sample_wise) or from one global pool (sample_agnostic); both rank with
+_top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,10 +126,6 @@ def _shift(pixels: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _translate(px: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    return _shift(px[None], np.array([[dy, dx]]))[0]
-
-
 # rand_lite's ops, each on a stack (M, H, W, C) of square images with one
 # value per image: flip, rotate, brightness, shift
 _RAND_LITE_OPS = (
@@ -225,8 +222,6 @@ class SelectionRecord:
     entropy_gain: float
     consistent: bool
     qualified: bool
-    # the candidate's scoring embedding, kept so its records need no second embed
-    embedding: np.ndarray | None = field(default=None, repr=False)
 
 
 def _rank(qualified: bool, consistent: bool, gain: float, stream_id: str) -> tuple:
@@ -235,13 +230,10 @@ def _rank(qualified: bool, consistent: bool, gain: float, stream_id: str) -> tup
     return (0 if qualified else (1 if consistent else 2), -gain, stream_id)
 
 
-def _rank_key(record: SelectionRecord):
-    return _rank(record.qualified, record.consistent, record.entropy_gain, record.stream_id)
-
-
-def _top(k: int, qualified, consistent, gains, stream_ids) -> list:
-    """The indices of the k first of one seed's candidates in _rank order."""
-    ranks = [_rank(*key) for key in zip(qualified, consistent, gains, stream_ids)]
+def _top(k: int, keys) -> list:
+    """The indices of the k first candidates in _rank order, keys holding
+    each candidate's (qualified, consistent, gain, stream id)."""
+    ranks = [_rank(*key) for key in keys]
     return sorted(range(len(ranks)), key=ranks.__getitem__)[:k]
 
 
@@ -254,17 +246,6 @@ def _score_rows(embeddings: np.ndarray, head) -> tuple:
     s_con, gains = lm.consistency_entropy_rows(probs[..., 1:, :], probs[..., 0, :])
     consistent = probs[..., 1:, :].argmax(axis=-1) == probs[..., :1, :].argmax(axis=-1)
     return s_con, gains, consistent, consistent & (gains > 0.0)
-
-
-def score_candidates(seed, candidates, streams, embedder, head, seed_index: int = 0):
-    """One SelectionRecord per candidate image of one seed, candidate c drawn
-    from streams[c]. The seed and its candidates are embedded as one stack
-    (embedder.embed_images) and scored by _score_rows."""
-    # row 0 is the seed, row 1 + c candidate c
-    embeddings = embedder.embed_images([seed, *candidates])
-    rows = zip(*(t.tolist() for t in _score_rows(embeddings, head)))
-    return [SelectionRecord(seed_index, c, stream.id, *row, embeddings[1 + c])
-            for c, (stream, row) in enumerate(zip(streams, rows))]
 
 
 def expand_block(seed_pixels, out, steps, embedder, head, streams, budget=None):
@@ -287,23 +268,20 @@ def expand_block(seed_pixels, out, steps, embedder, head, streams, budget=None):
         draw, apply = steps
         params = [draw(gen) for gen in rekeyed(sub for row in subs for sub in row)]
         apply(pool.reshape((-1,) + pool.shape[2:]), params)  # a view: pool is contiguous
-    stack = np.concatenate([seed_pixels[:, None], pool], axis=1)
-    # one embed_flat call per seed, its row 0 the seed, and below one
-    # diversity_terms_rows call per seed: the call shapes the per-seed path
-    # made, which tests pin; a call per block measured no faster
-    embeddings = np.stack([embedder.embed_flat(one.reshape(len(one), -1)) for one in stack])
+    stack = np.concatenate([seed_pixels[:, None], pool], axis=1)  # each seed in its row 0
+    embeddings = embedder.embed_flat(stack.reshape(stack.shape[:2] + (-1,)))
     terms = (*_score_rows(embeddings, head), embeddings[:, 1:])
     ids = [[sub.id for sub in row] for row in subs]
     if budget is not None:
         s_con, gains, consistent, qualified, _ = terms
-        picks = np.array([_top(k, *seed) for seed in zip(
+        picks = np.array([_top(k, zip(*seed)) for seed in zip(
             qualified.tolist(), consistent.tolist(), gains.tolist(), ids)])
         rows = np.arange(g)[:, None]
         out[...] = pool[rows, picks]
         terms = tuple(t[rows, picks] for t in terms)
         ids = [[row[c] for c in pick] for row, pick in zip(ids, picks.tolist())]
     s_con, gains, consistent, qualified, embeddings = terms
-    scores = np.stack([s_con, gains, [lm.diversity_terms_rows(e) for e in embeddings]], axis=-1)
+    scores = np.stack([s_con, gains, lm.diversity_terms_rows(embeddings)], axis=-1)
     columns = dict(scores_initial=scores, scores_final=scores, consistent=consistent,
                    qualified=qualified)
     return columns, [i for row in ids for i in row]
@@ -327,9 +305,9 @@ def selective_expand(
     from that seed's own pool to hit the quota exactly; sample_agnostic
     ranks only the qualified candidates globally and takes at most
     len(seeds) * quota_k of them, which can starve or skip seeds entirely.
-    Each seed's pool is scored by score_candidates. Accepts a labeled
-    dataset or a plain sequence of images. Returns the selected images and
-    their records, ordered by seed.
+    Each seed's pool is scored as one stack (embedder.embed_images), its
+    row 0 the seed. Accepts a labeled dataset or a plain sequence of images.
+    Returns the selected images and their records, ordered by seed.
     """
     images_in = getattr(seeds, "images", seeds)
     check_count("quota_k", quota_k, 1)
@@ -341,24 +319,24 @@ def selective_expand(
     if len(images_in) == 0:
         raise ParameterError("selective expansion needs at least one seed")
 
-    pools = []  # one list of (record, image) per seed
+    records, images = [], []
     for j, seed in enumerate(images_in):
         streams = [rng_stream.child("seed", j, "cand", c) for c in range(candidate_budget)]
         candidates = [augmenter(seed, stream) for stream in streams]
-        records = score_candidates(seed, candidates, streams, embedder, head, seed_index=j)
-        pools.append(list(zip(records, candidates)))
-
+        scores = _score_rows(embedder.embed_images([seed, *candidates]), head)
+        records += [SelectionRecord(j, c, stream.id, *row) for c, (stream, row)
+                    in enumerate(zip(streams, zip(*(t.tolist() for t in scores))))]
+        images += candidates
+    keys = [(r.qualified, r.consistent, r.entropy_gain, r.stream_id) for r in records]
     if mode == "sample_wise":
-        selected = []
-        for pool in pools:
-            selected.extend(sorted(pool, key=lambda p: _rank_key(p[0]))[:quota_k])
+        n = candidate_budget
+        picked = [j * n + c for j in range(len(images_in))
+                  for c in _top(quota_k, keys[j * n:(j + 1) * n])]
     else:
-        ranked = sorted(
-            (p for pool in pools for p in pool if p[0].qualified), key=lambda p: _rank_key(p[0])
-        )
-        selected = ranked[: quota_k * len(images_in)]
-        selected.sort(key=lambda p: (p[0].seed_index, _rank_key(p[0])))
-
-    images = [img for _, img in selected]
-    records = [rec for rec, _ in selected]
-    return images, records
+        # qualified candidates rank first, so the qualified ones among the
+        # first quota_k * len(seeds) are the best of them; the stable sort by
+        # seed keeps each seed's in rank order
+        first = _top(quota_k * len(images_in), keys)
+        picked = sorted((i for i in first if records[i].qualified),
+                        key=lambda i: records[i].seed_index)
+    return [images[i] for i in picked], [records[i] for i in picked]

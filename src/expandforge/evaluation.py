@@ -120,7 +120,10 @@ class MLPClassifier:
             raise ShapeError(
                 f"expected (N, {self.w1.shape[0]}) features as in training, got {x.shape}"
             )
-        _, probs = self._forward(x)
+        # weights that fit's errstate let grow huge can overflow a logit gap
+        # to -inf, whose exp is 0, so the argmax still stands
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, probs = self._forward(x)
         return np.argmax(probs, axis=1)
 
 

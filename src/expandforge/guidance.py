@@ -148,36 +148,35 @@ def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: Expans
     seeds = seeds[:, None]
     axis = _TIED_AXIS.get(config.noise_mode)
     trace = OptimizationTrace()
-    for step in range(config.steps + 1):
-        values = lm.perturb_and_project_rows(seeds, z, b, config.epsilon)
-        if not np.isfinite(values).all():
-            raise NumericDivergenceError(f"non-finite variant values at step {step}")
-        try:
-            total, grads, probs = score_fn(values)
-        except NumericInputError as err:
-            raise NumericDivergenceError(f"non-finite values at step {step}: {err}") from err
-        if not np.isfinite(total).all():
-            raise NumericDivergenceError(f"objective non-finite at step {step}")
-        if step == 0:
-            # a copy: at steps 0 values is also returned, and callers write
-            # retried and fallback variants into it
-            trace.initial = values.copy()
-        trace.objective.append(total)
-        trace.probs.append(probs)
-        if step == config.steps:
-            break
-        # a non-finite update is flagged here with the step whose evaluation
-        # it would have fed, so the nan warnings numpy would raise carry no
-        # extra information
-        with np.errstate(invalid="ignore", over="ignore"):
+    # a value, objective or update that overflows or turns nan is flagged
+    # with the step it reaches, so numpy's warnings on the way add nothing
+    with np.errstate(invalid="ignore", over="ignore"):
+        for step in range(config.steps + 1):
+            values = lm.perturb_and_project_rows(seeds, z, b, config.epsilon)
+            if not np.isfinite(values).all():
+                raise NumericDivergenceError(f"non-finite variant values at step {step}")
+            try:
+                total, grads, probs = score_fn(values)
+            except NumericInputError as err:
+                raise NumericDivergenceError(f"non-finite values at step {step}: {err}") from err
+            if not np.isfinite(total).all():
+                raise NumericDivergenceError(f"objective non-finite at step {step}")
+            if step == 0:
+                # a copy: at steps 0 values is also returned, and callers write
+                # retried and fallback variants into it
+                trace.initial = values.copy()
+            trace.objective.append(total)
+            trace.probs.append(probs)
+            if step == config.steps:
+                break
             gz, gb = grads * seeds, grads
             if axis is not None:
                 # a shared noise value's gradient is the sum over its tied entries
                 gz, gb = gz.sum(axis=axis, keepdims=True), gb.sum(axis=axis, keepdims=True)
             z = z + config.step_size * gz
             b = b + config.step_size * gb
-        if not (np.isfinite(z).all() and np.isfinite(b).all()):
-            raise NumericDivergenceError(f"non-finite values at step {step + 1}")
+            if not (np.isfinite(z).all() and np.isfinite(b).all()):
+                raise NumericDivergenceError(f"non-finite values at step {step + 1}")
     return values, trace
 
 

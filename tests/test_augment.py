@@ -136,10 +136,10 @@ def test_gridmask_rejects_bad_params():
 
 def test_translate_paste_arithmetic():
     px = np.arange(9, dtype=np.float64).reshape(3, 3, 1) / 10.0
-    out = ag._translate(px, 1, 0)
+    out = ag._shift(px[None], np.array([[1, 0]]))[0]
     assert np.all(out[0] == 0.5)
     assert np.array_equal(out[1:], px[:2])
-    out = ag._translate(px, 0, -1)
+    out = ag._shift(px[None], np.array([[0, -1]]))[0]
     assert np.all(out[:, 2] == 0.5)
     assert np.array_equal(out[:, :2], px[:, 1:])
 
@@ -303,6 +303,9 @@ def _per_candidate_selection(seeds, augmenter, embedder, head, quota_k, rng_stre
         q = p[p > 0.0]
         return float(-(q * np.log(q)).sum())
 
+    def rank(p):
+        return ag._rank(p[0].qualified, p[0].consistent, p[0].entropy_gain, p[0].stream_id)
+
     pool = []
     for j, seed in enumerate(seeds):
         seed_pred = lm.classify(embedder.embed_flat(seed.flat()), head.prototypes, head.tau)
@@ -317,28 +320,25 @@ def _per_candidate_selection(seeds, augmenter, embedder, head, quota_k, rng_stre
             consistent = pred.argmax_class == target
             record = ag.SelectionRecord(
                 j, c, stream.id, float(pred.probs[target]), gain, consistent,
-                consistent and gain > 0.0, embedding,
+                consistent and gain > 0.0,
             )
             pool.append((record, img))
     if mode == "sample_wise":
         selected = []
         for j in range(len(seeds)):
-            mine = sorted(
-                (p for p in pool if p[0].seed_index == j), key=lambda p: ag._rank_key(p[0])
-            )
+            mine = sorted((p for p in pool if p[0].seed_index == j), key=rank)
             selected.extend(mine[:quota_k])
     else:
-        ranked = sorted((p for p in pool if p[0].qualified), key=lambda p: ag._rank_key(p[0]))
+        ranked = sorted((p for p in pool if p[0].qualified), key=rank)
         selected = ranked[: quota_k * len(seeds)]
-        selected.sort(key=lambda p: (p[0].seed_index, ag._rank_key(p[0])))
+        selected.sort(key=lambda p: (p[0].seed_index, rank(p)))
     return [img for _, img in selected], [rec for rec, _ in selected]
 
 
 def _selection_sheet(images, records):
     return [
         (r.seed_index, r.candidate_index, r.stream_id, r.s_con.hex(),
-         float(r.entropy_gain).hex(), r.consistent, r.qualified,
-         r.embedding.tobytes(), img.pixels.tobytes())
+         float(r.entropy_gain).hex(), r.consistent, r.qualified, img.pixels.tobytes())
         for img, r in zip(images, records)
     ]
 

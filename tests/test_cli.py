@@ -283,6 +283,20 @@ def test_diverging_training_exits_three_and_writes_no_metrics(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, flag", [
+    ("gif_latent", "--step-size"),  # overflows the perturbed latents
+    ("gif_latent", "--lambda-con"),  # overflows the weighted objective
+    ("gif_embed", "--lambda-con"),
+    ("gif_latent", "--lambda-div"),
+])
+def test_huge_finite_guided_flags_exit_three_without_a_warning(tmp_path, method, flag):
+    src = _toygen(tmp_path, classes=2, per_class=3, size=8)
+    out = tmp_path / "huge.gifx"
+    assert cli.main(["expand", "--in", str(src), "--method", method, "--latent-dim", "4",
+                     "--seed", "3", flag, "1e308", "--out", str(out)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
+
+
 def test_unwritable_manifest_leaves_no_files(tmp_path):
     # a baseline never uses the step size, but the manifest records it, and
     # canonical JSON cannot hold inf
@@ -295,7 +309,7 @@ def test_unwritable_manifest_leaves_no_files(tmp_path):
 
 def test_non_finite_record_score_leaves_no_files(tmp_path, monkeypatch, capsys):
     # write_manifest checks the record columns before it opens a file
-    monkeypatch.setattr(lm, "diversity_terms_rows", lambda flats: np.full(len(flats), np.nan))
+    monkeypatch.setattr(lm, "diversity_terms_rows", lambda flats: np.full(flats.shape[:-1], np.nan))
     src = _toygen(tmp_path)
     out = tmp_path / "nan.gifx"
     assert cli.main(_small_expand_args(src, out)) == 2
@@ -427,6 +441,26 @@ def test_randlite_on_non_square_images_exits_two_before_writing(tmp_path, capsys
 _FUZZ_INPUT = pl.dataset_bytes(bk.gen_toy_dataset(2, 3, 8, seed=5))
 
 
+def _fuzz_expand(method, **flags) -> int:
+    """expand's exit code on _FUZZ_INPUT under flags. A non-zero exit must
+    leave no file; a zero exit, a pair that verify_against accepts and whose
+    manifest write_manifest(read_manifest(...)) reproduces."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "in.gifx"), Path(tmp, "out.gifx")
+        src.write_bytes(_FUZZ_INPUT)
+        code = cli.main(_small_expand_args(src, out, method=method, **flags))
+        if code != 0:
+            assert sorted(os.listdir(tmp)) == ["in.gifx"]
+            return code
+        manifest_path = Path(f"{out}.manifest.json")
+        manifest = pl.read_manifest(manifest_path)
+        manifest.verify_against(pl.read_dataset(src), pl.read_dataset(out))
+        again = Path(tmp, "again.json")
+        pl.write_manifest(manifest, again)
+        assert again.read_bytes() == manifest_path.read_bytes()
+        return code
+
+
 @settings(max_examples=100, deadline=None)
 @given(method=st.sampled_from(["cutout", "gridmask", "randlite", "selective_cutout",
                                "selective_randlite"]),
@@ -439,20 +473,27 @@ def test_baseline_expand_flags_fuzz(method, ratio, budget, cutout_frac, grid_per
     flags = dict(cutout_frac=cutout_frac, grid_period=grid_period, grid_keep=grid_keep, tau=tau)
     if budget is not None:
         flags["budget"] = budget
-    with tempfile.TemporaryDirectory() as tmp:
-        src, out = Path(tmp, "in.gifx"), Path(tmp, "out.gifx")
-        src.write_bytes(_FUZZ_INPUT)
-        code = cli.main(_small_expand_args(src, out, method=method, ratio=ratio, **flags))
-        assert code in (0, 1, 3)
-        if code != 0:
-            assert sorted(os.listdir(tmp)) == ["in.gifx"]
-            return
-        manifest_path = Path(f"{out}.manifest.json")
-        manifest = pl.read_manifest(manifest_path)
-        manifest.verify_against(pl.read_dataset(src), pl.read_dataset(out))
-        again = Path(tmp, "again.json")
-        pl.write_manifest(manifest, again)
-        assert again.read_bytes() == manifest_path.read_bytes()
+    assert _fuzz_expand(method, ratio=ratio, **flags) in (0, 1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(method=st.sampled_from(["gif_latent", "gif_embed"]),
+       # a few reals at a time, so that some runs get past validation
+       reals=st.dictionaries(st.sampled_from(["epsilon", "step_size", "tau", "lambda_con",
+                                              "lambda_ent", "lambda_div"]),
+                             st.sampled_from([0, -1, 2.5, "nan", "inf", 1e308]), max_size=2),
+       counts=st.dictionaries(st.sampled_from(["steps", "retries"]),
+                              st.sampled_from([0, -1, 1, 2.5]), max_size=1),
+       noise_mode=st.none() | st.sampled_from(lm.NOISE_MODES))
+def test_guided_expand_flags_fuzz(method, reals, counts, noise_mode):
+    # a flag left out keeps its default, or the small steps of _small_expand_args;
+    # the codec fit on six samples has at most six latent dimensions
+    flags = dict(latent_dim=4, **reals, **counts)
+    if noise_mode is not None:
+        flags["noise_mode"] = noise_mode
+    # exit 2 too: a --step-size inf that --steps 0 never applies is refused
+    # only when the manifest, which cannot hold it, is written
+    assert _fuzz_expand(method, **flags) in (0, 1, 2, 3)
 
 
 def _cli_with_file_limit(limit: int, argv):

@@ -134,6 +134,18 @@ def test_prediction_ties_break_toward_lowest_class():
     assert np.all(preds == 0)
 
 
+def test_prediction_with_huge_weights_raises_no_warning():
+    # weights a diverging rate leaves behind once the loss is still finite,
+    # as traineval --lr 1e308 can: logits of +-1.3e308 whose gap overflows
+    # to -inf, which exp sends to 0, so the prediction still stands
+    model = ev.MLPClassifier(input_dim=1, class_count=2, config=ev.ClassifierConfig(hidden=1))
+    model.w1[:] = 1.0
+    model.b1[:] = 0.0
+    model.w2[:] = [[1.7e308, -1.7e308]]
+    model.b2[:] = 0.0
+    assert model.predict(np.array([[1.0], [-1.0]])).tolist() == [0, 1]
+
+
 def test_prediction_rejects_features_of_another_width():
     data = _tiny_dataset([0, 1, 0, 1], ["a", "b"])
     model = ev.train_classifier(data, ev.ClassifierConfig(epochs=2))

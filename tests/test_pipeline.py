@@ -725,6 +725,8 @@ def test_steps_zero_keeps_the_initial_scores():
 )
 def test_selective_methods_embed_each_image_once(method, monkeypatch):
     data, config, bundle = _data(), _small_config(), _bundle()
+    pool = 4 * config.ratio_k if method.startswith("selective_") else config.ratio_k
+    monkeypatch.setattr(pl, "ASCENT_BLOCK_ROWS", 5 * pool)  # blocks of 5, 5 and 2 seeds
     rows = []  # rows embedded by each call
     embed_flat = bk.Embedder.embed_flat
     monkeypatch.setattr(
@@ -732,24 +734,40 @@ def test_selective_methods_embed_each_image_once(method, monkeypatch):
         lambda self, flat: rows.append(np.shape(flat)[:-1]) or embed_flat(self, flat),
     )
     pl.expand_dataset(data, method, config, bundle, global_seed=0)
-    n, k = len(data), config.ratio_k
-    if method.startswith("selective_"):
-        # each seed with its default 4K candidates, in one call
-        assert rows == [(1 + 4 * k,)] * n
-    else:
-        # each seed with its K variants, in one call
-        assert rows == [(1 + k,)] * n
+    # each block's seeds, each with its K variants or default 4K candidates,
+    # in one call
+    assert rows == [(5, 1 + pool), (5, 1 + pool), (2, 1 + pool)]
 
 
 BASELINES = ("cutout", "gridmask", "randlite", "selective_cutout", "selective_randlite")
+
+
+def _one_image_score(seed, image, bundle):
+    """(s_con, entropy gain, consistent, qualified) of image against seed,
+    from one embed_flat and one lm.classify per image, and the gain from the
+    masked entropy sum."""
+    def classify(img):
+        return lm.classify(bundle.embedder.embed_flat(img.flat()), bundle.head.prototypes,
+                           bundle.head.tau)
+
+    def entropy(p):
+        q = p[p > 0.0]
+        return float(-(q * np.log(q)).sum())
+
+    seed_pred, pred = classify(seed), classify(image)
+    target = seed_pred.argmax_class
+    gain = entropy(pred.probs) - entropy(seed_pred.probs)
+    consistent = pred.argmax_class == target
+    return float(pred.probs[target]), gain, consistent, consistent and gain > 0.0
 
 
 def _one_image_expansion(data, method, config, bundle, global_seed):
     """A baseline's variants, (N, K, 3) scores and flag columns and stream
     ids as the one-image functions make them, one seed at a time: each
     variant by cutout, gridmask or rand_lite with its own stream.generator(),
-    scored by score_candidates, a selective method's picked by
-    selective_expand over its seed alone."""
+    scored by _one_image_score, a selective method's picked by
+    selective_expand over its seed alone, and s_div from each image's own
+    embed_flat."""
     augmenter = {
         "cutout": lambda image, stream: ag.cutout(image, config.cutout_frac, stream),
         "gridmask": lambda image, stream: ag.gridmask(
@@ -768,11 +786,12 @@ def _one_image_expansion(data, method, config, bundle, global_seed):
         else:
             subs = [stream.child("variant", i) for i in range(k)]
             images = [augmenter(image, sub) for sub in subs]
-            picked = ag.score_candidates(image, images, subs, bundle.embedder, bundle.head)
+            picked = [ag.SelectionRecord(0, i, sub.id, *_one_image_score(image, img, bundle))
+                      for i, (sub, img) in enumerate(zip(subs, images))]
+        embeddings = np.stack([bundle.embedder.embed_flat(img.flat()) for img in images])
         variants.append([img.pixels for img in images])
         scores.append(np.stack([[r.s_con for r in picked], [r.entropy_gain for r in picked],
-                                lm.diversity_terms_rows(np.stack([r.embedding for r in picked]))],
-                               axis=-1))
+                                lm.diversity_terms_rows(embeddings)], axis=-1))
         consistent.append([r.consistent for r in picked])
         qualified.append([r.qualified for r in picked])
         ids += [r.stream_id for r in picked]
