@@ -158,15 +158,19 @@ def _cmd_expand(args) -> int:
     seed = _resolve_seed(args.seed)
     manifest_path = args.manifest or f"{args.out}.manifest.json"
     _check_outputs([args.input, args.exemplars or args.input], [args.out, manifest_path])
+    config = pl.ExpansionConfig(  # each config flag but the weights has its field's name
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(pl.ExpansionConfig)
+           if f.name != "weights"},
+        weights=(args.lambda_con, args.lambda_ent, args.lambda_div),
+    )
+    if args.latent_tokens < 1 or args.latent_dim % args.latent_tokens != 0:
+        raise ParameterError(f"--latent-tokens {args.latent_tokens} must divide "
+                             f"--latent-dim {args.latent_dim}")
     data = pl.read_dataset(args.input)
     exemplars = pl.read_dataset(args.exemplars) if args.exemplars else data
     if exemplars.class_names != data.class_names:
         raise InputError(f"exemplars {args.exemplars} have classes {exemplars.class_names}, "
                          f"not the input's {data.class_names}")
-    if args.latent_tokens < 1 or args.latent_dim % args.latent_tokens != 0:
-        raise ParameterError(
-            f"--latent-tokens {args.latent_tokens} must divide --latent-dim {args.latent_dim}"
-        )
     codec = None
     if args.method in pl.GUIDED_METHODS:
         codec = bk.fit_linear_codec(
@@ -177,11 +181,6 @@ def _cmd_expand(args) -> int:
     embedder = bk.make_embedder(data.image_shape, args.embed_dim, args.embed_seed)
     head = bk.fit_prototype_head(exemplars, embedder, tau=args.tau)
     bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)
-    config = pl.ExpansionConfig(  # each config flag but the weights has its field's name
-        **{f.name: getattr(args, f.name) for f in dataclasses.fields(pl.ExpansionConfig)
-           if f.name != "weights"},
-        weights=(args.lambda_con, args.lambda_ent, args.lambda_div),
-    )
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)
     # the manifest first: write_manifest validates and renders it before it
     # opens the file, so a manifest that cannot be written leaves neither file

@@ -56,8 +56,7 @@ import numpy as np
 
 from . import latentmath as lm
 from .backends import Embedder, Image, LinearCodec, ZeroShotHead
-from .errors import (NumericDivergenceError, NumericInputError, ParameterError, ShapeError,
-                     check_count)
+from .errors import NumericDivergenceError, NumericInputError, ShapeError, check_count
 from .rng import RngStream, rekeyed
 
 if TYPE_CHECKING:
@@ -120,8 +119,7 @@ def _init_noise(rng_streams: list, k: int, shape: tuple, noise_mode: str):
 def init_perturbations(shape: tuple, k: int, noise_mode: str, rng_stream: RngStream):
     """One independent uniform/Gaussian noise draw per variant: (z, b), each (k, T, D)."""
     check_count("k", k, 1)
-    if noise_mode not in lm.NOISE_MODES:
-        raise ParameterError(f"noise_mode must be one of {lm.NOISE_MODES}, got {noise_mode!r}")
+    lm.check_noise_mode(noise_mode)
     z, b = _init_noise([rng_stream], k, shape, noise_mode)
     return z[0], b[0]
 
@@ -239,21 +237,15 @@ class ScoreChain:
         return lm.weighted_total(s_con, s_ent, s_div, self.weights), grads, probs
 
 
-def _expand_with_chain(
-    chain,
-    seeds: np.ndarray,
-    seed_probs: np.ndarray,
-    config: ExpansionConfig,
-    rng_streams: list,
-):
+def _expand_with_chain(chain, seeds: np.ndarray, config: ExpansionConfig, rng_streams: list):
     """Joint ascent of every seed's K variants, then consistency retries and
     a fallback to the seed.
 
-    seeds is (G, T, D), seed_probs (G, C) and rng_streams one stream per
-    seed. Each retry round ascends every variant that is still off the
-    seed's class as its own one-variant group, drawn from the variant's
-    ("retry", round) stream; a one-variant group's diversity term is zero,
-    so the round equals per-variant retries run one after another.
+    seeds is (G, T, D), rng_streams one stream per seed, and the chain's
+    seed_probs are the seeds'. Each retry round ascends every variant still
+    off its seed's class as its own one-variant group, drawn from the
+    variant's ("retry", round) stream; a one-variant group's diversity term
+    is zero, so the round equals per-variant retries run one after another.
     Probabilities come from the traces: the first evaluation for the
     initial scores, the last for emitted variants; a fallback takes the
     seed's own. Returns the (G, K, T, D) emitted variants, the named
@@ -264,7 +256,7 @@ def _expand_with_chain(
     params = _init_noise(rng_streams, k, shape, config.noise_mode)
     emitted, trace = optimize_guidance(seeds, chain, params, config)
     probs = trace.probs[-1].copy()
-    target = np.argmax(seed_probs, axis=-1)[:, None]
+    seed_probs, target = chain.seed_probs, chain.target[:, None]
     retry_counts = np.zeros(probs.shape[:2], dtype=int)
     for r in range(1, config.retries + 1):
         groups, variants = np.nonzero(probs.argmax(axis=-1) != target)
@@ -312,10 +304,8 @@ def expand_embedding_block(
     take their gif_embed FLOW_DEFAULTS."""
     config = flow_config(config, "gif_embed")
     e0 = embedder.embed_images(seed_pixels)
-    seed_probs = head.predict_rows(e0)
-    chain = ScoreChain(head, config.weights, seed_probs)
-    emitted, columns, trace = _expand_with_chain(chain, e0[:, None, :], seed_probs, config,
-                                                 rng_streams)
+    chain = ScoreChain(head, config.weights, head.predict_rows(e0))
+    emitted, columns, trace = _expand_with_chain(chain, e0[:, None, :], config, rng_streams)
     pixels = lm.matvec(embedder.projection.T, emitted.reshape(emitted.shape[:2] + (-1,))) + 0.5
     return _decoded(codec, codec.encode_flat(pixels)), columns, trace
 
@@ -343,7 +333,7 @@ def expand_latent_block(
     seed_probs = head.predict_rows(embedder.embed_flat(recon_pixels))
     chain = ScoreChain(head, config.weights, seed_probs, decode_lift(codec, embedder))
     emitted, columns, trace = _expand_with_chain(
-        chain, f0.reshape((len(f0),) + codec.latent_shape), seed_probs, config, rng_streams
+        chain, f0.reshape((len(f0),) + codec.latent_shape), config, rng_streams
     )
     return _decoded(codec, emitted.reshape(emitted.shape[:2] + (-1,))), columns, trace
 

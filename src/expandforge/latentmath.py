@@ -23,6 +23,12 @@ NORM_FLOOR = 1e-12
 NOISE_MODES = ("full", "channel", "token")
 
 
+def check_noise_mode(mode) -> None:
+    """Raise ParameterError unless mode is one of NOISE_MODES."""
+    if mode not in NOISE_MODES:
+        raise ParameterError(f"noise_mode must be one of {NOISE_MODES}, got {mode!r}")
+
+
 def _as_float_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
@@ -185,8 +191,7 @@ class PerturbationParams:
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.z.shape != self.b.shape or self.z.ndim != 2:
             raise ShapeError(f"z/b must share a 2-d shape, got {self.z.shape} and {self.b.shape}")
-        if self.noise_mode not in NOISE_MODES:
-            raise ParameterError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
+        check_noise_mode(self.noise_mode)
         if self.noise_mode == "channel":
             if np.any(self.z != self.z[:1, :]) or np.any(self.b != self.b[:1, :]):
                 raise ShapeError("channel-mode noise must be constant along the token axis")

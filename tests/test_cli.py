@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import errno
+import functools
 import importlib
 import json
 import os
@@ -262,14 +263,14 @@ def test_data_errors_exit_two(tmp_path):
                      "--out", str(tmp_path / "m.json")]) == 2
 
 
-def test_divergence_exits_three(tmp_path):
+def test_divergence_exits_three(tmp_path, capsys):
+    # the largest finite step in a ball too wide to clamp it overflows the latents
     src = _toygen(tmp_path)
-    args = _small_expand_args(
-        src, tmp_path / "div.gifx", method="gif_latent",
-        lambda_con=0, lambda_ent=0, lambda_div=0,
-    )
-    args += ["--step-size", "1e309"]
+    args = _small_expand_args(src, tmp_path / "div.gifx", method="gif_latent",
+                              epsilon=1e308, step_size=1e308)
     assert cli.main(args) == 3
+    assert "numeric divergence" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
 
 
 def test_diverging_training_exits_three_and_writes_no_metrics(tmp_path, capsys):
@@ -297,14 +298,19 @@ def test_huge_finite_guided_flags_exit_three_without_a_warning(tmp_path, method,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
 
 
-def test_unwritable_manifest_leaves_no_files(tmp_path):
-    # a baseline never uses the step size, but the manifest records it, and
-    # canonical JSON cannot hold inf
+def test_infinite_step_size_exits_one_before_any_work(tmp_path, monkeypatch, capsys):
+    # a manifest records the step size, which canonical JSON cannot write as
+    # inf, so no config holds it, and expand refuses it before it reads or fits
     src = _toygen(tmp_path)
-    out = tmp_path / "inf.gifx"
-    assert cli.main(_small_expand_args(src, out, step_size="inf")) == 2
-    assert not out.exists()
-    assert not (tmp_path / "inf.gifx.manifest.json").exists()
+    for module, name in ((pl, "read_dataset"), (bk, "fit_linear_codec"),
+                         (bk, "make_embedder"), (bk, "fit_prototype_head")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: pytest.fail(name))
+    for method in ("cutout", "gif_latent", "gif_embed"):
+        for value in ("inf", "1e309"):
+            args = _small_expand_args(src, tmp_path / "inf.gifx", method=method, step_size=value)
+            assert cli.main(args) == 1
+            assert "step_size" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
 
 
 def test_non_finite_record_score_leaves_no_files(tmp_path, monkeypatch, capsys):
@@ -441,23 +447,30 @@ def test_randlite_on_non_square_images_exits_two_before_writing(tmp_path, capsys
 _FUZZ_INPUT = pl.dataset_bytes(bk.gen_toy_dataset(2, 3, 8, seed=5))
 
 
+def _check_expanded_pair(src, out) -> None:
+    """Assert that expand's output pair at out is one that verify_against
+    accepts against src and whose manifest write_manifest(read_manifest(...))
+    reproduces."""
+    manifest_path = Path(f"{out}.manifest.json")
+    manifest = pl.read_manifest(manifest_path)
+    manifest.verify_against(pl.read_dataset(src), pl.read_dataset(out))
+    with tempfile.TemporaryDirectory() as tmp:
+        again = Path(tmp, "again.json")
+        pl.write_manifest(manifest, again)
+        assert again.read_bytes() == manifest_path.read_bytes()
+
+
 def _fuzz_expand(method, **flags) -> int:
     """expand's exit code on _FUZZ_INPUT under flags. A non-zero exit must
-    leave no file; a zero exit, a pair that verify_against accepts and whose
-    manifest write_manifest(read_manifest(...)) reproduces."""
+    leave no file; a zero exit, a pair that _check_expanded_pair accepts."""
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp, "in.gifx"), Path(tmp, "out.gifx")
         src.write_bytes(_FUZZ_INPUT)
         code = cli.main(_small_expand_args(src, out, method=method, **flags))
         if code != 0:
             assert sorted(os.listdir(tmp)) == ["in.gifx"]
-            return code
-        manifest_path = Path(f"{out}.manifest.json")
-        manifest = pl.read_manifest(manifest_path)
-        manifest.verify_against(pl.read_dataset(src), pl.read_dataset(out))
-        again = Path(tmp, "again.json")
-        pl.write_manifest(manifest, again)
-        assert again.read_bytes() == manifest_path.read_bytes()
+        else:
+            _check_expanded_pair(src, out)
         return code
 
 
@@ -491,9 +504,84 @@ def test_guided_expand_flags_fuzz(method, reals, counts, noise_mode):
     flags = dict(latent_dim=4, **reals, **counts)
     if noise_mode is not None:
         flags["noise_mode"] = noise_mode
-    # exit 2 too: a --step-size inf that --steps 0 never applies is refused
-    # only when the manifest, which cannot hold it, is written
-    assert _fuzz_expand(method, **flags) in (0, 1, 2, 3)
+    # the input is valid, so no setting may end in a data error (exit 2): an
+    # infinite --step-size, which no manifest can write, is refused with exit 1
+    assert _fuzz_expand(method, **flags) in (0, 1, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_files() -> dict:
+    """The valid inputs of the damaged-input fuzz by file name: two 2 x 3 8x8
+    sets of the same classes, a metrics file and a manifest of the first set."""
+    data = bk.gen_toy_dataset(2, 3, 8, seed=5)
+    embedder = bk.make_embedder(data.image_shape, 16, 0)
+    bundle = pl.BackendBundle(None, embedder, bk.fit_prototype_head(data, embedder))
+    _, manifest = pl.expand_dataset(data, "cutout", pl.ExpansionConfig(ratio_k=2), bundle, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        pl.write_manifest(manifest, Path(tmp, "m"))
+        manifest_bytes = Path(tmp, "m").read_bytes()
+    metrics = {"method": "cutout", "ratio": 2, "seed": 0, "accuracy": 0.5,
+               "macro_accuracy": 0.25, "covering_radius": 1.5}
+    return {"train.gifx": _FUZZ_INPUT,
+            "test.gifx": pl.dataset_bytes(bk.gen_toy_dataset(2, 3, 8, seed=6)),
+            "m.json": (pl.canonical_json(metrics) + "\n").encode(),
+            "x.manifest.json": manifest_bytes}
+
+
+_FUZZ_NAMES = ("train.gifx", "test.gifx", "m.json", "x.manifest.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["expand", "traineval", "report"]),
+       # None for the command's own two inputs; an input named twice or an
+       # output naming an input is a shared path
+       inputs=st.none() | st.lists(st.sampled_from(_FUZZ_NAMES), min_size=2, max_size=2),
+       out=st.sampled_from(("new.out",) + _FUZZ_NAMES),
+       damage=st.none() | st.tuples(st.sampled_from(_FUZZ_NAMES),
+                                    st.sampled_from(["missing", "truncated", "edited"]),
+                                    st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
+       # a few traineval flags at a time, so that some runs get past validation
+       flags=st.fixed_dictionaries({}, optional={
+           "lr": st.sampled_from([0, -1, 2.5, "nan", "inf", 1e308]),
+           "epochs": st.sampled_from([0, 1, 3]), "hidden": st.sampled_from([0, 1, 4])}))
+def test_traineval_report_and_damaged_inputs_fuzz(command, inputs, out, damage, flags):
+    # every call exits 0-3 and raises nothing; a non-zero exit leaves every
+    # file as it was, and a zero exit changes only its outputs
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in _fuzz_files().items():
+            Path(tmp, name).write_bytes(raw)
+        if damage is not None:
+            name, how, where, flip = damage
+            raw = _fuzz_files()[name]
+            at = int(where * len(raw))
+            if how == "missing":
+                os.remove(Path(tmp, name))
+            else:
+                tail = b"" if how == "truncated" else bytes([raw[at] ^ flip]) + raw[at + 1 :]
+                Path(tmp, name).write_bytes(raw[:at] + tail)
+        before = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+        if inputs is None:
+            inputs = ["m.json"] * 2 if command == "report" else ["train.gifx", "test.gifx"]
+        a, b = (Path(tmp, name) for name in inputs)
+        target = Path(tmp, out)
+        argv = {
+            "expand": ["expand", "--in", a, "--exemplars", b, "--method", "cutout", "--ratio", 2,
+                       "--embed-dim", 16, "--seed", 1, "--out", target],
+            "traineval": ["traineval", "--train", a, "--test", b, "--embed-dim", 16,
+                          "--out", target, *(f"--{k}={v}" for k, v in flags.items())],
+            "report": ["report", "--metrics", a, b, "--out", target],
+        }[command]
+        code = cli.main(list(map(str, argv)))
+        assert code in (0, 1, 2, 3)
+        after = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+        outputs = {out, f"{out}.manifest.json"} if command == "expand" else {out}
+        if code != 0:
+            outputs = set()
+        assert {k: v for k, v in after.items() if k not in outputs} == {
+            k: v for k, v in before.items() if k not in outputs}
+        assert outputs <= after.keys()
+        if code == 0 and command == "expand":
+            _check_expanded_pair(a, target)
 
 
 def _cli_with_file_limit(limit: int, argv):

@@ -194,13 +194,14 @@ def test_zero_weights_freeze_the_variants():
 
 
 def test_divergence_error_names_the_step():
-    # zero gradients times an infinite step size make the noise fields nan
+    # the first update, gradients of large weights times the largest finite
+    # step size, overflows the noise fields
     data, _, embedder, head = _setup()
     e0 = embedder.embed(data.images[0])
-    path = gd.ScoreChain(head, (0.0, 0.0, 0.0), head.predict_rows(e0)[None])
+    weights = (1e3, 1e3, 1e3)
+    path = gd.ScoreChain(head, weights, head.predict_rows(e0)[None])
     cfg = pl.ExpansionConfig(
-        epsilon=0.3, ratio_k=2, steps=5, step_size=float("1e309"), weights=(0.0, 0.0, 0.0),
-        noise_mode="full",
+        epsilon=0.3, ratio_k=2, steps=5, step_size=1e308, weights=weights, noise_mode="full",
     )
     params = _params((1, e0.size), 2, "full", _stream("div"))
     with pytest.raises(NumericDivergenceError) as err:
@@ -445,10 +446,13 @@ def test_latent_flow_epsilon_zero_bit_identical():
 
 
 class _HostilePath:
-    """Rejects every latent except the exact seed: exercises the fallback."""
+    """Rejects every latent except the exact seed: exercises the fallback.
+    The seed of each of its groups predicts class 0."""
 
-    def __init__(self, seed_values):
+    def __init__(self, seed_values, groups=1):
         self.seed_values = seed_values
+        self.seed_probs = np.tile([0.9, 0.1], (groups, 1))
+        self.target = np.zeros(groups, dtype=int)
 
     def select(self, groups):
         return self
@@ -484,8 +488,7 @@ def test_block_noise_is_each_variants_own_fresh_draw(monkeypatch, mode):
     seed_values = np.linspace(-1.0, 1.0, 8).reshape(shape)
     streams = [_stream("block-noise", mode, j) for j in range(g)]
     cfg = pl.ExpansionConfig(epsilon=0.5, ratio_k=k, steps=1, retries=2, noise_mode=mode)
-    gd._expand_with_chain(_HostilePath(seed_values), np.stack([seed_values] * g),
-                          np.tile([0.9, 0.1], (g, 1)), cfg, streams)
+    gd._expand_with_chain(_HostilePath(seed_values, g), np.stack([seed_values] * g), cfg, streams)
     assert len(calls) == 1 + cfg.retries
     (z0, b0), retries = calls[0], calls[1:]
     assert z0.shape == b0.shape == (g, k) + shape
@@ -510,12 +513,11 @@ def test_block_noise_is_each_variants_own_fresh_draw(monkeypatch, mode):
 def test_fallback_after_exhausted_retries():
     seed_values = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
     path = _HostilePath(seed_values)
-    seed_probs = np.array([[0.9, 0.1]])
     stream = _stream("fallback")
     for steps in (0, 2):
         cfg = pl.ExpansionConfig(epsilon=0.5, ratio_k=3, steps=steps, retries=2, noise_mode="full")
         emitted, columns, trace = gd._expand_with_chain(
-            path, seed_values[None], seed_probs, cfg, [stream]
+            path, seed_values[None], cfg, [stream]
         )
         # the initial scores are those of the init draw, whatever the retries
         # and the fallback wrote over the emitted variants (at steps 0 the

@@ -463,7 +463,7 @@ def _scores_weights(key, weights):
          "record 1"),
         (lambda m: {**m, "config": {}}, "config"),
         (lambda m: {**m, "config": {**m["config"], "ratio_k": 0}}, "config"),
-        # a valid config, but canonical JSON cannot write it back
+        # an infinite step_size, which no config holds and canonical JSON cannot write
         (lambda m: {**m, "config": {**m["config"], "step_size": math.inf}}, "config"),
         # each whole-column check fails, and names the first record that fails alone
         (_record_at(37, lambda r: {**r, "consistent": 1}), "record 37"),
@@ -577,7 +577,7 @@ class _Draws:
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-# the config's step_size set to inf: a valid config, but not a writable one
+# the config's step_size set to inf, which no config holds and canonical JSON cannot write
 @example(data=_Draws("config", True, "step_size", False, math.inf))
 # a -0.0 in the config and in a record: written as -0, it would read back as the int 0
 @example(data=_Draws("config", True, "cutout_frac", False, -0.0))
@@ -850,6 +850,7 @@ def test_expansion_config_reals_follow_one_rule():
         dict(step_size="0.1"),
         dict(step_size=True),
         dict(step_size=math.nan),
+        dict(step_size=math.inf),  # a manifest could not write it
         dict(epsilon=True),
         dict(epsilon="1"),
         dict(weights=(1.0, True, 1.0)),
@@ -862,8 +863,8 @@ def test_expansion_config_reals_follow_one_rule():
     ):
         with pytest.raises(ParameterError):
             pl.ExpansionConfig(**bad)
-    # every range accepted before still is; step_size still takes inf
-    assert pl.ExpansionConfig(step_size=math.inf).step_size == math.inf
+    # every finite range accepted before still is
+    assert pl.ExpansionConfig(step_size=1e308).step_size == 1e308
     cfg = pl.ExpansionConfig(epsilon=0, cutout_frac=1, grid_keep=1, weights=[0, 0, 2])
     assert cfg.weights == (0.0, 0.0, 2.0)
 
