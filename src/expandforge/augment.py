@@ -251,7 +251,8 @@ def _score_rows(embeddings: np.ndarray, head) -> tuple:
 def expand_block(seed_pixels, out, steps, embedder, head, streams, budget=None):
     """Expand G seeds, seed_pixels (G, H, W, C), by a baseline's steps
     (baseline_steps), writing seed g's K variants into out[g], out being
-    (G, K, H, W, C). Returns their (G, K) columns and their G * K stream ids.
+    (G, K, H, W, C). Returns their record columns as a guided block does
+    (guidance module docstring), with retry_count 0 and fallback false.
 
     A plain baseline draws variant i of seed g from streams[g].child("variant",
     i). A selective one (budget set) draws budget candidates per seed from
@@ -282,9 +283,9 @@ def expand_block(seed_pixels, out, steps, embedder, head, streams, budget=None):
         ids = [[row[c] for c in pick] for row, pick in zip(ids, picks.tolist())]
     s_con, gains, consistent, qualified, embeddings = terms
     scores = np.stack([s_con, gains, lm.diversity_terms_rows(embeddings)], axis=-1)
-    columns = dict(scores_initial=scores, scores_final=scores, consistent=consistent,
-                   qualified=qualified)
-    return columns, [i for row in ids for i in row]
+    return dict(scores_initial=scores, scores_final=scores, consistent=consistent,
+                retry_count=np.zeros((g, k), np.int64), fallback=np.zeros((g, k), bool),
+                qualified=qualified, stream_id=ids)
 
 
 def selective_expand(

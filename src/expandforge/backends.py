@@ -379,6 +379,11 @@ def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:
     return Embedder(projection=q, image_shape=tuple(image_shape))
 
 
+def check_tau(tau) -> None:
+    """Raise ParameterError unless tau, a head's softmax temperature, is a finite real > 0."""
+    check_real("tau", tau, 0, open_low=True)
+
+
 @dataclass(eq=False)
 class ZeroShotHead:
     """Unit-norm class prototypes scored by cosine and a temperature softmax."""
@@ -394,7 +399,7 @@ class ZeroShotHead:
         norms = np.linalg.norm(self.prototypes, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ParameterError("prototypes must have unit norm")
-        check_real("tau", self.tau, 0, open_low=True)
+        check_tau(self.tau)
 
     def predict_rows(self, embeddings: np.ndarray) -> np.ndarray:
         """Class probabilities (..., C) of every embedding row (..., E)."""

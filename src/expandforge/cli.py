@@ -166,6 +166,7 @@ def _cmd_expand(args) -> int:
     if args.latent_tokens < 1 or args.latent_dim % args.latent_tokens != 0:
         raise ParameterError(f"--latent-tokens {args.latent_tokens} must divide "
                              f"--latent-dim {args.latent_dim}")
+    bk.check_tau(args.tau)
     data = pl.read_dataset(args.input)
     exemplars = pl.read_dataset(args.exemplars) if args.exemplars else data
     if exemplars.class_names != data.class_names:
@@ -203,14 +204,12 @@ def _cmd_traineval(args) -> int:
     _check_outputs([args.train, args.test], [args.out])
     if not pl.utf8_text(args.method):
         raise ParameterError(f"--method {args.method!r} is not UTF-8 text")
+    config = ev.ClassifierConfig(hidden=args.hidden, epochs=args.epochs, lr=args.lr, seed=seed)
     train = pl.read_dataset(args.train)
     test = pl.read_dataset(args.test)
     if (test.class_names, test.image_shape) != (train.class_names, train.image_shape):
         raise InputError(f"test set {args.test} has classes {test.class_names} of shape "
                          f"{test.image_shape}, not {train.class_names} of {train.image_shape}")
-    config = ev.ClassifierConfig(
-        hidden=args.hidden, epochs=args.epochs, lr=args.lr, seed=seed
-    )
     model = ev.train_classifier(train, config)
     metrics = ev.evaluate(model, test)
     embedder = bk.make_embedder(train.image_shape, args.embed_dim, args.embed_seed)

@@ -63,18 +63,18 @@ def check_count(name: str, value, low: int | None, high: int | None = None) -> N
 
 
 def check_real(name: str, value, low: float | None, high: float | None = None, *,
-               open_low: bool = False, open_high: bool = False, finite: bool = True) -> None:
+               open_low: bool = False, finite: bool = True) -> None:
     """Raise ParameterError unless value is a real number, not a bool, from low
-    to high: each end closed unless open_low/open_high, a None bound left
+    to high: each end closed, the low one open if open_low, a None bound left
     open. finite=False admits an infinity the bounds admit; nan never passes.
     The one rule for every real-valued parameter."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and value == value and (abs(value) < math.inf or not finite)  # nan != nan
             and (low is None or value > low or (value == low and not open_low))
-            and (high is None or value < high or (value == high and not open_high))):
+            and (high is None or value <= high)):
         # an unbounded end is closed where it admits an infinity
         left = "(" if open_low or (low is None and finite) else "["
-        right = ")" if open_high or (high is None and finite) else "]"
+        right = ")" if high is None and finite else "]"
         lo, hi = ("-inf" if low is None else low), ("inf" if high is None else high)
         kind = "a finite real" if finite else "a real"
         raise ParameterError(f"{name} must be {kind} in {left}{lo}, {hi}{right}, got {value!r}")

@@ -34,14 +34,17 @@ test_row_kernels_are_bit_equal_to_per_vector_calls checks them:
   np.linalg.norm computes it for one vector, not np.linalg.norm(X, axis=-1)
 - row max and sum run along the last axis, a group's mean and sum along
   the K axis
-- each group's s_con, s_ent and s_div totals add over K in variant order
-- a sum masked to p > 0 stays masked for every row with a zero entry
 
-Each flow reports what happened to each variant as named columns: the
-(s_con, s_ent, s_div) scores of the first evaluated and of the emitted
-variants as scores_initial and scores_final, (G, K, 3) each, and
-consistent, retry_count and fallback, (G, K) each; the pipeline builds
-the manifest records from them. Each score term has one formula, in
+A group's objective total sums its variants' terms over K with numpy; it
+feeds only the trace and its finiteness check, so its rounding is free.
+
+Each flow returns the manifest's record columns (pipeline._COLUMN_TYPES),
+as augment.expand_block does: the (s_con, s_ent, s_div) scores of the
+first evaluated and of the emitted variants as scores_initial and
+scores_final, (G, K, 3) each; consistent, retry_count, fallback and
+qualified (always true), (G, K) each; and stream_id, (G, K) lists of the
+variant streams' ids, child("variant", i) of each seed stream, from which
+its init and retry noise streams descend. Each score term has one formula, in
 latentmath: s_con and entropy gain come from consistency_entropy_rows and
 s_div from diversity_terms_rows, each variant's clamped term of the
 diversity_rows sum the ascent raises.
@@ -111,16 +114,18 @@ def _noise(streams, lead: tuple, shape: tuple, noise_mode: str):
 
 
 def _init_noise(rng_streams: list, k: int, shape: tuple, noise_mode: str):
-    """The (G, K, T, D) init (z, b) of each seed stream's K variants."""
-    inits = [s.child("variant", i, "init") for s in rng_streams for i in range(k)]
-    return _noise(inits, (len(rng_streams), k), shape, noise_mode)
+    """The K variant streams of each seed stream, as (G, K) lists, and
+    their (G, K, T, D) init (z, b)."""
+    subs = [[s.child("variant", i) for i in range(k)] for s in rng_streams]
+    inits = [sub.child("init") for row in subs for sub in row]
+    return subs, _noise(inits, (len(rng_streams), k), shape, noise_mode)
 
 
 def init_perturbations(shape: tuple, k: int, noise_mode: str, rng_stream: RngStream):
     """One independent uniform/Gaussian noise draw per variant: (z, b), each (k, T, D)."""
     check_count("k", k, 1)
     lm.check_noise_mode(noise_mode)
-    z, b = _init_noise([rng_stream], k, shape, noise_mode)
+    _, (z, b) = _init_noise([rng_stream], k, shape, noise_mode)
     return z[0], b[0]
 
 
@@ -221,8 +226,7 @@ class ScoreChain:
 
     def __call__(self, values: np.ndarray):
         w_con, w_ent, w_div = self.weights
-        g, k = values.shape[:2]
-        flat = values.reshape(g, k, -1)
+        flat = values.reshape(*values.shape[:2], -1)
         embedding, pullback = self.lift(flat)
         _, probs, jac = lm.classify_rows(embedding, self.head.prototypes, self.head.tau)
         target = self.target[:, None]
@@ -230,11 +234,8 @@ class ScoreChain:
         s_div, div_grads = lm.diversity_rows(flat)
         grads = (pullback(g_e) + w_div * div_grads).reshape(values.shape)
         p_t, gains = lm.consistency_entropy_rows(probs, self.seed_probs)
-        s_con = s_ent = np.zeros(g)
-        for i in range(k):  # in variant order, as the per-seed sums ran
-            s_con = s_con + p_t[:, i]
-            s_ent = s_ent + gains[:, i]
-        return lm.weighted_total(s_con, s_ent, s_div, self.weights), grads, probs
+        total = lm.weighted_total(p_t.sum(axis=-1), gains.sum(axis=-1), s_div, self.weights)
+        return total, grads, probs
 
 
 def _expand_with_chain(chain, seeds: np.ndarray, config: ExpansionConfig, rng_streams: list):
@@ -248,22 +249,21 @@ def _expand_with_chain(chain, seeds: np.ndarray, config: ExpansionConfig, rng_st
     is zero, so the round equals per-variant retries run one after another.
     Probabilities come from the traces: the first evaluation for the
     initial scores, the last for emitted variants; a fallback takes the
-    seed's own. Returns the (G, K, T, D) emitted variants, the named
-    (G, K) columns of the module docstring, and the trace.
+    seed's own. Returns the (G, K, T, D) emitted variants, the record
+    columns of the module docstring, and the trace.
     """
     k = config.ratio_k
     shape = seeds.shape[1:]
-    params = _init_noise(rng_streams, k, shape, config.noise_mode)
+    subs, params = _init_noise(rng_streams, k, shape, config.noise_mode)
     emitted, trace = optimize_guidance(seeds, chain, params, config)
     probs = trace.probs[-1].copy()
     seed_probs, target = chain.seed_probs, chain.target[:, None]
-    retry_counts = np.zeros(probs.shape[:2], dtype=int)
+    retry_counts = np.zeros(probs.shape[:2], np.int64)
     for r in range(1, config.retries + 1):
         groups, variants = np.nonzero(probs.argmax(axis=-1) != target)
         if groups.size == 0:
             break
-        retry = [rng_streams[g].child("variant", int(i), "retry", r)
-                 for g, i in zip(groups, variants)]
+        retry = [subs[g][i].child("retry", r) for g, i in zip(groups, variants)]
         single, single_trace = optimize_guidance(
             seeds[groups], chain.select(groups),
             _noise(retry, (groups.size, 1), shape, config.noise_mode), config
@@ -284,7 +284,8 @@ def _expand_with_chain(chain, seeds: np.ndarray, config: ExpansionConfig, rng_st
         for p, v in ((trace.probs[0], trace.initial), (probs, emitted))
     )
     columns = dict(scores_initial=initial, scores_final=final, consistent=consistent,
-                   retry_count=retry_counts, fallback=fallbacks)
+                   qualified=np.ones_like(consistent), retry_count=retry_counts,
+                   fallback=fallbacks, stream_id=[[s.id for s in row] for row in subs])
     return emitted, columns, trace
 
 
@@ -300,7 +301,7 @@ def expand_embedding_block(
     decode them as one stack: through the embedder's orthonormal transpose
     into pixel space, then a codec round trip to stay on the image manifold.
     seed_pixels is (G, H, W, C); returns the (G, K, H, W, C) float32 variant
-    pixels, their (G, K) columns and the trace. config fields left None
+    pixels, their record columns and the trace. config fields left None
     take their gif_embed FLOW_DEFAULTS."""
     config = flow_config(config, "gif_embed")
     e0 = embedder.embed_images(seed_pixels)
@@ -320,7 +321,7 @@ def expand_latent_block(
 ):
     """Optimize K perturbed codec latents of each seed in one stack, scoring
     decoded intermediates. seed_pixels is (G, H, W, C); returns the
-    (G, K, H, W, C) float32 variant pixels, their (G, K) columns and the
+    (G, K, H, W, C) float32 variant pixels, their record columns and the
     trace. config fields left None take their gif_latent FLOW_DEFAULTS."""
     config = flow_config(config, "gif_latent")
     if seed_pixels.shape[1:] != codec.image_shape:

@@ -61,20 +61,6 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def _masked_row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """x[mask].sum() of every row of x (..., n), mask of the same shape.
-
-    A full row is summed in place; a row with a masked-out entry is
-    compacted first, since zeros left in would regroup the pairwise sum.
-    """
-    out = np.asarray(x.sum(axis=-1))  # a single row sums to a 0-d array
-    partial = ~mask.all(axis=-1)
-    if partial.any():
-        for idx in map(tuple, np.argwhere(partial)):
-            out[idx] = x[idx][mask[idx]].sum()
-    return out
-
-
 def _check_simplex(p: np.ndarray, name: str, tol: float = SIMPLEX_TOL) -> np.ndarray:
     if np.any(p < -1e-12):
         raise SimplexError(f"{name} has negative entries")
@@ -93,9 +79,8 @@ def entropy(p) -> float:
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """entropy of every nonnegative distribution row of p (..., C); a
     one-hot row gives +0.0."""
-    nz = p > 0.0
     # adding 0.0 turns the -0.0 of a one-hot row into +0.0 and moves no other value
-    return -_masked_row_sums(p * np.log(np.where(nz, p, 1.0)), nz) + 0.0
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) + 0.0
 
 
 def kl_divergence(p, q) -> float:
@@ -111,8 +96,7 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """kl_divergence of every distribution row of p (..., C) against the
     matching row of q, which broadcasts against p."""
     q = np.maximum(q, KL_FLOOR)
-    nz = p > 0.0
-    kl = _masked_row_sums(p * (np.log(np.where(nz, p, 1.0)) - np.log(q)), nz)
+    kl = (p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(q))).sum(axis=-1)
     # Gibbs' inequality puts KL at >= 0; near-identical inputs can round a
     # hair below, so clamp rather than report an impossible negative
     return np.maximum(kl, 0.0)
@@ -268,7 +252,7 @@ def _kl_to_mean(flats: np.ndarray):
     r = softmax_rows(np.mean(flats, axis=-2))
     q = softmax_rows(flats)
     log_ratio = np.log(np.maximum(q, KL_FLOOR)) - np.log(np.maximum(r, KL_FLOOR))[..., None, :]
-    return _masked_row_sums(q * log_ratio, q > 0.0), q, log_ratio, r
+    return (q * log_ratio).sum(axis=-1), q, log_ratio, r
 
 
 def diversity_terms_rows(flats: np.ndarray) -> np.ndarray:
@@ -282,14 +266,11 @@ def diversity_rows(flats: np.ndarray):
     gradient with respect to every variant: see diversity_score_grad."""
     k = flats.shape[-2]
     kls, q, log_ratio, r = _kl_to_mean(flats)
-    total = np.zeros(kls.shape[:-1])
-    for i in range(k):  # in variant order, as a Python sum over the variants adds
-        total = total + kls[..., i]
     # d/dv of sum_k KL(q_k || softmax(v)) at v = mean of the flats; each flat
     # contributes 1/K to every coordinate of the mean.
     d_mean = k * r - np.sum(q, axis=-2)
     grads = q * (log_ratio - kls[..., None]) + (d_mean / k)[..., None, :]
-    return np.maximum(total, 0.0), grads
+    return np.maximum(kls.sum(axis=-1), 0.0), grads
 
 
 def diversity_score_grad(values: Sequence[np.ndarray]):
@@ -322,7 +303,7 @@ def guidance_objective(
         raise ShapeError("class count mismatch between the seed and a variant prediction")
     s_div, _ = diversity_score_grad([v.values for v in variants])  # ShapeError on no variants
     p_t, gains = consistency_entropy_rows(np.stack([sp.probs for sp in s_primes]), s.probs)
-    # a Python sum adds over K in variant order, as the ascent's totals do
+    # Python floats, each the sum of the K variants' terms in variant order
     s_con, s_ent = sum(p_t.tolist()), sum(gains.tolist())
     return GuidanceScores(s_con, s_ent, s_div, weights,
                           weighted_total(s_con, s_ent, s_div, weights))

@@ -3,11 +3,12 @@
 The GIFX container is a single self-describing little-endian binary so
 round trips are bit-exact, and the manifest is canonical JSON so equal
 manifests are byte-equal files. Every synthetic sample is a pure function
-of (global_seed, method, config, seed sample bytes): per-seed RNG streams
-are keyed by a content hash of the seed, never by its position, so
-shuffling or splitting the input cannot change any seed's variants. The
-guided methods ascend blocks of seeds as one stack, and the block layout
-cannot change a byte either.
+of (global_seed, method, config, backends, seed sample bytes), the
+backends being the codec, embedder and head. Per-seed RNG streams are
+keyed by a content hash of the seed, never by its position, so shuffling
+or splitting the input cannot change any seed's variants. The guided
+methods ascend blocks of seeds as one stack, and the block layout cannot
+change a byte either.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from . import augment as ag
 from . import guidance as gd
 from . import latentmath as lm
 from .backends import Embedder, LabeledDataset, LinearCodec, ZeroShotHead, bad_image_index
-from .errors import (FormatError, InputError, NumericInputError, ParameterError, check_count,
-                     check_real)
+from .errors import (FormatError, InputError, NumericDivergenceError, NumericInputError,
+                     ParameterError, check_count, check_real)
 from .rng import RngStream
 
 TOOL_VERSION = "0.1.0"
@@ -260,6 +261,7 @@ _TERMS = tuple(_SCORE_TYPES)[:4]
 _COLUMN_TYPES = {"scores_initial": (np.float64, (4,)), "scores_final": (np.float64, (4,)),
                  "consistent": (np.bool_, ()), "retry_count": (np.int64, ()),
                  "fallback": (np.bool_, ()), "qualified": (np.bool_, ())}
+_SCORE_COLUMNS = ("scores_initial", "scores_final")
 
 
 # the types a manifest value of each kind may have; a bool is never a number
@@ -340,8 +342,7 @@ def _record_columns(records: list, start: int, header: dict) -> dict:
     weights = header["config"]["weights"]
     try:
         fields = _fields(records, _RECORD_TYPES, "the record")
-        scores = {key: _fields(fields[key], _SCORE_TYPES, key)
-                  for key in ("scores_initial", "scores_final")}
+        scores = {key: _fields(fields[key], _SCORE_TYPES, key) for key in _SCORE_COLUMNS}
         seed_index, variant_index = divmod(np.arange(start, start + m), k)
         if ([fields["seed_index"], fields["variant_index"], fields["method"],
              *(score["weights"] for score in scores.values())]
@@ -369,8 +370,7 @@ def _records(method: str, weights, columns: dict) -> list:
     from entry [j, i] of each; .tolist() keeps every float's bits."""
     n, k = columns["consistent"].shape
     scores = [[dict(zip(_SCORE_TYPES, (*row, list(weights))))
-               for row in columns[key].reshape(n * k, 4).tolist()]
-              for key in ("scores_initial", "scores_final")]
+               for row in columns[key].reshape(n * k, 4).tolist()] for key in _SCORE_COLUMNS]
     flags = [columns[key].ravel().tolist()
              for key in ("consistent", "retry_count", "fallback", "qualified")]
     rows = zip(*np.indices((n, k)).reshape(2, -1).tolist(), [method] * (n * k),
@@ -570,42 +570,39 @@ def expand_dataset(
     pixels = np.empty((n * (1 + k),) + dataset.image_shape, dtype=np.float32)
     pixels[:n] = dataset.pixels
     variants = pixels[n:].reshape((n, k) + dataset.image_shape)  # seed j's variant i at [j, i]
-    # the manifest's record columns, filled like variants; a baseline never
-    # retries or falls back, and every guided variant qualifies
-    columns = dict(scores_initial=np.empty((n, k, 3)), scores_final=np.empty((n, k, 3)),
-                   consistent=np.empty((n, k), bool), retry_count=np.zeros((n, k), np.int64),
-                   fallback=np.zeros((n, k), bool), qualified=np.ones((n, k), bool))
+    # block(s) writes the variants of seeds s into variants[s], returning their record columns
+    budget = None
     if method in GUIDED_METHODS:
         # looked up at call time, so a wrapper installed on the module applies
         flow = gd.expand_embedding_block if method == "gif_embed" else gd.expand_latent_block
-        budget = None
+
+        def block(s):
+            variants[s], columns, _ = flow(dataset.pixels[s], backends.codec, backends.embedder,
+                                           backends.head, config, streams[s])
+            return columns
     else:
         # a selective method draws a candidate pool, 4K per seed unless the
         # config sets it, by its plain counterpart's steps
         steps = ag.baseline_steps(method.removeprefix("selective_"), config, dataset.image_shape)
-        budget = ((4 * k if config.candidate_budget is None else config.candidate_budget)
-                  if method.startswith("selective_") else None)
+        if method.startswith("selective_"):
+            budget = 4 * k if config.candidate_budget is None else config.candidate_budget
+        block = lambda s: ag.expand_block(dataset.pixels[s], variants[s], steps, backends.embedder,
+                                          backends.head, streams[s], budget)
     per_block = max(1, ASCENT_BLOCK_ROWS // (budget or k))
-    stream_ids = []
-    for start in range(0, n, per_block):
-        block = slice(start, start + per_block)
-        if method in GUIDED_METHODS:
-            variants[block], block_columns, _ = flow(dataset.pixels[block], backends.codec,
-                                                     backends.embedder, backends.head, config,
-                                                     streams[block])
-            stream_ids += [stream.child("variant", i).id for stream in streams[block]
-                           for i in range(k)]
-        else:
-            block_columns, ids = ag.expand_block(dataset.pixels[block], variants[block], steps,
-                                                 backends.embedder, backends.head,
-                                                 streams[block], budget)
-            stream_ids += ids
-        for key, column in block_columns.items():
-            columns[key][block] = column
-    for key in ("scores_initial", "scores_final"):
-        total = lm.weighted_total(*np.moveaxis(columns[key], -1, 0), config.weights)
+    blocks = [block(slice(start, start + per_block)) for start in range(0, n, per_block)]
+    columns = {key: np.concatenate([b[key] for b in blocks]) for key in _COLUMN_TYPES}
+    columns["stream_id"] = [i for b in blocks for row in b["stream_id"] for i in row]
+    # a retried or fallback variant's total, which no ascent checked, can overflow
+    # from finite terms; a non-finite term is left to the record check
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = [lm.weighted_total(*np.moveaxis(columns[key], -1, 0), config.weights)
+                  for key in _SCORE_COLUMNS]
+    bad = np.flatnonzero(np.any([np.isfinite(columns[key]).all(axis=-1) & ~np.isfinite(total)
+                                 for key, total in zip(_SCORE_COLUMNS, totals)], axis=0))
+    if bad.size:
+        raise NumericDivergenceError(f"record {bad[0]}: the weights overflow its total")
+    for key, total in zip(_SCORE_COLUMNS, totals):
         columns[key] = np.concatenate([columns[key], total[..., None]], axis=-1)
-    columns["stream_id"] = stream_ids
     labels = np.concatenate([dataset.labels, np.repeat(dataset.labels, k)])
     expanded = LabeledDataset(pixels, labels, list(dataset.class_names))
     manifest = ExpansionManifest(

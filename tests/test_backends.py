@@ -152,14 +152,13 @@ def test_rekeyed_checks_a_prefix_equal_to_the_last_but_not_the_same():
 def test_check_real_ends_infinities_and_types():
     errors.check_real("x", 0, 0)
     errors.check_real("x", 1, 0, 1)
-    errors.check_real("x", np.float32(0.5), 0, 1, open_low=True, open_high=True)
+    errors.check_real("x", np.float32(0.5), 0, 1, open_low=True)
     errors.check_real("x", np.int64(3), 0)
     errors.check_real("x", 10**400, None)  # an int too large for a float is still a real
     errors.check_real("x", math.inf, 0, finite=False)
     errors.check_real("x", -math.inf, None, finite=False)
     for value, low, high, kw in (
         (0, 0, None, dict(open_low=True)),
-        (1, 0, 1, dict(open_high=True)),
         (-1e-300, 0, None, {}),
         (1.5, 0, 1, {}),
         (math.inf, 0, None, {}),

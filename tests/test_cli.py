@@ -147,11 +147,18 @@ def test_usage_errors_exit_one(tmp_path):
         assert not out.exists()
 
 
-def test_non_finite_tau_exits_one(tmp_path):
+def test_non_finite_tau_exits_one(tmp_path, monkeypatch, capsys):
+    # refused before expand reads the input or fits a backend
     src = _toygen(tmp_path)
-    out = tmp_path / "hot.gifx"
-    assert cli.main(_small_expand_args(src, out, tau="inf")) == 1
-    assert not out.exists()
+    for module, name in ((pl, "read_dataset"), (bk, "fit_linear_codec"),
+                         (bk, "make_embedder"), (bk, "fit_prototype_head")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: pytest.fail(name))
+    for method in ("cutout", "gif_latent"):
+        for value in ("inf", "nan"):
+            assert cli.main(_small_expand_args(src, tmp_path / "hot.gifx", method=method,
+                                               tau=value)) == 1
+            assert "tau must be a finite real" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
 
 
 def test_expand_output_naming_an_input_or_output_exits_one(tmp_path):
@@ -179,6 +186,17 @@ def test_expand_output_naming_an_input_or_output_exits_one(tmp_path):
     manifest_input = _toygen(tmp_path, "named.gifx.manifest.json")
     assert cli.main(_small_expand_args(manifest_input, named)) == 1
     assert not named.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--epochs", "0"), ("--hidden", "0")])
+def test_bad_classifier_flags_exit_one_before_any_read(tmp_path, capsys, flag, value):
+    # the inputs do not exist: reading either would exit 2
+    code = cli.main(["traineval", "--train", str(tmp_path / "train.gifx"),
+                     "--test", str(tmp_path / "test.gifx"), flag, value,
+                     "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert f"{flag[2:]} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_traineval_output_naming_an_input_exits_one(tmp_path):
@@ -295,6 +313,20 @@ def test_huge_finite_guided_flags_exit_three_without_a_warning(tmp_path, method,
     out = tmp_path / "huge.gifx"
     assert cli.main(["expand", "--in", str(src), "--method", method, "--latent-dim", "4",
                      "--seed", "3", flag, "1e308", "--out", str(out)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
+
+
+def test_a_weight_that_overflows_a_record_total_exits_three(tmp_path, capsys):
+    # the ascent's group totals stay finite, but the total of a retried or
+    # fallback variant's record overflows under the huge diversity weight
+    src = _toygen(tmp_path, classes=2, per_class=3, size=8, seed=5)
+    out = tmp_path / "ovf.gifx"
+    code = cli.main(["expand", "--in", str(src), "--method", "gif_latent", "--ratio", "2",
+                     "--steps", "2", "--latent-dim", "4", "--latent-tokens", "2",
+                     "--embed-dim", "32", "--seed", "1", "--lambda-con", "0",
+                     "--lambda-div", "1e308", "--noise-mode", "full", "--out", str(out)])
+    assert code == 3
+    assert "record 5: the weights overflow its total" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
 
 

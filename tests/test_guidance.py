@@ -381,9 +381,10 @@ def test_embedding_flow_epsilon_zero_emits_decoded_seed():
     assert (columns["retry_count"] == 0).all()
 
 
-# the per-variant shape of each column a guided flow reports
+# the per-variant shape of each array column a guided flow reports; its
+# stream_id column is a list of the variants' stream ids
 _COLUMN_SHAPES = {"scores_initial": (3,), "scores_final": (3,), "consistent": (),
-                  "retry_count": (), "fallback": ()}
+                  "retry_count": (), "fallback": (), "qualified": ()}
 
 
 def test_embedding_flow_consistency_and_shapes():
@@ -394,9 +395,11 @@ def test_embedding_flow_consistency_and_shapes():
     )
     assert len(images) == 5
     # one entry per variant
-    assert sorted(columns) == sorted(_COLUMN_SHAPES)
+    assert sorted(columns) == sorted([*_COLUMN_SHAPES, "stream_id"])
     for key, shape in _COLUMN_SHAPES.items():
         assert columns[key].shape == (5,) + shape
+    assert columns["stream_id"] == [_stream("emb-flow").child("variant", i).id for i in range(5)]
+    assert columns["qualified"].all()
     assert len(trace) == 11
     target = head.predict_rows(embedder.embed(data.images[0])).argmax()
     assert columns["consistent"].all()

@@ -441,8 +441,8 @@ def _reference_consistency_entropy_grad(p, jac, tau, target, lam_con, lam_ent):
 
 
 def _reference_diversity(flats):
-    """The per-variant loop that diversity_rows stacks, masked sums and all:
-    (total, grads, per-variant KLs)."""
+    """The per-variant loop that diversity_rows stacks: (total, grads,
+    per-variant KLs)."""
     k = len(flats)
     r = lm.softmax(np.mean(flats, axis=0))
     log_r = np.log(np.maximum(r, lm.KL_FLOOR))
@@ -450,8 +450,7 @@ def _reference_diversity(flats):
     for u in flats:
         q = lm.softmax(u)
         log_q = np.log(np.maximum(q, lm.KL_FLOOR))
-        m = q > 0.0
-        kls.append(float((q[m] * (log_q[m] - log_r[m])).sum()))
+        kls.append(float((q * (log_q - log_r)).sum()))
         qs.append(q)
         log_qs.append(log_q)
     d_mean = k * r - np.sum(np.stack(qs, axis=0), axis=0)
@@ -460,14 +459,12 @@ def _reference_diversity(flats):
 
 
 def _reference_entropy(p):
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum())
 
 
 def _reference_kl(p, q):
     q = np.maximum(q, lm.KL_FLOOR)
-    m = p > 0.0
-    return max(float((p[m] * (np.log(p[m]) - np.log(q[m]))).sum()), 0.0)
+    return max(float((p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(q))).sum()), 0.0)
 
 
 def test_row_kernels_are_bit_equal_to_per_vector_calls():
@@ -495,8 +492,8 @@ def test_row_kernels_are_bit_equal_to_per_vector_calls():
         # the one-vector entry points are the one-row case
         pred, one_jac = lm.classify_grad(x[idx], protos, 0.7)
         assert np.array_equal(pred.probs, want_probs) and np.array_equal(one_jac, want_jac)
-    # rows with exact zeros take the masked sums, and entries below KL_FLOOR
-    # take the floor
+    # rows with exact zeros sum their zero terms with the rest, and entries
+    # below KL_FLOOR take the floor
     p = rng.dirichlet(np.ones(20), size=(3, 4))
     p[1, 2, ::3] = 0.0
     p[0, 3, 1::4] = 1e-14

@@ -689,18 +689,21 @@ def test_expansion_is_pure_per_seed_content(method):
 @pytest.mark.parametrize("method", ["gif_embed", "gif_latent"])
 def test_ascent_block_layout_keeps_the_bytes(method, monkeypatch):
     # the golden config: gif_latent retries 7 variants and falls back on one,
-    # so retry rounds and a fallback run inside multi-seed blocks as well
-    data, bundle = _data(seed=0), _bundle(seed=0)
-    config = pl.ExpansionConfig(ratio_k=3, steps=4)
-
-    def run():
-        expanded, manifest = pl.expand_dataset(data, method, config, bundle, global_seed=0)
-        return pl.dataset_bytes(expanded), pl.canonical_json(manifest.as_dict())
-
-    want = run()  # all 12 seeds in one block
-    for seeds_per_block in (1, 3):
-        monkeypatch.setattr(pl, "ASCENT_BLOCK_ROWS", config.ratio_k * seeds_per_block)
-        assert run() == want
+    # so retry rounds and a fallback run inside multi-seed blocks as well. At
+    # tau 1e-3 some seed probabilities are exact zeros, whose entropy and KL
+    # terms the row sums add in place with the rest
+    data, config = _data(seed=0), pl.ExpansionConfig(ratio_k=3, steps=4)
+    for tau in (1.0, 1e-3):
+        bundle = _bundle(seed=0)
+        bundle = dataclasses.replace(bundle, head=bk.fit_prototype_head(data, bundle.embedder, tau))
+        seed_probs = bundle.head.predict_rows(bundle.embedder.embed_images(data.pixels))
+        assert (seed_probs == 0.0).any() == (tau < 1.0)
+        layouts = []
+        for seeds_per_block in (len(data), 1, 3):
+            monkeypatch.setattr(pl, "ASCENT_BLOCK_ROWS", config.ratio_k * seeds_per_block)
+            expanded, manifest = pl.expand_dataset(data, method, config, bundle, global_seed=0)
+            layouts.append((pl.dataset_bytes(expanded), pl.canonical_json(manifest.as_dict())))
+        assert layouts[1:] == layouts[:1] * 2
 
 
 def test_steps_zero_keeps_the_initial_scores():
