@@ -46,8 +46,21 @@ class Metrics:
         return asdict(self)
 
 
+# rows per chunk of an MLPClassifier epoch: each chunk's gradient products
+# sum over at most this many samples, few enough that OpenBLAS gives them the
+# same bits on any thread count (512 rows did not, on a 1,000 x 1,024 fit)
+MLP_CHUNK = 256
+
+
+def _features(x) -> np.ndarray:
+    """x as aligned, C-ordered float32 rows. A GIFX read gives a record-strided
+    view that is neither, and matmul leaves BLAS for such an array."""
+    return np.require(x, np.float32, ["C", "A"])
+
+
 class MLPClassifier:
-    """One tanh hidden layer, softmax cross-entropy, full-batch descent."""
+    """One tanh hidden layer, softmax cross-entropy, full-batch descent, in
+    float32."""
 
     def __init__(self, input_dim: int, class_count: int, config: ClassifierConfig):
         check_count("input_dim", input_dim, 1)
@@ -57,17 +70,14 @@ class MLPClassifier:
         gen = RngStream.root(config.seed).child("mlp").generator()
         a1 = 1.0 / np.sqrt(input_dim)
         a2 = 1.0 / np.sqrt(config.hidden)
-        self.w1 = gen.uniform(-a1, a1, (input_dim, config.hidden))
-        self.b1 = np.zeros(config.hidden)
-        self.w2 = gen.uniform(-a2, a2, (config.hidden, class_count))
-        self.b2 = np.zeros(class_count)
+        self.w1 = gen.uniform(-a1, a1, (input_dim, config.hidden)).astype(np.float32)
+        self.b1 = np.zeros(config.hidden, dtype=np.float32)
+        self.w2 = gen.uniform(-a2, a2, (config.hidden, class_count)).astype(np.float32)
+        self.b2 = np.zeros(class_count, dtype=np.float32)
         self.loss_curve: list = []
 
     def _forward(self, x: np.ndarray):
-        # x @ w1 computed as (w1.T @ x.T).T, the layout OpenBLAS runs fastest,
-        # at the same bits; hid must be C-ordered again, or the products
-        # that read it round differently
-        hid = np.tanh(np.ascontiguousarray((self.w1.T @ x.T).T) + self.b1)
+        hid = np.tanh(x @ self.w1 + self.b1)
         logits = hid @ self.w2 + self.b2
         shifted = logits - logits.max(axis=1, keepdims=True)
         expv = np.exp(shifted)
@@ -75,7 +85,10 @@ class MLPClassifier:
         return hid, probs
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "MLPClassifier":
-        x = np.asarray(x, dtype=np.float64)
+        """One pass over MLP_CHUNK-row chunks per epoch: each chunk runs
+        forward and backward and adds its gradients in chunk order, then the
+        epoch makes one update, so descent stays full-batch."""
+        x = _features(x)
         y = np.asarray(y)
         if x.ndim != 2 or x.shape[0] != y.size:
             raise ParameterError(
@@ -89,33 +102,44 @@ class MLPClassifier:
                 f"[{y.min()}, {y.max()}]"
             )
         n = x.shape[0]
-        onehot = np.zeros((n, self.class_count))
+        onehot = np.zeros((n, self.class_count), dtype=np.float32)
         onehot[np.arange(n), y] = 1.0
-        lr = self.config.lr
         self.loss_curve = []
         # a diverging rate overflows the weights; the non-finite loss that
-        # follows is raised naming its epoch, so numpy's warnings add nothing
+        # follows is raised naming its epoch, so numpy's warnings add nothing.
+        # A rate past float32's range casts to inf here, and diverges so.
         with np.errstate(over="ignore", invalid="ignore"):
+            lr = np.float32(self.config.lr)
             for epoch in range(self.config.epochs):
-                hid, probs = self._forward(x)
-                loss = -np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300)))
+                loss = 0.0
+                dw1t = np.zeros(self.w1.T.shape, dtype=np.float32)
+                db1 = np.zeros_like(self.b1)
+                dw2 = np.zeros_like(self.w2)
+                db2 = np.zeros_like(self.b2)
+                for start in range(0, n, MLP_CHUNK):
+                    rows = slice(start, start + MLP_CHUNK)
+                    xc, yc = x[rows], y[rows]
+                    hid, probs = self._forward(xc)
+                    picked = probs[np.arange(yc.size), yc].astype(np.float64)
+                    loss -= np.log(np.maximum(picked, 1e-300)).sum()
+                    dlogits = (probs - onehot[rows]) / n
+                    dhid = (dlogits @ self.w2.T) * (1.0 - hid**2)
+                    dw1t += dhid.T @ xc
+                    db1 += dhid.sum(axis=0)
+                    dw2 += hid.T @ dlogits
+                    db2 += dlogits.sum(axis=0)
+                loss /= n
                 if not np.isfinite(loss):
                     raise NumericDivergenceError(f"training loss non-finite at epoch {epoch}")
                 self.loss_curve.append(float(loss))
-                dlogits = (probs - onehot) / n
-                dw2 = hid.T @ dlogits
-                db2 = dlogits.sum(axis=0)
-                dhid = (dlogits @ self.w2.T) * (1.0 - hid**2)
-                dw1 = (dhid.T @ x).T  # x.T @ dhid, at the same bits but faster
-                db1 = dhid.sum(axis=0)
-                self.w1 -= lr * dw1
+                self.w1 -= lr * dw1t.T
                 self.b1 -= lr * db1
                 self.w2 -= lr * dw2
                 self.b2 -= lr * db2
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _features(x)
         if x.ndim != 2 or x.shape[1] != self.w1.shape[0]:
             raise ShapeError(
                 f"expected (N, {self.w1.shape[0]}) features as in training, got {x.shape}"
@@ -130,7 +154,7 @@ class MLPClassifier:
 def train_classifier(dataset: LabeledDataset, config: ClassifierConfig) -> MLPClassifier:
     if np.unique(dataset.labels).size < 2:
         raise InputError("training set must contain at least two classes")
-    flat = dataset.stacked_flat()
+    flat = dataset.pixels.reshape(len(dataset), -1)
     model = MLPClassifier(input_dim=flat.shape[1], class_count=dataset.class_count, config=config)
     return model.fit(flat, dataset.labels)
 
@@ -139,7 +163,7 @@ def evaluate(model, dataset: LabeledDataset) -> Metrics:
     """Accuracy plus per-class recall; macro averages only present classes."""
     if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    preds = model.predict(dataset.stacked_flat())
+    preds = model.predict(dataset.pixels.reshape(len(dataset), -1))
     labels = dataset.labels
     accuracy = float(np.mean(preds == labels))
     recalls = []

@@ -302,6 +302,30 @@ def test_diverging_training_exits_three_and_writes_no_metrics(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_rate_past_float32_diverges_at_one_epoch_on_any_thread_count(tmp_path):
+    # the probe trains in float32, where both rates cast to inf: the first
+    # update overflows the weights whatever the BLAS thread count, and the
+    # cast's overflow warning stays inside fit. One child per thread count
+    # and rate, since OpenBLAS reads its thread count at start-up.
+    train = _toygen(tmp_path, classes=2, per_class=3, size=8)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "expandforge.cli", "traineval",
+             "--train", train, "--test", train, "--seed", "0", "--lr", lr,
+             "--out", tmp_path / f"m{threads}_{lr}.json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
+        for threads in (1, 2) for lr in ("1e39", "1e308")
+    ]
+    errors = set()
+    for child in children:
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 3
+        errors.add(err)
+    assert errors == {"error: numeric divergence: training loss non-finite at epoch 1\n"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
+
+
 @pytest.mark.parametrize("method, flag", [
     ("gif_latent", "--step-size"),  # overflows the perturbed latents
     ("gif_latent", "--lambda-con"),  # overflows the weighted objective

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,26 +84,25 @@ def test_training_deterministic_in_seed():
 # sha256 over the repr of every loss-curve float, then the bytes of w1, b1,
 # w2 and b2 after training. The in-process determinism test above and the
 # 9-digit metrics file cannot see a last-bit drift; these pin it across
-# refactors. Both shapes are past OpenBLAS's threading threshold, and the
-# 1,000 x 1,024 one also has the width of the benchmark's bulk workload.
-# The digests are facts about one numpy/BLAS build (numpy 2.4, OpenBLAS
-# 0.3.31) on two or more BLAS threads: one thread sums the backward product
-# x.T @ dhid in another order, and gives other digests.
+# refactors. The 600-row shape spans three chunks of MLP_CHUNK rows, the last
+# one short, and the 1,000 x 1,024 one has the width of the benchmark's bulk
+# workload. The digests are facts about one numpy/BLAS build (numpy 2.4,
+# OpenBLAS 0.3.31); the fixed chunks make them the same on any BLAS thread
+# count, which the test below checks at 1, 2 and 4.
 MLP_FULL_PRECISION = {
     "600x256": (
         (4, 150, 16, 3), ev.ClassifierConfig(),
-        "d8362aac5ca49e15fef0464c5fce947c89a1a8c9ec1057d2d93cb8e5090a1d98",
+        "1483a169255aa938930df08174194dca67ea8d3e930c980b913fdaecc85e7c62",
     ),
     "1000x1024": (
         (4, 250, 32, 3), ev.ClassifierConfig(epochs=5),
-        "d9ee25ce7bdd49918331d9fe37964fd7baedcccba2e8dddf961c703e797a95e7",
+        "ed84b51ed407a52c032399202c682dcaa4162a0a1f057fd6ce2795fb528a6234",
     ),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(MLP_FULL_PRECISION))
-def test_training_at_full_precision(shape):
-    toygen_args, config, expected = MLP_FULL_PRECISION[shape]
+def _trained_digest(shape) -> str:
+    toygen_args, config, _ = MLP_FULL_PRECISION[shape]
     model = ev.train_classifier(bk.gen_toy_dataset(*toygen_args), config)
     h = hashlib.sha256()
     for loss in model.loss_curve:
@@ -107,7 +110,30 @@ def test_training_at_full_precision(shape):
         h.update(b"\n")
     for arr in (model.w1, model.b1, model.w2, model.b2):
         h.update(arr.tobytes())
-    assert h.hexdigest() == expected
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(MLP_FULL_PRECISION))
+def test_training_at_full_precision(shape):
+    assert _trained_digest(shape) == MLP_FULL_PRECISION[shape][2]
+
+
+def test_trained_bits_ignore_the_blas_thread_count():
+    # OpenBLAS reads its thread count once, at start-up, so each count needs
+    # its own child process; the three run side by side
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_evaluation as t; "
+            "print(*(t._trained_digest(s) for s in sorted(t.MLP_FULL_PRECISION)))")
+    paths = [str(Path(__file__).parent), str(Path(ev.__file__).parents[1])]
+    children = [
+        subprocess.Popen([sys.executable, "-c", code, *paths], stdout=subprocess.PIPE, text=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
+        for threads in (1, 2, 4)
+    ]
+    expected = [MLP_FULL_PRECISION[shape][2] for shape in sorted(MLP_FULL_PRECISION)]
+    for child in children:
+        out, _ = child.communicate(timeout=60)
+        assert child.returncode == 0
+        assert out.split() == expected
 
 
 def test_stacked_flat_is_the_stack_of_per_image_flats():
@@ -135,13 +161,14 @@ def test_prediction_ties_break_toward_lowest_class():
 
 
 def test_prediction_with_huge_weights_raises_no_warning():
-    # weights a diverging rate leaves behind once the loss is still finite,
-    # as traineval --lr 1e308 can: logits of +-1.3e308 whose gap overflows
-    # to -inf, which exp sends to 0, so the prediction still stands
+    # weights a diverging rate can leave behind while the loss is still
+    # finite: logits of +-0.76 of float32's largest value, whose gap
+    # overflows to -inf, which exp sends to 0, so the prediction still stands
+    big = np.finfo(np.float32).max
     model = ev.MLPClassifier(input_dim=1, class_count=2, config=ev.ClassifierConfig(hidden=1))
     model.w1[:] = 1.0
     model.b1[:] = 0.0
-    model.w2[:] = [[1.7e308, -1.7e308]]
+    model.w2[:] = [[big, -big]]
     model.b2[:] = 0.0
     assert model.predict(np.array([[1.0], [-1.0]])).tolist() == [0, 1]
 
