@@ -47,8 +47,8 @@ class Metrics:
 
 
 # rows per chunk of an MLPClassifier epoch: each chunk's gradient products
-# sum over at most this many samples, few enough that OpenBLAS gives them the
-# same bits on any thread count (512 rows did not, on a 1,000 x 1,024 fit)
+# sum over at most this many samples, few enough that OpenBLAS gave them the
+# same bits at 1, 2 and 4 threads (512 rows did not, on a 1,000 x 1,024 fit)
 MLP_CHUNK = 256
 
 
