@@ -403,6 +403,8 @@ class ZeroShotHead:
 
     def predict_rows(self, embeddings: np.ndarray) -> np.ndarray:
         """Class probabilities (..., C) of every embedding row (..., E)."""
+        if not np.isfinite(embeddings).all():
+            raise NumericInputError("embedding contains non-finite values")
         _, probs, _ = lm.classify_rows(embeddings, self.prototypes, self.tau, need_jacobian=False)
         return probs
 

@@ -35,14 +35,17 @@ test_row_kernels_are_bit_equal_to_per_vector_calls checks them:
 - row max and sum run along the last axis, a group's mean and sum along
   the K axis
 
-A group's objective total sums its variants' terms over K with numpy; it
-feeds only the trace and its finiteness check, so its rounding is free.
+The row kernels take finite input. Each ascent step checks twice, raising
+NumericDivergenceError with the step: the noise z and b at its top, which
+keeps every value within epsilon of a finite seed, then the objective total,
+which a non-finite seed turns nan. That total sums over K with numpy and
+feeds only the trace and this check, so its rounding is free.
 
 Each flow returns the manifest's record columns (pipeline._COLUMN_TYPES),
 as augment.expand_block does: the (s_con, s_ent, s_div) scores of the
 first evaluated and of the emitted variants as scores_initial and
-scores_final, (G, K, 3) each; consistent, retry_count, fallback and
-qualified (always true), (G, K) each; and stream_id, (G, K) lists of the
+scores_final, (G, K, 3) each; consistent and qualified (always true),
+retry_count and fallback, (G, K) each; and stream_id, (G, K) lists of the
 variant streams' ids, child("variant", i) of each seed stream, from which
 its init and retry noise streams descend. Each score term has one formula, in
 latentmath: s_con and entropy gain come from consistency_entropy_rows and
@@ -59,7 +62,7 @@ import numpy as np
 
 from . import latentmath as lm
 from .backends import Embedder, Image, LinearCodec, ZeroShotHead
-from .errors import NumericDivergenceError, NumericInputError, ShapeError, check_count
+from .errors import NumericDivergenceError, ShapeError, check_count
 from .rng import RngStream, rekeyed
 
 if TYPE_CHECKING:
@@ -151,17 +154,14 @@ def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: Expans
     seeds = seeds[:, None]
     axis = _TIED_AXIS.get(config.noise_mode)
     trace = OptimizationTrace()
-    # a value, objective or update that overflows or turns nan is flagged
-    # with the step it reaches, so numpy's warnings on the way add nothing
+    # noise or an objective that overflows or turns nan is flagged with the
+    # step it reaches, so numpy's warnings on the way add nothing
     with np.errstate(invalid="ignore", over="ignore"):
         for step in range(config.steps + 1):
+            if not (np.isfinite(z).all() and np.isfinite(b).all()):
+                raise NumericDivergenceError(f"non-finite values at step {step}")
             values = lm.perturb_and_project_rows(seeds, z, b, config.epsilon)
-            if not np.isfinite(values).all():
-                raise NumericDivergenceError(f"non-finite variant values at step {step}")
-            try:
-                total, grads, probs = score_fn(values)
-            except NumericInputError as err:
-                raise NumericDivergenceError(f"non-finite values at step {step}: {err}") from err
+            total, grads, probs = score_fn(values)
             if not np.isfinite(total).all():
                 raise NumericDivergenceError(f"objective non-finite at step {step}")
             if step == 0:
@@ -178,8 +178,6 @@ def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: Expans
                 gz, gb = gz.sum(axis=axis, keepdims=True), gb.sum(axis=axis, keepdims=True)
             z = z + config.step_size * gz
             b = b + config.step_size * gb
-            if not (np.isfinite(z).all() and np.isfinite(b).all()):
-                raise NumericDivergenceError(f"non-finite values at step {step + 1}")
     return values, trace
 
 
@@ -276,15 +274,15 @@ def _expand_with_chain(chain, seeds: np.ndarray, config: ExpansionConfig, rng_st
     emitted[groups, variants] = seeds[groups]
     probs[groups, variants] = seed_probs[groups]
     retry_counts[fallbacks] += 1
-    consistent = probs.argmax(axis=-1) == target
     # (s_con, s_ent, s_div) of the step-0 and of the emitted variants, (G, K, 3)
     initial, final = (
         np.stack((*lm.consistency_entropy_rows(p, seed_probs),
                   lm.diversity_terms_rows(v.reshape(len(v), k, -1))), axis=-1)
         for p, v in ((trace.probs[0], trace.initial), (probs, emitted))
     )
-    columns = dict(scores_initial=initial, scores_final=final, consistent=consistent,
-                   qualified=np.ones_like(consistent), retry_count=retry_counts,
+    # a fallback takes its seed's probabilities, so every variant is consistent
+    columns = dict(scores_initial=initial, scores_final=final, consistent=np.ones_like(fallbacks),
+                   qualified=np.ones_like(fallbacks), retry_count=retry_counts,
                    fallback=fallbacks, stream_id=[[s.id for s in row] for row in subs])
     return emitted, columns, trace
 

@@ -29,24 +29,24 @@ def check_noise_mode(mode) -> None:
         raise ParameterError(f"noise_mode must be one of {NOISE_MODES}, got {mode!r}")
 
 
-def _as_float_vector(v, name: str) -> np.ndarray:
+def _as_float_vector(v, name: str, finite: bool = False) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise NumericInputError(f"{name} contains non-finite values")
     return arr
 
 
 def softmax(v, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax of a real vector, stabilized by max subtraction."""
-    arr = _as_float_vector(v, "softmax input")
+    arr = _as_float_vector(v, "softmax input", finite=True)
     check_real("softmax temperature", tau, 0, open_low=True, finite=False)
     return softmax_rows(arr, tau)
 
 
 def softmax_rows(x: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """softmax along the last axis; tau must be > 0."""
-    if not np.isfinite(x).all():
-        raise NumericInputError("softmax input contains non-finite values")
+    """softmax along the last axis of finite x; tau must be > 0."""
     scaled = x / tau
     e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -72,7 +72,7 @@ def _check_simplex(p: np.ndarray, name: str, tol: float = SIMPLEX_TOL) -> np.nda
 
 def entropy(p) -> float:
     """Shannon entropy in nats, with 0 * ln 0 taken as 0."""
-    arr = _check_simplex(_as_float_vector(p, "entropy input"), "entropy input")
+    arr = _check_simplex(_as_float_vector(p, "entropy input", finite=True), "entropy input")
     return float(entropy_rows(arr))
 
 
@@ -85,8 +85,8 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 
 def kl_divergence(p, q) -> float:
     """KL(p || q) in nats; q is floored at 1e-12 so the result stays finite."""
-    parr = _as_float_vector(p, "kl p")
-    qarr = _as_float_vector(q, "kl q")
+    parr = _as_float_vector(p, "kl p", finite=True)
+    qarr = _as_float_vector(q, "kl q", finite=True)
     if parr.shape != qarr.shape:
         raise ShapeError(f"kl length mismatch: {parr.shape} vs {qarr.shape}")
     return float(kl_rows(_check_simplex(parr, "kl p"), _check_simplex(qarr, "kl q")))
@@ -104,12 +104,10 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def cosine(a, b) -> float:
     """Cosine similarity; rejects vectors shorter than the norm floor."""
-    av = _as_float_vector(a, "cosine a")
-    bv = _as_float_vector(b, "cosine b")
+    av = _as_float_vector(a, "cosine a", finite=True)
+    bv = _as_float_vector(b, "cosine b", finite=True)
     if av.shape != bv.shape:
         raise ShapeError(f"cosine length mismatch: {av.shape} vs {bv.shape}")
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
-        raise NumericInputError("cosine input contains non-finite values")
     na = float(np.linalg.norm(av))
     nb = float(np.linalg.norm(bv))
     if na <= NORM_FLOOR or nb <= NORM_FLOOR:
@@ -146,7 +144,7 @@ class Prediction:
 
     def __post_init__(self):
         self.affinities = _as_float_vector(self.affinities, "affinities")
-        self.probs = _as_float_vector(self.probs, "probs")
+        self.probs = _as_float_vector(self.probs, "probs", finite=True)
         if self.affinities.shape != self.probs.shape:
             raise ShapeError(
                 f"affinities/probs length mismatch: {self.affinities.shape} vs {self.probs.shape}"
@@ -283,7 +281,8 @@ def diversity_score_grad(values: Sequence[np.ndarray]):
     for a in arrs:
         if a.shape != shape:
             raise ShapeError(f"variant shape mismatch: {a.shape} vs {shape}")
-    total, grads = diversity_rows(np.stack([a.ravel() for a in arrs])[None])
+    flats = np.stack([_as_float_vector(a.ravel(), "diversity input", finite=True) for a in arrs])
+    total, grads = diversity_rows(flats[None])
     return float(total[0]), [g.reshape(shape) for g in grads[0]]
 
 
@@ -343,7 +342,7 @@ def classify_grad(
     Row c of the Jacobian is (w_c - a_c * unit(e)) / ||e||, the gradient of
     cos(e, w_c) for a unit-norm prototype w_c.
     """
-    ev = _as_float_vector(e, "embedding")
+    ev = _as_float_vector(e, "embedding", finite=True)
     protos = np.asarray(prototypes, dtype=np.float64)
     if protos.ndim != 2 or protos.shape[1] != ev.size:
         raise ShapeError(
@@ -356,10 +355,8 @@ def classify_grad(
 
 
 def classify_rows(e: np.ndarray, prototypes: np.ndarray, tau: float, need_jacobian: bool = True):
-    """classify_grad of every embedding row of e (..., E) against validated
-    prototypes: (affinities, probs, Jacobians or None)."""
-    if not np.isfinite(e).all():
-        raise NumericInputError("embedding contains non-finite values")
+    """classify_grad of every finite embedding row of e (..., E) against
+    validated prototypes: (affinities, probs, Jacobians or None)."""
     # np.linalg.norm of a vector is sqrt(dot(e, e)); a row dot keeps its rounding
     norm = np.sqrt(_row_dot(e, e))
     if (norm <= NORM_FLOOR).any():

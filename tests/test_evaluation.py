@@ -101,9 +101,13 @@ MLP_FULL_PRECISION = {
 }
 
 
-def _trained_digest(shape) -> str:
+def _trained(shape):
     toygen_args, config, _ = MLP_FULL_PRECISION[shape]
-    model = ev.train_classifier(bk.gen_toy_dataset(*toygen_args), config)
+    data = bk.gen_toy_dataset(*toygen_args)
+    return ev.train_classifier(data, config), data
+
+
+def _trained_digest(model) -> str:
     h = hashlib.sha256()
     for loss in model.loss_curve:
         h.update(repr(loss).encode("utf-8"))
@@ -115,14 +119,24 @@ def _trained_digest(shape) -> str:
 
 @pytest.mark.parametrize("shape", sorted(MLP_FULL_PRECISION))
 def test_training_at_full_precision(shape):
-    assert _trained_digest(shape) == MLP_FULL_PRECISION[shape][2]
+    assert _trained_digest(_trained(shape)[0]) == MLP_FULL_PRECISION[shape][2]
+
+
+def _thread_bits() -> list:
+    """Both pins' digests, then the sha256 of the 1,000 x 1,024 pin's forward
+    probabilities on its own features, which span four MLP_CHUNK chunks."""
+    bits = {shape: _trained(shape) for shape in sorted(MLP_FULL_PRECISION)}
+    model, data = bits["1000x1024"]
+    _, probs = model._forward(ev._features(data.pixels.reshape(len(data), -1)))
+    return [*(_trained_digest(m) for m, _ in bits.values()), hashlib.sha256(probs).hexdigest()]
 
 
 def test_trained_bits_ignore_the_blas_thread_count():
     # OpenBLAS reads its thread count once, at start-up, so each count needs
-    # its own child process; the three run side by side
+    # its own child process; the three run side by side. predict runs one
+    # product over all its rows, whose bits training's chunks do not pin
     code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_evaluation as t; "
-            "print(*(t._trained_digest(s) for s in sorted(t.MLP_FULL_PRECISION)))")
+            "print(*t._thread_bits())")
     paths = [str(Path(__file__).parent), str(Path(ev.__file__).parents[1])]
     children = [
         subprocess.Popen([sys.executable, "-c", code, *paths], stdout=subprocess.PIPE, text=True,
@@ -130,10 +144,13 @@ def test_trained_bits_ignore_the_blas_thread_count():
         for threads in (1, 2, 4)
     ]
     expected = [MLP_FULL_PRECISION[shape][2] for shape in sorted(MLP_FULL_PRECISION)]
+    forward = set()
     for child in children:
         out, _ = child.communicate(timeout=60)
         assert child.returncode == 0
-        assert out.split() == expected
+        assert out.split()[:2] == expected
+        forward.add(out.split()[2])
+    assert len(forward) == 1
 
 
 def test_stacked_flat_is_the_stack_of_per_image_flats():

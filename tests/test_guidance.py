@@ -7,6 +7,7 @@ so the comparison is deterministic anyway.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -193,9 +194,14 @@ def test_zero_weights_freeze_the_variants():
     assert np.allclose(trace.objective, 0.0)
 
 
-def test_divergence_error_names_the_step():
+@pytest.mark.parametrize("where, bad", [
+    ("update", None),
+    *((where, bad) for where in ("z", "b", "seed") for bad in (math.nan, math.inf, -math.inf)),
+])
+def test_divergence_error_names_the_step(where, bad):
     # the first update, gradients of large weights times the largest finite
-    # step size, overflows the noise fields
+    # step size, overflows the noise fields; a non-finite noise or seed entry
+    # is flagged at step 0, before any update
     data, _, embedder, head = _setup()
     e0 = embedder.embed(data.images[0])
     weights = (1e3, 1e3, 1e3)
@@ -203,10 +209,14 @@ def test_divergence_error_names_the_step():
     cfg = pl.ExpansionConfig(
         epsilon=0.3, ratio_k=2, steps=5, step_size=1e308, weights=weights, noise_mode="full",
     )
-    params = _params((1, e0.size), 2, "full", _stream("div"))
+    z, b = _params((1, e0.size), 2, "full", _stream("div"))
+    seed = e0[None, None, :].copy()
+    arrays = {"z": z, "b": b, "seed": seed}
+    if where in arrays:
+        arrays[where][..., 0] = bad
     with pytest.raises(NumericDivergenceError) as err:
-        gd.optimize_guidance(e0[None, None, :], path, params, cfg)
-    assert "step 1" in str(err.value)
+        gd.optimize_guidance(seed, path, (z, b), cfg)
+    assert f"step {0 if where in arrays else 1}" in str(err.value)
 
 
 # -------------------------------------------------------- gradient checks

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expandforge import latentmath as lm
+from expandforge.backends import ZeroShotHead
 from expandforge.errors import (
     DegenerateVectorError,
     NumericInputError,
@@ -64,9 +65,24 @@ def test_softmax_temperature_preserves_argmax():
             assert np.argmax(lm.softmax(v, tau)) == np.argmax(v)
 
 
-def test_softmax_rejects_bad_inputs():
+# every public entry that checks its own input for a row kernel taking
+# finite input, called with one bad entry
+_FINITE_ENTRIES = {
+    "softmax": lambda x: lm.softmax([1.0, x]),
+    "cosine_a": lambda x: lm.cosine([1.0, x], [1.0, 0.0]),
+    "cosine_b": lambda x: lm.cosine([1.0, 0.0], [1.0, x]),
+    "classify": lambda x: lm.classify(np.array([1.0, x]), np.eye(2)),
+    "classify_grad": lambda x: lm.classify_grad(np.array([1.0, x]), np.eye(2)),
+    "diversity_score_grad": lambda x: lm.diversity_score_grad([np.array([1.0, x]), np.zeros(2)]),
+    "predict_rows": lambda x: ZeroShotHead(np.eye(2)).predict_rows(np.array([[1.0, 0.0], [1, x]])),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_FINITE_ENTRIES))
+def test_softmax_rejects_bad_inputs(entry, bad):
     with pytest.raises(NumericInputError):
-        lm.softmax([1.0, np.nan])
+        _FINITE_ENTRIES[entry](bad)
     with pytest.raises(ParameterError):
         lm.softmax([1.0, 2.0], tau=0.0)
     with pytest.raises(ParameterError):
@@ -101,6 +117,18 @@ def test_entropy_of_a_one_hot_is_positive_zero():
     rows = lm.entropy_rows(np.array([[0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
     assert [math.copysign(1.0, h) for h in rows] == [1.0, 1.0, 1.0]
     assert rows[1] == math.log(2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lm.entropy([np.nan, np.nan]),
+    lambda: lm.kl_divergence([0.5, 0.5], [np.nan, np.nan]),
+    lambda: lm.kl_divergence([np.nan, np.nan], [0.5, 0.5]),
+    lambda: lm.Prediction([0.0, 0.0], [np.nan, np.nan]),
+], ids=["entropy", "kl_q", "kl_p", "prediction"])
+def test_simplex_check_rejects_nan(call):
+    # a nan fails no comparison, so it once passed as a distribution
+    with pytest.raises(NumericInputError):
+        call()
 
 
 def test_entropy_rejects_non_simplex():
