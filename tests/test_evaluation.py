@@ -128,7 +128,7 @@ def _thread_bits() -> list:
     bits = {shape: _trained(shape) for shape in sorted(MLP_FULL_PRECISION)}
     model, data = bits["1000x1024"]
     _, probs = model._forward(ev._features(data.pixels.reshape(len(data), -1)))
-    return [*(_trained_digest(m) for m, _ in bits.values()), hashlib.sha256(probs).hexdigest()]
+    return [*(_trained_digest(m) for m, _ in bits.values()), hashlib.sha256(probs.tobytes()).hexdigest()]
 
 
 def test_trained_bits_ignore_the_blas_thread_count():

@@ -74,7 +74,7 @@ _FINITE_ENTRIES = {
     "classify": lambda x: lm.classify(np.array([1.0, x]), np.eye(2)),
     "classify_grad": lambda x: lm.classify_grad(np.array([1.0, x]), np.eye(2)),
     "diversity_score_grad": lambda x: lm.diversity_score_grad([np.array([1.0, x]), np.zeros(2)]),
-    "predict_rows": lambda x: ZeroShotHead(np.eye(2)).predict_rows(np.array([[1.0, 0.0], [1, x]])),
+    "predict_rows": lambda x: ZeroShotHead(np.eye(2)).predict_rows(np.array([[1.0, x]])),
 }
 
 
@@ -126,7 +126,7 @@ def test_entropy_of_a_one_hot_is_positive_zero():
     lambda: lm.Prediction([0.0, 0.0], [np.nan, np.nan]),
 ], ids=["entropy", "kl_q", "kl_p", "prediction"])
 def test_simplex_check_rejects_nan(call):
-    # a nan fails no comparison, so it once passed as a distribution
+    # a nan fails every comparison, so only a finiteness check refuses it
     with pytest.raises(NumericInputError):
         call()
 
