@@ -3,13 +3,15 @@
 A procedural toy-image generator plays the role of the image source, a PCA
 linear codec plays the latent encoder/decoder, a seeded orthonormal
 projection plays the image embedder, and class-mean prototypes give the
-zero-shot scoring head. Everything is deterministic given its seeds.
+zero-shot scoring head. Everything is deterministic given its seeds. The
+codec, embedder and head take their arrays through `latentmath.as_finite_array`,
+as the one-vector kernels do; pixels go through `check_pixels`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,8 +216,8 @@ class LinearCodec:
     image_shape: tuple
 
     def __post_init__(self):
-        self.mean_image = np.asarray(self.mean_image, dtype=np.float64)
-        self.basis = np.asarray(self.basis, dtype=np.float64)
+        self.mean_image = lm.as_finite_array(self.mean_image, "codec mean image", 1)
+        self.basis = lm.as_finite_array(self.basis, "codec basis", 2)
         t, d = self.latent_shape
         if t * d != self.basis.shape[0]:
             raise ShapeError(
@@ -315,7 +317,7 @@ class Embedder:
     image_shape: tuple
 
     def __post_init__(self):
-        self.projection = np.asarray(self.projection, dtype=np.float64)
+        self.projection = lm.as_finite_array(self.projection, "embedder projection", 2)
         gram = self.projection @ self.projection.T
         if np.max(np.abs(gram - np.eye(self.projection.shape[0]))) > ORTHO_TOL:
             raise ShapeError("embedder rows are not orthonormal")
@@ -390,11 +392,10 @@ class ZeroShotHead:
 
     prototypes: np.ndarray
     tau: float = 1.0
-    class_names: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
-        if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 2:
+        self.prototypes = lm.as_finite_array(self.prototypes, "prototypes", 2)
+        if self.prototypes.shape[0] < 2:
             raise ShapeError(f"prototypes must be (C >= 2, E), got {self.prototypes.shape}")
         norms = np.linalg.norm(self.prototypes, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
@@ -425,4 +426,4 @@ def fit_prototype_head(
         if norm <= 1e-12:
             raise DegenerateVectorError(f"class {c} ({name}) mean embedding is zero")
         protos[c] = mean_emb / norm
-    return ZeroShotHead(prototypes=protos, tau=tau, class_names=list(exemplars.class_names))
+    return ZeroShotHead(prototypes=protos, tau=tau)

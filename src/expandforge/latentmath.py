@@ -1,8 +1,8 @@
 """Numerical kernel: scoring math, the perturbation step, and the guidance objective.
 
-Everything here is pure array math with no I/O and no randomness. The
-guidance objective has hand-derived gradients (no autodiff); the
-finite-difference oracle `objective_gradient_fd` is the independent check.
+Everything here is pure array math with no I/O and no randomness. Public entries
+take their arrays through `as_finite_array`; the `*_rows` kernels take finite input.
+Gradients are hand-derived (no autodiff); `objective_gradient_fd` is their check.
 """
 
 from __future__ import annotations
@@ -29,18 +29,20 @@ def check_noise_mode(mode) -> None:
         raise ParameterError(f"noise_mode must be one of {NOISE_MODES}, got {mode!r}")
 
 
-def _as_float_vector(v, name: str, finite: bool = False) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if finite and not np.isfinite(arr).all():
+def as_finite_array(value, name: str, ndim: int) -> np.ndarray:
+    """value as a float64 array of exactly ndim axes, every entry finite, or
+    ShapeError or NumericInputError: the one rule for every public array argument."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ShapeError(f"{name} must have {ndim} axes, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise NumericInputError(f"{name} contains non-finite values")
     return arr
 
 
 def softmax(v, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax of a real vector, stabilized by max subtraction."""
-    arr = _as_float_vector(v, "softmax input", finite=True)
+    arr = as_finite_array(v, "softmax input", 1)
     check_real("softmax temperature", tau, 0, open_low=True, finite=False)
     return softmax_rows(arr, tau)
 
@@ -72,7 +74,7 @@ def _check_simplex(p: np.ndarray, name: str, tol: float = SIMPLEX_TOL) -> np.nda
 
 def entropy(p) -> float:
     """Shannon entropy in nats, with 0 * ln 0 taken as 0."""
-    arr = _check_simplex(_as_float_vector(p, "entropy input", finite=True), "entropy input")
+    arr = _check_simplex(as_finite_array(p, "entropy input", 1), "entropy input")
     return float(entropy_rows(arr))
 
 
@@ -85,8 +87,8 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 
 def kl_divergence(p, q) -> float:
     """KL(p || q) in nats; q is floored at 1e-12 so the result stays finite."""
-    parr = _as_float_vector(p, "kl p", finite=True)
-    qarr = _as_float_vector(q, "kl q", finite=True)
+    parr = as_finite_array(p, "kl p", 1)
+    qarr = as_finite_array(q, "kl q", 1)
     if parr.shape != qarr.shape:
         raise ShapeError(f"kl length mismatch: {parr.shape} vs {qarr.shape}")
     return float(kl_rows(_check_simplex(parr, "kl p"), _check_simplex(qarr, "kl q")))
@@ -104,8 +106,8 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def cosine(a, b) -> float:
     """Cosine similarity; rejects vectors shorter than the norm floor."""
-    av = _as_float_vector(a, "cosine a", finite=True)
-    bv = _as_float_vector(b, "cosine b", finite=True)
+    av = as_finite_array(a, "cosine a", 1)
+    bv = as_finite_array(b, "cosine b", 1)
     if av.shape != bv.shape:
         raise ShapeError(f"cosine length mismatch: {av.shape} vs {bv.shape}")
     na = float(np.linalg.norm(av))
@@ -122,13 +124,9 @@ class Latent:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ShapeError(f"latent must be 2-d, got shape {self.values.shape}")
+        self.values = as_finite_array(self.values, "latent", 2)
         if self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise ShapeError(f"latent needs at least one token and channel, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise NumericInputError("latent contains non-finite values")
 
     def flat(self) -> np.ndarray:
         return self.values.ravel()
@@ -143,8 +141,8 @@ class Prediction:
     argmax_class: int = field(init=False)
 
     def __post_init__(self):
-        self.affinities = _as_float_vector(self.affinities, "affinities")
-        self.probs = _as_float_vector(self.probs, "probs", finite=True)
+        self.affinities = as_finite_array(self.affinities, "affinities", 1)
+        self.probs = as_finite_array(self.probs, "probs", 1)
         if self.affinities.shape != self.probs.shape:
             raise ShapeError(
                 f"affinities/probs length mismatch: {self.affinities.shape} vs {self.probs.shape}"
@@ -169,10 +167,10 @@ class PerturbationParams:
     noise_mode: str = "full"
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.z.shape != self.b.shape or self.z.ndim != 2:
-            raise ShapeError(f"z/b must share a 2-d shape, got {self.z.shape} and {self.b.shape}")
+        self.z = as_finite_array(self.z, "z", 2)
+        self.b = as_finite_array(self.b, "b", 2)
+        if self.z.shape != self.b.shape:
+            raise ShapeError(f"z/b must share a shape, got {self.z.shape} and {self.b.shape}")
         check_noise_mode(self.noise_mode)
         if self.noise_mode == "channel":
             if np.any(self.z != self.z[:1, :]) or np.any(self.b != self.b[:1, :]):
@@ -281,7 +279,7 @@ def diversity_score_grad(values: Sequence[np.ndarray]):
     for a in arrs:
         if a.shape != shape:
             raise ShapeError(f"variant shape mismatch: {a.shape} vs {shape}")
-    flats = np.stack([_as_float_vector(a.ravel(), "diversity input", finite=True) for a in arrs])
+    flats = np.stack([as_finite_array(a.ravel(), "diversity input", 1) for a in arrs])
     total, grads = diversity_rows(flats[None])
     return float(total[0]), [g.reshape(shape) for g in grads[0]]
 
@@ -342,12 +340,11 @@ def classify_grad(
     Row c of the Jacobian is (w_c - a_c * unit(e)) / ||e||, the gradient of
     cos(e, w_c) for a unit-norm prototype w_c.
     """
-    ev = _as_float_vector(e, "embedding", finite=True)
-    protos = np.asarray(prototypes, dtype=np.float64)
-    if protos.ndim != 2 or protos.shape[1] != ev.size:
-        raise ShapeError(
-            f"prototypes shape {protos.shape} does not match embedding size {ev.size}"
-        )
+    ev = as_finite_array(e, "embedding", 1)
+    protos = as_finite_array(prototypes, "prototypes", 2)
+    check_real("tau", tau, 0, open_low=True, finite=False)
+    if protos.shape[1] != ev.size:
+        raise ShapeError(f"prototypes shape {protos.shape} does not match embedding size {ev.size}")
     if protos.shape[0] < 2:
         raise ShapeError("need at least two class prototypes")
     affinities, probs, jac = classify_rows(ev, protos, tau, need_jacobian)
@@ -379,6 +376,8 @@ def consistency_entropy_grad(
     lam_ent: float,
 ) -> np.ndarray:
     """Gradient w.r.t. the embedding of lam_con * p[target] + lam_ent * H(p)."""
+    jac = as_finite_array(jac, "jacobian", 2)
+    check_real("tau", tau, 0, open_low=True, finite=False)
     return consistency_entropy_grad_rows(pred.probs, jac, tau, target_class, lam_con, lam_ent)
 
 

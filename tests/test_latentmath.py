@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expandforge import latentmath as lm
-from expandforge.backends import ZeroShotHead
+from expandforge.backends import Embedder, LinearCodec, ZeroShotHead
 from expandforge.errors import (
     DegenerateVectorError,
     NumericInputError,
@@ -75,6 +75,23 @@ _FINITE_ENTRIES = {
     "classify_grad": lambda x: lm.classify_grad(np.array([1.0, x]), np.eye(2)),
     "diversity_score_grad": lambda x: lm.diversity_score_grad([np.array([1.0, x]), np.zeros(2)]),
     "predict_rows": lambda x: ZeroShotHead(np.eye(2)).predict_rows(np.array([[1.0, x]])),
+    # the one-vector classes and the backends' arrays, each through as_finite_array
+    "prediction_affinities": lambda x: lm.Prediction([1.0, x], [0.5, 0.5]),
+    "prediction_probs": lambda x: lm.Prediction([1.0, 0.0], [1.0, x]),
+    "latent": lambda x: lm.Latent([[1.0, x]]),
+    "perturbation_z": lambda x: lm.PerturbationParams([[1.0, x]], [[0.0, 0.0]]),
+    "perturbation_b": lambda x: lm.PerturbationParams([[0.0, 0.0]], [[1.0, x]]),
+    "perturbation_z_channel": lambda x: lm.PerturbationParams(
+        [[x, 0.0], [x, 0.0]], np.zeros((2, 2)), "channel"),
+    "classify_prototypes": lambda x: lm.classify(np.array([1.0, 0.0]), [[1.0, x], [0.0, 1.0]]),
+    "classify_grad_prototypes": lambda x: lm.classify_grad(
+        np.array([1.0, 0.0]), [[1.0, x], [0.0, 1.0]]),
+    "consistency_entropy_grad_jacobian": lambda x: lm.consistency_entropy_grad(
+        lm.classify(np.array([1.0, 0.2]), np.eye(2)), [[1.0, x], [0.0, 1.0]], 1.0, 0, 1.0, 1.0),
+    "codec_mean_image": lambda x: LinearCodec([x, 0.0], np.eye(2), (1, 2), (1, 2, 1)),
+    "codec_basis": lambda x: LinearCodec([0.0, 0.0], [[1.0, x], [0.0, 1.0]], (2, 1), (1, 2, 1)),
+    "embedder_projection": lambda x: Embedder([[1.0, x], [0.0, 1.0]], (1, 2, 1)),
+    "head_prototypes": lambda x: ZeroShotHead([[1.0, x], [0.0, 1.0]]),
 }
 
 
@@ -403,6 +420,25 @@ def test_kernel_reals_follow_one_rule():
     # the ranges accepted before still are: an infinite epsilon or temperature
     assert np.array_equal(lm.perturb_and_project(f, params, math.inf).values, f.values)
     assert np.array_equal(lm.softmax([1.0, 2.0], tau=math.inf), [0.5, 0.5])
+
+
+# a head's temperature follows softmax's rule: at tau = -1 classify used to
+# flip the argmax, and at tau = 0 divide by zero
+_TAU_ENTRIES = {
+    "classify": lambda tau: lm.classify(np.array([1.0, 0.2]), np.eye(2), tau),
+    "classify_grad": lambda tau: lm.classify_grad(np.array([1.0, 0.2]), np.eye(2), tau),
+    "consistency_entropy_grad": lambda tau: lm.consistency_entropy_grad(
+        lm.classify(np.array([1.0, 0.2]), np.eye(2)), np.eye(2), tau, 0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, True, "1"])
+@pytest.mark.parametrize("entry", sorted(_TAU_ENTRIES))
+def test_classify_temperature_follows_softmax(entry, tau):
+    with pytest.raises(ParameterError):
+        _TAU_ENTRIES[entry](tau)
+    # an infinite temperature is admitted, as softmax admits it
+    assert lm.classify(np.array([1.0, 0.2]), np.eye(2), math.inf).probs.tolist() == [0.5, 0.5]
 
 
 # ---------------------------------------------------------------- finite differences
