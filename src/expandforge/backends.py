@@ -206,6 +206,15 @@ def gen_toy_dataset(classes: int, per_class: int, side: int, seed: int) -> Label
     return LabeledDataset(pixels.reshape(-1, side, side, 1), labels, list(SHAPE_FAMILIES[:classes]))
 
 
+def _check_orthonormal(rows: np.ndarray, name: str) -> None:
+    """Raise ShapeError unless rows holds at least one row and its rows are
+    orthonormal."""
+    if rows.shape[0] == 0:
+        raise ShapeError(f"{name} needs at least one row")
+    if np.max(np.abs(rows @ rows.T - np.eye(rows.shape[0]))) > ORTHO_TOL:
+        raise ShapeError(f"{name} rows are not orthonormal")
+
+
 @dataclass(eq=False)
 class LinearCodec:
     """PCA codec: orthonormal basis rows over centered flattened pixels."""
@@ -227,9 +236,7 @@ class LinearCodec:
             raise ShapeError(
                 f"basis width {self.basis.shape[1]} vs mean size {self.mean_image.size}"
             )
-        gram = self.basis @ self.basis.T
-        if np.max(np.abs(gram - np.eye(self.basis.shape[0]))) > ORTHO_TOL:
-            raise ShapeError("codec basis rows are not orthonormal")
+        _check_orthonormal(self.basis, "codec basis")
 
     @property
     def latent_dim(self) -> int:
@@ -318,9 +325,7 @@ class Embedder:
 
     def __post_init__(self):
         self.projection = lm.as_finite_array(self.projection, "embedder projection", 2)
-        gram = self.projection @ self.projection.T
-        if np.max(np.abs(gram - np.eye(self.projection.shape[0]))) > ORTHO_TOL:
-            raise ShapeError("embedder rows are not orthonormal")
+        _check_orthonormal(self.projection, "embedder")
 
     @property
     def embed_dim(self) -> int:

@@ -8,6 +8,7 @@ every expansion method being compared.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -58,6 +59,14 @@ def _features(x) -> np.ndarray:
     return np.require(x, np.float32, ["C", "A"])
 
 
+def _chunk_sums(a: np.ndarray) -> list:
+    """The sum over the rows of each MLP_CHUNK-row chunk of a, in chunk order,
+    each with the bits of a[chunk].sum(axis=0)."""
+    full = a.shape[0] - a.shape[0] % MLP_CHUNK
+    sums = list(a[:full].reshape(-1, MLP_CHUNK, *a.shape[1:]).sum(axis=1))
+    return sums + [a[full:].sum(axis=0)] if full < a.shape[0] else sums
+
+
 class MLPClassifier:
     """One tanh hidden layer, softmax cross-entropy, full-batch descent, in
     float32."""
@@ -85,9 +94,13 @@ class MLPClassifier:
         return hid, probs
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "MLPClassifier":
-        """One pass over MLP_CHUNK-row chunks per epoch: each chunk runs
-        forward and backward and adds its gradients in chunk order, then the
-        epoch makes one update, so descent stays full-batch."""
+        """Full-batch descent, one update per epoch. An epoch runs on whole
+        (N, ·) arrays allocated once per fit: only the four matrix products
+        run per MLP_CHUNK-row chunk, since their bits depend on the row count,
+        and the loss and bias-gradient sums are taken per chunk and added in
+        chunk order. So the bits are those of running each chunk forward and
+        backward in turn; everything else is elementwise or a row reduction,
+        whose bits do not depend on how many rows it sees."""
         x = _features(x)
         y = np.asarray(y)
         if x.ndim != 2 or x.shape[0] != y.size:
@@ -102,8 +115,15 @@ class MLPClassifier:
                 f"[{y.min()}, {y.max()}]"
             )
         n = x.shape[0]
+        rows = np.arange(n)
         onehot = np.zeros((n, self.class_count), dtype=np.float32)
-        onehot[np.arange(n), y] = 1.0
+        onehot[rows, y] = 1.0
+        hid, dhid = (np.empty((n, self.b1.size), np.float32) for _ in range(2))
+        probs, dlogits = (np.empty((n, self.class_count), np.float32) for _ in range(2))
+        # the gradient accumulators and the products added into them
+        dw1t, dw1t_c = (np.empty(self.w1.T.shape, np.float32) for _ in range(2))
+        dw2, dw2_c = (np.empty_like(self.w2) for _ in range(2))
+        chunks = [slice(start, start + MLP_CHUNK) for start in range(0, n, MLP_CHUNK)]
         self.loss_curve = []
         # a diverging rate overflows the weights; the non-finite loss that
         # follows is raised naming its epoch, so numpy's warnings add nothing.
@@ -111,30 +131,51 @@ class MLPClassifier:
         with np.errstate(over="ignore", invalid="ignore"):
             lr = np.float32(self.config.lr)
             for epoch in range(self.config.epochs):
+                for c in chunks:
+                    np.matmul(x[c], self.w1, out=hid[c])
+                hid += self.b1
+                np.tanh(hid, out=hid)
+                # probs holds the logits until the softmax below
+                for c in chunks:
+                    np.matmul(hid[c], self.w2, out=probs[c])
+                probs += self.b2
+                # a max is exact in any order, and one ufunc call per class
+                # beats max(axis=1) on a few columns
+                probs -= functools.reduce(np.maximum, probs.T)[:, None]
+                np.exp(probs, out=probs)
+                probs /= probs.sum(axis=1, keepdims=True)
+                log_picked = np.log(np.maximum(probs[rows, y].astype(np.float64), 1e-300))
                 loss = 0.0
-                dw1t = np.zeros(self.w1.T.shape, dtype=np.float32)
+                for part in _chunk_sums(log_picked):
+                    loss -= part
+                np.subtract(probs, onehot, out=dlogits)
+                dlogits /= n
+                dw2.fill(0.0)
+                for c in chunks:
+                    np.matmul(dlogits[c], self.w2.T, out=dhid[c])
+                    dw2 += np.matmul(hid[c].T, dlogits[c], out=dw2_c)
+                # hid, which nothing reads after dw2, becomes tanh's slope
+                np.square(hid, out=hid)
+                np.subtract(1.0, hid, out=hid)
+                dhid *= hid
+                dw1t.fill(0.0)
+                for c in chunks:
+                    dw1t += np.matmul(dhid[c].T, x[c], out=dw1t_c)
                 db1 = np.zeros_like(self.b1)
-                dw2 = np.zeros_like(self.w2)
+                for part in _chunk_sums(dhid):
+                    db1 += part
                 db2 = np.zeros_like(self.b2)
-                for start in range(0, n, MLP_CHUNK):
-                    rows = slice(start, start + MLP_CHUNK)
-                    xc, yc = x[rows], y[rows]
-                    hid, probs = self._forward(xc)
-                    picked = probs[np.arange(yc.size), yc].astype(np.float64)
-                    loss -= np.log(np.maximum(picked, 1e-300)).sum()
-                    dlogits = (probs - onehot[rows]) / n
-                    dhid = (dlogits @ self.w2.T) * (1.0 - hid**2)
-                    dw1t += dhid.T @ xc
-                    db1 += dhid.sum(axis=0)
-                    dw2 += hid.T @ dlogits
-                    db2 += dlogits.sum(axis=0)
+                for part in _chunk_sums(dlogits):
+                    db2 += part
                 loss /= n
                 if not np.isfinite(loss):
                     raise NumericDivergenceError(f"training loss non-finite at epoch {epoch}")
                 self.loss_curve.append(float(loss))
-                self.w1 -= lr * dw1t.T
+                dw1t *= lr
+                self.w1 -= dw1t.T
                 self.b1 -= lr * db1
-                self.w2 -= lr * dw2
+                dw2 *= lr
+                self.w2 -= dw2
                 self.b2 -= lr * db2
         return self
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (DegenerateVectorError, NumericInputError, ParameterError, ShapeError,
-                     SimplexError, check_real)
+                     SimplexError, check_count, check_real)
 
 SIMPLEX_TOL = 1e-6
 KL_FLOOR = 1e-12
@@ -377,7 +377,13 @@ def consistency_entropy_grad(
 ) -> np.ndarray:
     """Gradient w.r.t. the embedding of lam_con * p[target] + lam_ent * H(p)."""
     jac = as_finite_array(jac, "jacobian", 2)
+    classes = pred.probs.size
+    if jac.shape[0] != classes:
+        raise ShapeError(f"jacobian has {jac.shape[0]} rows for {classes} classes")
     check_real("tau", tau, 0, open_low=True, finite=False)
+    check_count("target_class", target_class, 0, classes - 1)
+    check_real("lam_con", lam_con, None)
+    check_real("lam_ent", lam_ent, None)
     return consistency_entropy_grad_rows(pred.probs, jac, tau, target_class, lam_con, lam_ent)
 
 

@@ -318,6 +318,18 @@ def test_codec_sizes_are_counts():
             bk.fit_linear_codec(data, latent_dim, latent_shape)
 
 
+@pytest.mark.parametrize("build", [
+    lambda rows: bk.LinearCodec(np.zeros(4), rows, (rows.shape[0], 1), (2, 2, 1)),
+    lambda rows: bk.Embedder(rows, (2, 2, 1)),
+], ids=["codec", "embedder"])
+def test_codec_and_embedder_need_orthonormal_rows(build):
+    # zero rows raised numpy's bare ValueError from the orthonormality check
+    for rows in (np.zeros((0, 4)), np.ones((2, 4))):
+        with pytest.raises(ShapeError):
+            build(rows)
+    assert build(np.eye(2, 4)) is not None
+
+
 def test_codec_encode_decode_shape_checks():
     data = _toy()
     codec = bk.fit_linear_codec(data, 32, (4, 8))

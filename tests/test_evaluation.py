@@ -12,7 +12,7 @@ import pytest
 
 import expandforge.backends as bk
 import expandforge.evaluation as ev
-from expandforge.errors import InputError, ParameterError, ShapeError
+from expandforge.errors import InputError, NumericDivergenceError, ParameterError, ShapeError
 
 
 def _tiny_dataset(labels, class_names):
@@ -151,6 +151,80 @@ def test_trained_bits_ignore_the_blas_thread_count():
         assert out.split()[:2] == expected
         forward.add(out.split()[2])
     assert len(forward) == 1
+
+
+def _per_chunk_fit(model, x, y):
+    """The reference form of MLPClassifier.fit: each MLP_CHUNK-row chunk runs
+    forward and backward in turn and adds its gradients in chunk order."""
+    x, n = ev._features(x), len(y)
+    onehot = np.zeros((n, model.class_count), dtype=np.float32)
+    onehot[np.arange(n), y] = 1.0
+    model.loss_curve = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        lr = np.float32(model.config.lr)
+        for epoch in range(model.config.epochs):
+            loss = 0.0
+            dw1t = np.zeros(model.w1.T.shape, dtype=np.float32)
+            db1 = np.zeros_like(model.b1)
+            dw2 = np.zeros_like(model.w2)
+            db2 = np.zeros_like(model.b2)
+            for start in range(0, n, ev.MLP_CHUNK):
+                rows = slice(start, start + ev.MLP_CHUNK)
+                xc, yc = x[rows], y[rows]
+                hid, probs = model._forward(xc)
+                picked = probs[np.arange(yc.size), yc].astype(np.float64)
+                loss -= np.log(np.maximum(picked, 1e-300)).sum()
+                dlogits = (probs - onehot[rows]) / n
+                dhid = (dlogits @ model.w2.T) * (1.0 - hid**2)
+                dw1t += dhid.T @ xc
+                db1 += dhid.sum(axis=0)
+                dw2 += hid.T @ dlogits
+                db2 += dlogits.sum(axis=0)
+            loss /= n
+            if not np.isfinite(loss):
+                raise NumericDivergenceError(f"training loss non-finite at epoch {epoch}")
+            model.loss_curve.append(float(loss))
+            model.w1 -= lr * dw1t.T
+            model.b1 -= lr * db1
+            model.w2 -= lr * dw2
+            model.b2 -= lr * db2
+    return model
+
+
+def _fit_outcome(fit, model, x, y) -> tuple:
+    """The repr of every loss, the weights' bytes, and the divergence error's
+    text or None, after fit(model, x, y)."""
+    try:
+        fit(model, x, y)
+        error = None
+    except NumericDivergenceError as err:
+        error = str(err)
+    arrays = (model.w1, model.b1, model.w2, model.b2)
+    return [*map(repr, model.loss_curve), *(a.tobytes() for a in arrays)], error
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 600, 1000])
+def test_epoch_arrays_equal_the_per_chunk_loop(n):
+    # the fit runs an epoch on whole arrays and only its products per chunk;
+    # its bits must be those of the per-chunk loop on any platform, where the
+    # full-precision pins above hold on one only. 1,024 features give the
+    # products the bulk fit's width, at which a product over all rows has
+    # other bits than the chunks' products
+    gen = np.random.default_rng(n)
+    x = gen.uniform(0.0, 1.0, (n, 1024)).astype(np.float32)
+    for classes in (2, 3, 4, 8):
+        y = gen.permutation(np.arange(n) % classes)
+        for hidden in (1, 7, 32):
+            config = ev.ClassifierConfig(hidden=hidden, epochs=3, lr=0.5, seed=n + hidden)
+            new, ref = (_fit_outcome(fit, ev.MLPClassifier(1024, classes, config), x, y)
+                        for fit in (ev.MLPClassifier.fit, _per_chunk_fit))
+            assert new == ref and new[1] is None, (classes, hidden)
+    # a diverging rate gives the same finite losses, then raises at the same
+    # epoch; one row of one class cannot diverge
+    config = ev.ClassifierConfig(hidden=7, epochs=8, lr=1e38)
+    new, ref = (_fit_outcome(fit, ev.MLPClassifier(1024, 8, config), x, y)
+                for fit in (ev.MLPClassifier.fit, _per_chunk_fit))
+    assert new == ref and (new[1] is None) == (n == 1)
 
 
 def test_stacked_flat_is_the_stack_of_per_image_flats():

@@ -441,6 +441,32 @@ def test_classify_temperature_follows_softmax(entry, tau):
     assert lm.classify(np.array([1.0, 0.2]), np.eye(2), math.inf).probs.tolist() == [0.5, 0.5]
 
 
+# consistency_entropy_grad checks what its row kernel takes on trust: that
+# the Jacobian has one row per class, that the target is one of them and that
+# both weights are finite reals
+_GRAD_ARGS = {
+    "jacobian_rows": (ShapeError, dict(jac=np.eye(3, 2))),
+    "target_past_the_end": (ParameterError, dict(target_class=2)),
+    "target_negative": (ParameterError, dict(target_class=-1)),
+    "target_bool": (ParameterError, dict(target_class=True)),
+    "target_float": (ParameterError, dict(target_class=1.0)),
+    "lam_con_nan": (ParameterError, dict(lam_con=math.nan)),
+    "lam_con_inf": (ParameterError, dict(lam_con=math.inf)),
+    "lam_ent_nan": (ParameterError, dict(lam_ent=math.nan)),
+    "lam_ent_str": (ParameterError, dict(lam_ent="1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRAD_ARGS))
+def test_consistency_entropy_grad_checks_its_inputs(case):
+    error, bad = _GRAD_ARGS[case]
+    args = dict(pred=lm.classify(np.array([1.0, 0.2]), np.eye(2)), jac=np.eye(2), tau=1.0,
+                target_class=1, lam_con=1.0, lam_ent=1.0)
+    assert np.isfinite(lm.consistency_entropy_grad(**args)).all()
+    with pytest.raises(error):
+        lm.consistency_entropy_grad(**{**args, **bad})
+
+
 # ---------------------------------------------------------------- finite differences
 
 def test_fd_quadratic_example():
