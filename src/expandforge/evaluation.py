@@ -59,12 +59,17 @@ def _features(x) -> np.ndarray:
     return np.require(x, np.float32, ["C", "A"])
 
 
-def _chunk_sums(a: np.ndarray) -> list:
-    """The sum over the rows of each MLP_CHUNK-row chunk of a, in chunk order,
-    each with the bits of a[chunk].sum(axis=0)."""
+def _chunked_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over the rows of a with the bits of a per-chunk loop: each
+    MLP_CHUNK-row chunk summed on its own, then added from zero in chunk order."""
     full = a.shape[0] - a.shape[0] % MLP_CHUNK
-    sums = list(a[:full].reshape(-1, MLP_CHUNK, *a.shape[1:]).sum(axis=1))
-    return sums + [a[full:].sum(axis=0)] if full < a.shape[0] else sums
+    parts = list(a[:full].reshape(-1, MLP_CHUNK, *a.shape[1:]).sum(axis=1))
+    if full < a.shape[0]:
+        parts.append(a[full:].sum(axis=0))
+    total = np.zeros(a.shape[1:], a.dtype)
+    for part in parts:
+        total += part
+    return total
 
 
 class MLPClassifier:
@@ -95,8 +100,8 @@ class MLPClassifier:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "MLPClassifier":
         """Full-batch descent, one update per epoch. An epoch runs on whole
-        (N, ·) arrays allocated once per fit: only the four matrix products
-        run per MLP_CHUNK-row chunk, since their bits depend on the row count,
+        (N, ·) arrays allocated once per fit: only the matrix products run
+        per MLP_CHUNK-row chunk, since their bits depend on the row count,
         and the loss and bias-gradient sums are taken per chunk and added in
         chunk order. So the bits are those of running each chunk forward and
         backward in turn; everything else is elementwise or a row reduction,
@@ -144,10 +149,13 @@ class MLPClassifier:
                 probs -= functools.reduce(np.maximum, probs.T)[:, None]
                 np.exp(probs, out=probs)
                 probs /= probs.sum(axis=1, keepdims=True)
-                log_picked = np.log(np.maximum(probs[rows, y].astype(np.float64), 1e-300))
-                loss = 0.0
-                for part in _chunk_sums(log_picked):
-                    loss -= part
+                # a per-chunk loop subtracts each chunk's sum of log p from
+                # zero; rounding is symmetric, so adding up -log p is the same
+                picked = np.maximum(probs[rows, y].astype(np.float64), 1e-300)
+                loss = _chunked_sum(-np.log(picked)) / n
+                if not np.isfinite(loss):
+                    raise NumericDivergenceError(f"training loss non-finite at epoch {epoch}")
+                self.loss_curve.append(float(loss))
                 np.subtract(probs, onehot, out=dlogits)
                 dlogits /= n
                 dw2.fill(0.0)
@@ -161,22 +169,12 @@ class MLPClassifier:
                 dw1t.fill(0.0)
                 for c in chunks:
                     dw1t += np.matmul(dhid[c].T, x[c], out=dw1t_c)
-                db1 = np.zeros_like(self.b1)
-                for part in _chunk_sums(dhid):
-                    db1 += part
-                db2 = np.zeros_like(self.b2)
-                for part in _chunk_sums(dlogits):
-                    db2 += part
-                loss /= n
-                if not np.isfinite(loss):
-                    raise NumericDivergenceError(f"training loss non-finite at epoch {epoch}")
-                self.loss_curve.append(float(loss))
                 dw1t *= lr
                 self.w1 -= dw1t.T
-                self.b1 -= lr * db1
+                self.b1 -= lr * _chunked_sum(dhid)
                 dw2 *= lr
                 self.w2 -= dw2
-                self.b2 -= lr * db2
+                self.b2 -= lr * _chunked_sum(dlogits)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
