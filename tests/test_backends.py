@@ -323,7 +323,7 @@ def test_codec_sizes_are_counts():
     lambda rows: bk.Embedder(rows, (2, 2, 1)),
 ], ids=["codec", "embedder"])
 def test_codec_and_embedder_need_orthonormal_rows(build):
-    # zero rows raised numpy's bare ValueError from the orthonormality check
+    # zero rows leave an empty Gram matrix, whose max numpy cannot take
     for rows in (np.zeros((0, 4)), np.ones((2, 4))):
         with pytest.raises(ShapeError):
             build(rows)
