@@ -365,13 +365,25 @@ class Embedder:
 
 
 def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:
-    """Two-pass modified Gram-Schmidt of seeded Gaussian rows. Pass 1 is
-    right-looking: once row i is normalized, every later row takes its step
-    against it at once, one dot per row as v @ q[i] gives it, so each row
-    sees a per-row loop's steps in its order; pass 2 loops per row."""
+    """Embedder over image_shape with embed_dim seeded orthonormal rows. The
+    rows are built once per process per (pixels, embed_dim, seed), and each
+    call gets its own writable copy of them."""
     pixel_dim = int(np.prod(image_shape))
+    # checked before the memo is asked: True == 1 hashes alike, so a lookup
+    # first would pass seed=True once seed=1 was built
     check_count("embed_dim", embed_dim, 1, pixel_dim)
     check_count("seed", seed, None)
+    projection = _seeded_projection(pixel_dim, int(embed_dim), int(seed))
+    return Embedder(projection=projection.copy(), image_shape=tuple(image_shape))
+
+
+@functools.lru_cache(maxsize=4)  # at most 4 x 512 KB at 32x32 pixels and embed_dim 64
+def _seeded_projection(pixel_dim: int, embed_dim: int, seed: int) -> np.ndarray:
+    """Read-only (embed_dim, pixel_dim) orthonormal rows: two-pass modified
+    Gram-Schmidt of seeded Gaussian rows. Pass 1 is right-looking: once row i
+    is normalized, every later row takes its step against it at once, one dot
+    per row as v @ q[i] gives it, so each row sees a per-row loop's steps in
+    its order; pass 2 loops per row."""
     gen = RngStream(("embedder", seed)).generator()
     q = gen.standard_normal((embed_dim, pixel_dim))  # at step i: q[i:] after pass 1 against q[:i]
     for i in range(embed_dim):
@@ -383,7 +395,8 @@ def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:
             raise RankError(f"embedder row {i} collapsed during orthonormalization")
         q[i] = v / norm
         q[i + 1:] -= np.matmul(q[i + 1:, None, :], q[i][:, None])[:, 0] * q[i]
-    return Embedder(projection=q, image_shape=tuple(image_shape))
+    q.flags.writeable = False
+    return q
 
 
 def check_tau(tau) -> None:

@@ -172,6 +172,7 @@ def _cmd_expand(args) -> int:
     if exemplars.class_names != data.class_names:
         raise InputError(f"exemplars {args.exemplars} have classes {exemplars.class_names}, "
                          f"not the input's {data.class_names}")
+    embedder = bk.make_embedder(data.image_shape, args.embed_dim, args.embed_seed)
     codec = None
     if args.method in pl.GUIDED_METHODS:
         codec = bk.fit_linear_codec(
@@ -179,7 +180,6 @@ def _cmd_expand(args) -> int:
             latent_dim=args.latent_dim,
             latent_shape=(args.latent_tokens, args.latent_dim // args.latent_tokens),
         )
-    embedder = bk.make_embedder(data.image_shape, args.embed_dim, args.embed_seed)
     head = bk.fit_prototype_head(exemplars, embedder, tau=args.tau)
     bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)
@@ -210,9 +210,9 @@ def _cmd_traineval(args) -> int:
     if (test.class_names, test.image_shape) != (train.class_names, train.image_shape):
         raise InputError(f"test set {args.test} has classes {test.class_names} of shape "
                          f"{test.image_shape}, not {train.class_names} of {train.image_shape}")
+    embedder = bk.make_embedder(train.image_shape, args.embed_dim, args.embed_seed)
     model = ev.train_classifier(train, config)
     metrics = ev.evaluate(model, test)
-    embedder = bk.make_embedder(train.image_shape, args.embed_dim, args.embed_seed)
     radius = ev.covering_radius(embedder.embed_dataset(train), embedder.embed_dataset(test))
     payload = {
         "method": args.method,

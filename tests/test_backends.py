@@ -404,6 +404,7 @@ def _left_looking_projection(image_shape, embed_dim, seed):
 @pytest.mark.parametrize("case", list(EMBEDDER_SHA256),
                          ids=lambda c: "x".join(map(str, c[0])) + f"@{c[1]}-seed{c[2]}")
 def test_embedder_projection_bits_are_pinned(case):
+    bk._seeded_projection.cache_clear()  # pin a fresh build, not what an earlier test left
     projection = bk.make_embedder(*case).projection
     assert hashlib.sha256(projection.tobytes()).hexdigest() == EMBEDDER_SHA256[case]
 
@@ -411,8 +412,45 @@ def test_embedder_projection_bits_are_pinned(case):
 def test_embedder_equals_the_left_looking_loop():
     case = ((12, 12, 3), 32, 7)
     want = _left_looking_projection(*case)
+    bk._seeded_projection.cache_clear()
     assert bk.make_embedder(*case).projection.tobytes() == want.tobytes()
     assert hashlib.sha256(want.tobytes()).hexdigest() == EMBEDDER_SHA256[case]
+
+
+def test_memoized_embedder_equals_a_fresh_build_and_is_the_callers_own():
+    case = ((12, 12, 3), 32, 7)
+    want = _left_looking_projection(*case).tobytes()
+    first = bk.make_embedder(*case).projection
+    hits = bk._seeded_projection.cache_info().hits
+    second = bk.make_embedder(*case).projection
+    assert bk._seeded_projection.cache_info().hits == hits + 1
+    assert first.tobytes() == second.tobytes() == want
+    assert second is not first and not np.shares_memory(first, second)
+    first[:] = 0.0  # the caller may write its own array ...
+    second[0, 0] += 1.0
+    # ... and the next call still gets the build's bits
+    assert bk.make_embedder(*case).projection.tobytes() == want
+
+
+def test_embedder_checks_its_arguments_before_the_memo():
+    # True == 1 and hash(True) == hash(1): a lookup before the checks would
+    # hand seed=True the seed-1 build
+    bk.make_embedder((4, 4, 1), 8, seed=1)
+    bk.make_embedder((4, 4, 1), 1, seed=0)
+    for embed_dim, seed in ((8, True), (True, 0)):
+        with pytest.raises(ParameterError):
+            bk.make_embedder((4, 4, 1), embed_dim, seed)
+
+
+def test_embedders_sharing_a_pixel_count_keep_their_own_shape():
+    square = bk.make_embedder((4, 4, 1), 8, seed=3)
+    column = bk.make_embedder((16, 1, 1), 8, seed=3)  # the same memo entry
+    assert (square.image_shape, column.image_shape) == ((4, 4, 1), (16, 1, 1))
+    assert square.projection.tobytes() == column.projection.tobytes()
+    with pytest.raises(ShapeError):
+        square.embed_images(np.zeros((1, 16, 1, 1)))
+    with pytest.raises(ShapeError):
+        column.embed_images(np.zeros((1, 4, 4, 1)))
 
 
 def test_embed_dataset_matches_per_image_embed(monkeypatch):

@@ -369,6 +369,47 @@ def test_infinite_step_size_exits_one_before_any_work(tmp_path, monkeypatch, cap
             assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
 
 
+def test_bad_embed_dim_exits_one_before_any_work(tmp_path, monkeypatch, capsys):
+    # the embedder is built right after the reads, so traineval refuses a
+    # bad --embed-dim before it trains and expand before it fits the codec
+    src = _toygen(tmp_path)
+    for module, name in ((ev, "train_classifier"), (bk, "fit_linear_codec")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: pytest.fail(name))
+    for value in ("0", "300"):
+        assert cli.main(["traineval", "--train", str(src), "--test", str(src),
+                         "--embed-dim", value, "--out", str(tmp_path / "m.json")]) == 1
+        assert "embed_dim must be an int in [1, 256]" in capsys.readouterr().err
+    args = _small_expand_args(src, tmp_path / "big.gifx", method="gif_latent")
+    args[args.index("--embed-dim") + 1] = "300"
+    assert cli.main(args) == 1
+    assert "embed_dim must be an int in [1, 256]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.gifx"]
+
+
+def test_one_projection_build_per_process_and_cold_bytes_equal_warm(tmp_path):
+    src = _toygen(tmp_path)
+    bk._seeded_projection.cache_clear()
+    assert cli.main(_small_expand_args(src, tmp_path / "cut.gifx")) == 0
+    assert cli.main(["traineval", "--train", str(tmp_path / "cut.gifx"), "--test", str(src),
+                     "--epochs", "2", "--embed-dim", "32", "--out", str(tmp_path / "m.json")]) == 0
+    warm = tmp_path / "warm"
+    warm.mkdir()
+    assert cli.main(_small_expand_args(src, warm / "gif.gifx", method="gif_latent")) == 0
+    info = bk._seeded_projection.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # a fresh process builds its own projection and writes the same bytes
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "expandforge.cli",
+         *_small_expand_args(src, cold / "gif.gifx", method="gif_latent")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("gif.gifx", "gif.gifx.manifest.json"):
+        assert (cold / name).read_bytes() == (warm / name).read_bytes()
+
+
 def test_non_finite_record_score_leaves_no_files(tmp_path, monkeypatch, capsys):
     # write_manifest checks the record columns before it opens a file
     monkeypatch.setattr(lm, "diversity_terms_rows", lambda flats: np.full(flats.shape[:-1], np.nan))
