@@ -377,7 +377,7 @@ def make_embedder(image_shape: tuple, embed_dim: int, seed: int) -> Embedder:
     return Embedder(projection=projection.copy(), image_shape=tuple(image_shape))
 
 
-@functools.lru_cache(maxsize=4)  # at most 4 x 512 KB at 32x32 pixels and embed_dim 64
+@functools.lru_cache(maxsize=4)  # an entry holds embed_dim x pixels float64s: 512 KB at 32x32, 64
 def _seeded_projection(pixel_dim: int, embed_dim: int, seed: int) -> np.ndarray:
     """Read-only (embed_dim, pixel_dim) orthonormal rows: two-pass modified
     Gram-Schmidt of seeded Gaussian rows. Pass 1 is right-looking: once row i
