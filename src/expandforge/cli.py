@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,9 @@ def _resolve_seed(value) -> int:
         raise ParameterError(f"environment variable {SEED_ENV}={raw!r} is not an integer")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="expandforge",
         description="Guided dataset expansion with augmentation baselines.",

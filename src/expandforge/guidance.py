@@ -157,10 +157,11 @@ def optimize_guidance(seeds: np.ndarray, score_fn, params: tuple, config: Expans
     # noise or an objective that overflows or turns nan is flagged with the
     # step it reaches, so numpy's warnings on the way add nothing
     with np.errstate(invalid="ignore", over="ignore"):
+        bounds = lm.projection_bounds(seeds, config.epsilon)
         for step in range(config.steps + 1):
             if not (np.isfinite(z).all() and np.isfinite(b).all()):
                 raise NumericDivergenceError(f"non-finite values at step {step}")
-            values = lm.perturb_and_project_rows(seeds, z, b, config.epsilon)
+            values = lm.perturb_and_project_rows(seeds, z, b, config.epsilon, bounds)
             total, grads, probs = score_fn(values)
             if not np.isfinite(total).all():
                 raise NumericDivergenceError(f"objective non-finite at step {step}")

@@ -190,18 +190,37 @@ def perturb_and_project(f: Latent, params: PerturbationParams, epsilon: float) -
     return Latent(perturb_and_project_rows(f.values, params.z, params.b, epsilon))
 
 
-def perturb_and_project_rows(f: np.ndarray, z: np.ndarray, b: np.ndarray, epsilon: float):
-    """perturb_and_project on arrays: f broadcasts against z and b."""
+def projection_bounds(f: np.ndarray, epsilon: float):
+    """(lo, hi), each shaped as f: the smallest and largest doubles v with
+    |v - f| <= epsilon as computed, which perturb_and_project_rows clamps to.
+    |v - f| as computed is monotone in v, so each bound is f -+ epsilon nudged an
+    ulp at a time toward f until it holds. f must be finite or the caller's
+    errstate must silence the invalid inf - inf; a bound past float64's range
+    overflows to inf, which the nudge brings back to the largest double."""
+    bounds = []
+    with np.errstate(over="ignore"):
+        for bound in (f - epsilon, f + epsilon):
+            over = np.abs(bound - f) > epsilon
+            while np.any(over):
+                bound[over] = np.nextafter(bound[over], f[over])
+                over = np.abs(bound - f) > epsilon
+            bounds.append(bound)
+    return tuple(bounds)
+
+
+def perturb_and_project_rows(f: np.ndarray, z: np.ndarray, b: np.ndarray, epsilon: float,
+                             bounds=None):
+    """perturb_and_project on arrays: f broadcasts against z and b. bounds is
+    projection_bounds(f, epsilon), computed here when None."""
     raw = (1.0 + z) * f + b
     delta = np.clip(raw - f, -epsilon, epsilon)
     out = f + delta
     # the containment bound is exact, not toleranced: rounding in f + delta can
-    # overshoot by an ulp, so nudge offending entries back toward f
-    f = np.broadcast_to(f, out.shape)
-    over = np.abs(out - f) > epsilon
-    while np.any(over):
-        out[over] = np.nextafter(out[over], f[over])
-        over = np.abs(out - f) > epsilon
+    # overshoot by an ulp, so an entry past a bound takes that bound. Only an
+    # entry strictly past one moves, so a zero keeps its sign as f + delta gave it
+    lo, hi = projection_bounds(f, epsilon) if bounds is None else bounds
+    np.copyto(out, hi, where=out > hi)
+    np.copyto(out, lo, where=out < lo)
     return out
 
 

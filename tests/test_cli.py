@@ -757,6 +757,30 @@ def test_every_package_error_has_its_exit_code(monkeypatch, capsys, error):
     assert "boom" in capsys.readouterr().err
 
 
+def test_one_parser_per_process_and_each_call_gets_its_own_defaults(monkeypatch):
+    seen = []
+    for command in ("toygen", "traineval"):
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+    parser = cli.build_parser()
+    calls = [
+        ["toygen", "--classes", "7", "--seed", "3", "--out", "a.gifx"],
+        ["traineval", "--train", "t.gifx", "--test", "s.gifx", "--epochs", "5",
+         "--lr", "0.5", "--out", "m.json"],
+        ["toygen", "--out", "b.gifx"],
+        ["traineval", "--train", "t.gifx", "--test", "s.gifx", "--out", "n.json"],
+    ]
+    for argv in calls:
+        assert cli.main(argv) == 0
+    assert cli.build_parser() is parser
+    toygen, flagged = dict(command="toygen", per_class=25, size=16), dict(classes=7, seed=3)
+    assert seen[0] == {**toygen, **flagged, "out": "a.gifx"}
+    assert seen[2] == {**toygen, "classes": 4, "seed": None, "out": "b.gifx"}
+    assert (seen[1]["epochs"], seen[1]["lr"], seen[3]["epochs"], seen[3]["lr"]) == (5, 0.5, 100, 0.05)
+    assert {k: v for k, v in seen[1].items() if k not in ("epochs", "lr", "out")} == \
+        {k: v for k, v in seen[3].items() if k not in ("epochs", "lr", "out")}
+    assert "classes" not in seen[3] and "epochs" not in seen[2]
+
+
 def test_seed_env_var_fills_in(tmp_path, monkeypatch, capsys):
     explicit = _toygen(tmp_path, "a.gifx", seed=42)
     monkeypatch.setenv(cli.SEED_ENV, "42")

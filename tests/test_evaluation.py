@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 import expandforge.backends as bk
 import expandforge.evaluation as ev
-from expandforge.errors import InputError, NumericDivergenceError, ParameterError, ShapeError
+from expandforge.errors import (InputError, NumericDivergenceError, NumericInputError,
+                               ParameterError, ShapeError)
 
 
 def _tiny_dataset(labels, class_names):
@@ -343,6 +345,57 @@ def test_covering_radius_input_validation():
         ev.covering_radius(np.ones((2, 3)), np.ones((2, 4)))
     with pytest.raises(InputError):
         ev.covering_radius(np.ones(3), np.ones((2, 3)))
+
+
+def test_covering_radius_refuses_non_finite_points_and_overflow():
+    for cover, probe in (([[math.nan, 0.0]], [[0.0, 0.0]]), ([[0.0, 0.0]], [[0.0, math.inf]]),
+                         ([[-math.inf, 0.0]], [[0.0, 0.0]])):
+        with pytest.raises(NumericInputError, match="finite"):
+            ev.covering_radius(cover, probe)
+    # finite points whose squared distance overflows float64
+    with pytest.raises(NumericInputError, match="overflows"):
+        ev.covering_radius([[1e200, 0.0]], [[-1e200, 0.0]])
+
+
+def _covering_radius_reference(cover, probe) -> float:
+    """The radius as three whole probes x covers arrays, the bits
+    covering_radius must keep."""
+    cov = np.asarray(cover, dtype=np.float64)
+    prb = np.asarray(probe, dtype=np.float64)
+    sq = (
+        np.sum(prb**2, axis=1)[:, None]
+        + np.sum(cov**2, axis=1)[None, :]
+        - 2.0 * (prb @ cov.T)
+    )
+    return float(np.sqrt(np.maximum(sq, 0.0)).min(axis=1).max())
+
+
+def test_covering_radius_keeps_the_whole_array_bits():
+    gen = np.random.Generator(np.random.Philox(key=29))
+    shapes = [(int(gen.integers(1, 451)), int(gen.integers(1, 901)), int(gen.integers(1, 71)))
+              for _ in range(40)]
+    for probes, covers, dim in [*shapes, (400, 4200, 64)]:
+        scale = 10.0 ** gen.uniform(-3, 3)
+        cover = gen.normal(size=(covers, dim)) * scale
+        probe = gen.normal(size=(probes, dim)) * scale
+        # some probes are cover points, so a row's nearest distance is 0
+        shared = int(gen.integers(0, min(probes, covers) + 1))
+        probe[:shared] = cover[gen.permutation(covers)[:shared]]
+        want = _covering_radius_reference(cover, probe)
+        assert ev.covering_radius(cover, probe).hex() == want.hex(), (probes, covers, dim)
+
+
+def test_covering_radius_holds_one_probes_by_covers_array():
+    gen = np.random.Generator(np.random.Philox(key=30))
+    cover, probe = gen.normal(size=(4200, 64)), gen.normal(size=(400, 64))
+    product = probe.shape[0] * cover.shape[0] * 8
+    tracemalloc.start()
+    try:
+        ev.covering_radius(cover, probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * product, (peak, product)
 
 
 def test_evaluate_rejects_empty_dataset():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from expandforge import latentmath as lm
 from expandforge.backends import Embedder, LinearCodec, ZeroShotHead
@@ -249,6 +250,58 @@ def test_perturb_containment_thousand_cases():
         eps = float(rng.uniform(0, 2))
         out = lm.perturb_and_project(f, params, eps)
         assert np.max(np.abs(out.values - f.values)) <= eps
+
+
+def _project_by_nudging(f, z, b, epsilon):
+    """perturb_and_project_rows with its clamp as a loop: every entry past
+    epsilon from f, as computed, moves an ulp toward f until none is."""
+    raw = (1.0 + z) * f + b
+    out = f + np.clip(raw - f, -epsilon, epsilon)
+    f = np.broadcast_to(f, out.shape)
+    over = np.abs(out - f) > epsilon
+    while np.any(over):
+        out[over] = np.nextafter(out[over], f[over])
+        over = np.abs(out - f) > epsilon
+    return out
+
+
+_EDGE_REALS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_projection_bounds_clamp_as_the_nudging_loop(data):
+    g, k, t, d = (data.draw(st.integers(1, 3)) for _ in range(4))
+    # noise full, tied along the tokens or along the channels; the seeds
+    # broadcast over the K variants, or (g = k = 1 as one array) match them
+    tie = data.draw(st.sampled_from(["full", "channel", "token"]))
+    noise = (g, k, 1 if tie == "channel" else t, 1 if tie == "token" else d)
+    f = data.draw(hnp.arrays(np.float64, data.draw(st.sampled_from([(g, 1, t, d), (t, d)])),
+                             elements=_EDGE_REALS))
+    z, b = (data.draw(hnp.arrays(np.float64, noise, elements=_EDGE_REALS)) for _ in range(2))
+    epsilon = data.draw(st.sampled_from([0.0, math.inf]) | st.floats(0.0, allow_nan=False))
+    # huge entries overflow (1 + z) * f + b to an infinity, which the clamp
+    # brings back within epsilon of f
+    with np.errstate(over="ignore"):
+        want = _project_by_nudging(f, z, b, epsilon)
+        bounds = lm.projection_bounds(f, epsilon)
+        once = lm.perturb_and_project_rows(f, z, b, epsilon, bounds)
+        each = lm.perturb_and_project_rows(f, z, b, epsilon)
+    # bit for bit, so a zero's sign counts
+    assert np.array_equal(once.view(np.int64), want.view(np.int64))
+    assert np.array_equal(each.view(np.int64), want.view(np.int64))
+
+
+def test_projection_keeps_the_sign_of_a_zero():
+    # at epsilon 0 a variant is f + (+-0.0): for f = -0.0 that is -0.0 or +0.0,
+    # both within the bounds, and the clamp keeps each as it is
+    f = np.array([[-0.0, -0.0, 0.0]])
+    b = np.array([[-1.0, 1.0, -1.0]])
+    out = lm.perturb_and_project_rows(f, np.zeros_like(f), b, 0.0)
+    assert np.array_equal(np.signbit(out), [[True, False, False]])
+    assert np.array_equal(out.view(np.int64),
+                          _project_by_nudging(f, np.zeros_like(f), b, 0.0).view(np.int64))
 
 
 def test_perturb_rejects_bad_arguments():
