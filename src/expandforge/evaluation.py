@@ -258,8 +258,8 @@ def covering_radius(cover: np.ndarray, probe: np.ndarray) -> float:
             sq = prb @ cov.T
             sq *= 2.0
             for start in range(0, prb.shape[0], RADIUS_BLOCK):
-                rows = sq[start : start + RADIUS_BLOCK]
-                np.subtract(prb_sq[start : start + RADIUS_BLOCK] + cov_sq, rows, out=rows)
+                rows = slice(start, start + RADIUS_BLOCK)
+                np.subtract(prb_sq[rows] + cov_sq, sq[rows], out=sq[rows])
     except FloatingPointError:
         raise NumericInputError("a squared norm or distance overflows float64") from None
     return float(np.sqrt(np.maximum(sq.min(axis=1), 0.0)).max())

@@ -191,12 +191,13 @@ def perturb_and_project(f: Latent, params: PerturbationParams, epsilon: float) -
 
 
 def projection_bounds(f: np.ndarray, epsilon: float):
-    """(lo, hi), each shaped as f: the smallest and largest doubles v with
-    |v - f| <= epsilon as computed, which perturb_and_project_rows clamps to.
-    |v - f| as computed is monotone in v, so each bound is f -+ epsilon nudged an
-    ulp at a time toward f until it holds. f must be finite or the caller's
-    errstate must silence the invalid inf - inf; a bound past float64's range
-    overflows to inf, which the nudge brings back to the largest double."""
+    """(lo, hi), each shaped as f, that perturb_and_project_rows clamps to:
+    f - epsilon and f + epsilon as rounded, each nudged an ulp at a time toward
+    f until |bound - f|, as computed, is within epsilon. That is where nudging
+    each step's overshooting entries would stop, since |v - f| as computed is
+    monotone in v and f + delta never passes f + epsilon as rounded. f must be
+    finite or the caller's errstate must silence the invalid inf - inf; a
+    bound past float64's range overflows to inf, which the nudge brings back."""
     bounds = []
     with np.errstate(over="ignore"):
         for bound in (f - epsilon, f + epsilon):
