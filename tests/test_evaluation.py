@@ -378,7 +378,8 @@ def test_covering_radius_keeps_the_whole_array_bits():
         scale = 10.0 ** gen.uniform(-3, 3)
         cover = gen.normal(size=(covers, dim)) * scale
         probe = gen.normal(size=(probes, dim)) * scale
-        # some probes are cover points, so a row's nearest distance is 0
+        # some probes are cover points: their smallest square cancels to about
+        # 0, and can round below it, where max(., 0) acts
         shared = int(gen.integers(0, min(probes, covers) + 1))
         probe[:shared] = cover[gen.permutation(covers)[:shared]]
         want = _covering_radius_reference(cover, probe)
