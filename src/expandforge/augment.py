@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from .pipeline import ExpansionConfig
 
 SELECTION_MODES = ("sample_wise", "sample_agnostic")
+CANDIDATES_PER_VARIANT = 4  # a selective method's default budget: this many per variant
 
 
 def check_cutout_frac(frac: float) -> None:
@@ -63,7 +64,7 @@ def cutout_side(frac: float, shape: tuple) -> int:
 
 
 def draw_cutout(gen: np.random.Generator, shape: tuple, side: int) -> tuple:
-    """The corner (y0, x0) of one side x side patch, side >= 1, in an image of shape (H, W, C)."""
+    """The corner (y0, x0) of one side x side patch, side >= 0, in an image of shape (H, W, C)."""
     return int(gen.integers(0, shape[0] - side + 1)), int(gen.integers(0, shape[1] - side + 1))
 
 
@@ -79,8 +80,7 @@ def cutout(image: Image, frac: float, rng_stream: RngStream) -> Image:
     check_cutout_frac(frac)
     px = image.pixels.copy()
     side = cutout_side(frac, px.shape)
-    if side >= 1:
-        apply_cutout(px, np.array(draw_cutout(rng_stream.generator(), px.shape, side)), side)
+    apply_cutout(px, np.array(draw_cutout(rng_stream.generator(), px.shape, side)), side)
     return Image(px)
 
 
@@ -108,9 +108,7 @@ def gridmask(image: Image, period: int, keep_ratio: float, phase=(0, 0)) -> Imag
     if len(phase) != 2:
         raise ParameterError(f"phase must be two offsets, got {phase!r}")
     px = image.pixels.copy()
-    hole = grid_hole(period, keep_ratio)
-    if hole > 0:
-        apply_gridmask(px, np.array([int(p) for p in phase]), period, hole)
+    apply_gridmask(px, np.array([int(p) for p in phase]), period, grid_hole(period, keep_ratio))
     return Image(px)
 
 
@@ -182,18 +180,16 @@ def baseline_steps(name: str, config: ExpansionConfig, shape: tuple):
     "randlite", under config on images of shape (H, W, C): draw(gen) takes
     one variant's parameters from its generator, and apply(pixels, params)
     writes the M variants of a stack (M, H, W, C) in place from their M
-    parameters. None for a patch or hole of side 0, which changes nothing.
-    Raises ParameterError where the config can blank a whole image, which
-    leaves no embedding to score, and ShapeError where rand_lite meets a
-    non-square image."""
+    parameters; a patch or hole of side 0 blanks nothing. Raises
+    ParameterError where the config can blank a whole image, which leaves no
+    embedding to score, and ShapeError where rand_lite meets a non-square
+    image."""
     h, w = shape[:2]
     if name == "cutout":
         side = cutout_side(config.cutout_frac, shape)
         if side == h == w:
             raise ParameterError(f"--cutout-frac {config.cutout_frac} blanks the whole "
                                  f"{h}x{w} image, which leaves nothing to score")
-        if side == 0:
-            return None
         return (lambda gen: draw_cutout(gen, shape, side),
                 lambda px, corners: apply_cutout(px, np.array(corners), side))
     if name == "gridmask":
@@ -203,8 +199,6 @@ def baseline_steps(name: str, config: ExpansionConfig, shape: tuple):
             raise ParameterError(f"--grid-keep {config.grid_keep} with --grid-period {period} "
                                  f"blanks the whole {h}x{w} image at some phase, which leaves "
                                  f"nothing to score")
-        if hole == 0:
-            return None
         return (lambda gen: draw_grid_phase(gen, period),
                 lambda px, phases: apply_gridmask(px, np.array(phases), period, hole))
     _check_square(shape)
@@ -265,10 +259,9 @@ def expand_block(seed_pixels, out, steps, embedder, head, streams, budget=None):
     subs = [[stream.child(*parts, c) for c in range(budget or k)] for stream in streams]
     pool = out if budget is None else np.empty((g, budget) + out.shape[2:], np.float32)
     pool[...] = seed_pixels[:, None]
-    if steps is not None:
-        draw, apply = steps
-        params = [draw(gen) for gen in rekeyed(sub for row in subs for sub in row)]
-        apply(pool.reshape((-1,) + pool.shape[2:]), params)  # a view: pool is contiguous
+    draw, apply = steps
+    params = [draw(gen) for gen in rekeyed(sub for row in subs for sub in row)]
+    apply(pool.reshape((-1,) + pool.shape[2:]), params)  # a view: pool is contiguous
     stack = np.concatenate([seed_pixels[:, None], pool], axis=1)  # each seed in its row 0
     embeddings = embedder.embed_flat(stack.reshape(stack.shape[:2] + (-1,)))
     terms = (*_score_rows(embeddings, head), embeddings[:, 1:])
@@ -300,12 +293,12 @@ def selective_expand(
 ):
     """Generate, score, and select augmented variants of the seed images.
 
-    Every seed spawns candidate_budget candidates (default 4 * quota_k). A
-    candidate qualifies when it keeps the seed's predicted class and gains
-    prediction entropy. sample_wise takes the top quota_k per seed, padding
-    from that seed's own pool to hit the quota exactly; sample_agnostic
-    ranks only the qualified candidates globally and takes at most
-    len(seeds) * quota_k of them, which can starve or skip seeds entirely.
+    Every seed spawns candidate_budget candidates (default
+    CANDIDATES_PER_VARIANT * quota_k). A candidate qualifies when it keeps
+    the seed's predicted class and gains prediction entropy. sample_wise
+    takes the top quota_k per seed, padding from the seed's own pool;
+    sample_agnostic ranks only the qualified candidates globally and takes
+    at most len(seeds) * quota_k of them, which can starve or skip seeds.
     Each seed's pool is scored as one stack (embedder.embed_images), its
     row 0 the seed. Accepts a labeled dataset or a plain sequence of images.
     Returns the selected images and their records, ordered by seed.
@@ -315,7 +308,7 @@ def selective_expand(
     if mode not in SELECTION_MODES:
         raise ParameterError(f"mode must be one of {SELECTION_MODES}, got {mode!r}")
     if candidate_budget is None:
-        candidate_budget = 4 * quota_k
+        candidate_budget = CANDIDATES_PER_VARIANT * quota_k
     check_count("candidate_budget", candidate_budget, quota_k)
     if len(images_in) == 0:
         raise ParameterError("selective expansion needs at least one seed")

@@ -294,14 +294,13 @@ def fit_linear_codec(
     mean = x.mean(axis=0)
     centered = x - mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(n, pixel_dim) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
+    tol = max(n, pixel_dim) * np.finfo(np.float64).eps * svals[0]
     rank = int(np.sum(svals > tol))
     if rank < latent_dim:
         raise RankError(f"data rank {rank} is below requested latent_dim {latent_dim}")
     basis = vt[:latent_dim].copy()
-    for row in basis:
-        nz = np.flatnonzero(np.abs(row) > 1e-12)
-        if nz.size and row[nz[0]] < 0:
+    for row in basis:  # a unit-norm row has an entry above 1e-12
+        if row[np.flatnonzero(np.abs(row) > 1e-12)[0]] < 0:
             row *= -1.0
     return LinearCodec(
         mean_image=mean,
@@ -400,8 +399,9 @@ def _seeded_projection(pixel_dim: int, embed_dim: int, seed: int) -> np.ndarray:
 
 
 def check_tau(tau) -> None:
-    """Raise ParameterError unless tau, a head's softmax temperature, is a finite real > 0."""
-    check_real("tau", tau, 0, open_low=True)
+    """Raise ParameterError unless tau, a head's softmax temperature, is a finite
+    real >= the least normal float64: a cosine over a subnormal tau can overflow."""
+    check_real("tau", tau, float(np.finfo(np.float64).tiny))
 
 
 @dataclass(eq=False)

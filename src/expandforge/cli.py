@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from . import augment as ag
 from . import backends as bk
 from . import evaluation as ev
 from . import guidance as gd
@@ -84,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"consistency retry budget (default {cfg.retries})")
     expand.add_argument("--budget", dest="candidate_budget", metavar="BUDGET", type=int,
                         default=cfg.candidate_budget,
-                        help="candidate budget for selective methods (default 4*K)")
+                        help=f"candidate budget for selective methods "
+                             f"(default {ag.CANDIDATES_PER_VARIANT}*K)")
     expand.add_argument("--cutout-frac", type=float, default=cfg.cutout_frac,
                         help=f"cutout patch fraction (default {cfg.cutout_frac})")
     expand.add_argument("--grid-period", type=int, default=cfg.grid_period,

@@ -187,7 +187,8 @@ def perturb_and_project(f: Latent, params: PerturbationParams, epsilon: float) -
         raise ShapeError(
             f"noise shape {params.z.shape} does not match latent shape {f.values.shape}"
         )
-    return Latent(perturb_and_project_rows(f.values, params.z, params.b, epsilon))
+    return Latent(perturb_and_project_rows(f.values, params.z, params.b, epsilon,
+                                           projection_bounds(f.values, epsilon)))
 
 
 def projection_bounds(f: np.ndarray, epsilon: float):
@@ -210,16 +211,16 @@ def projection_bounds(f: np.ndarray, epsilon: float):
 
 
 def perturb_and_project_rows(f: np.ndarray, z: np.ndarray, b: np.ndarray, epsilon: float,
-                             bounds=None):
-    """perturb_and_project on arrays: f broadcasts against z and b. bounds is
-    projection_bounds(f, epsilon), computed here when None."""
+                             bounds: tuple):
+    """perturb_and_project on arrays: f broadcasts against z and b, and
+    bounds is projection_bounds(f, epsilon)."""
     raw = (1.0 + z) * f + b
     delta = np.clip(raw - f, -epsilon, epsilon)
     out = f + delta
     # the containment bound is exact, not toleranced: rounding in f + delta can
     # overshoot by an ulp, so an entry past a bound takes that bound. Only an
     # entry strictly past one moves, so a zero keeps its sign as f + delta gave it
-    lo, hi = projection_bounds(f, epsilon) if bounds is None else bounds
+    lo, hi = bounds
     np.copyto(out, hi, where=out > hi)
     np.copyto(out, lo, where=out < lo)
     return out
@@ -348,13 +349,10 @@ def objective_gradient_fd(
 
 def classify(e: np.ndarray, prototypes: np.ndarray, tau: float = 1.0) -> Prediction:
     """Zero-shot prediction of an embedding against unit-norm class prototypes."""
-    pred, _ = classify_grad(e, prototypes, tau, need_jacobian=False)
-    return pred
+    return classify_grad(e, prototypes, tau)[0]
 
 
-def classify_grad(
-    e: np.ndarray, prototypes: np.ndarray, tau: float = 1.0, need_jacobian: bool = True
-):
+def classify_grad(e: np.ndarray, prototypes: np.ndarray, tau: float = 1.0):
     """Prediction plus the Jacobian of the cosine affinities w.r.t. the embedding.
 
     Row c of the Jacobian is (w_c - a_c * unit(e)) / ||e||, the gradient of
@@ -367,13 +365,14 @@ def classify_grad(
         raise ShapeError(f"prototypes shape {protos.shape} does not match embedding size {ev.size}")
     if protos.shape[0] < 2:
         raise ShapeError("need at least two class prototypes")
-    affinities, probs, jac = classify_rows(ev, protos, tau, need_jacobian)
+    affinities, probs, jac = classify_rows(ev, protos, tau)
     return Prediction(affinities=affinities, probs=probs), jac
 
 
 def classify_rows(e: np.ndarray, prototypes: np.ndarray, tau: float, need_jacobian: bool = True):
     """classify_grad of every finite embedding row of e (..., E) against
-    validated prototypes: (affinities, probs, Jacobians or None)."""
+    validated prototypes: (affinities, probs, Jacobians or None). Scoring skips
+    the Jacobians, which take ten times the rest of a call at bulk's block shape."""
     # np.linalg.norm of a vector is sqrt(dot(e, e)); a row dot keeps its rounding
     norm = np.sqrt(_row_dot(e, e))
     if (norm <= NORM_FLOOR).any():
@@ -417,13 +416,10 @@ def consistency_entropy_grad_rows(p, jac, tau, target, lam_con, lam_ent):
     """
     logp = np.log(np.maximum(p, 1e-300))
     h_val = -(p * np.where(p > 0, logp, 0.0)).sum(axis=-1, keepdims=True)
-    d_logits = np.zeros_like(p)
-    if lam_con != 0.0:
-        target = np.asarray(target)[..., None]
-        p_t = np.take_along_axis(p, np.broadcast_to(target, p.shape[:-1] + (1,)), axis=-1)
-        row = -p_t * p
-        row = np.where(np.arange(p.shape[-1]) == target, row + p_t, row)
-        d_logits += lam_con * row
-    if lam_ent != 0.0:
-        d_logits += lam_ent * (-(p * (logp + h_val)))
+    target = np.asarray(target)[..., None]
+    p_t = np.take_along_axis(p, np.broadcast_to(target, p.shape[:-1] + (1,)), axis=-1)
+    row = -p_t * p
+    row = np.where(np.arange(p.shape[-1]) == target, row + p_t, row)
+    # from +0.0, so a zero weight's term, finite and so +-0.0, keeps every bit
+    d_logits = 0.0 + lam_con * row + lam_ent * (-(p * (logp + h_val)))
     return np.matmul((d_logits / tau)[..., None, :], jac)[..., 0, :]

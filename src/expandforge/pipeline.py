@@ -20,6 +20,7 @@ import math
 import os
 import stat
 import struct
+import traceback
 import typing
 from dataclasses import asdict, dataclass
 
@@ -487,7 +488,16 @@ def read_manifest(path) -> ExpansionManifest:
             data = json.load(fh)
         except ValueError as err:  # undecodable UTF-8 or malformed JSON
             raise FormatError(f"manifest is not valid UTF-8 JSON: {err}") from err
-    return ExpansionManifest.from_dict(data)
+    try:
+        return ExpansionManifest.from_dict(data)
+    except FormatError as err:
+        # the frames of the error and its causes hold the parsed manifest, which a
+        # caller keeping the error in a reference cycle would keep until a full GC
+        del data
+        while err is not None:
+            traceback.clear_frames(err.__traceback__)
+            err = err.__context__
+        raise
 
 
 # ------------------------------------------------------------ configuration
@@ -581,11 +591,11 @@ def expand_dataset(
                                            backends.head, config, streams[s])
             return columns
     else:
-        # a selective method draws a candidate pool, 4K per seed unless the
-        # config sets it, by its plain counterpart's steps
+        # a selective method draws a candidate pool, CANDIDATES_PER_VARIANT * K
+        # per seed unless the config sets it, by its plain counterpart's steps
         steps = ag.baseline_steps(method.removeprefix("selective_"), config, dataset.image_shape)
         if method.startswith("selective_"):
-            budget = 4 * k if config.candidate_budget is None else config.candidate_budget
+            budget = config.candidate_budget or ag.CANDIDATES_PER_VARIANT * k
         block = lambda s: ag.expand_block(dataset.pixels[s], variants[s], steps, backends.embedder,
                                           backends.head, streams[s], budget)
     per_block = max(1, ASCENT_BLOCK_ROWS // (budget or k))

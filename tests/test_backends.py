@@ -3,6 +3,7 @@ embedding decode (embedder transpose then codec round trip)."""
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -508,10 +509,12 @@ def test_head_prototypes_unit_norm():
 
 def test_head_rejects_a_non_finite_or_non_positive_tau():
     protos = np.eye(2, 4)
-    for tau in (0.0, -1.0, math.inf, math.nan):
+    # a subnormal tau can overflow a cosine over it to inf
+    for tau in (0.0, -1.0, math.inf, math.nan, 5e-324):
         with pytest.raises(ParameterError):
             bk.ZeroShotHead(prototypes=protos, tau=tau)
-    assert bk.ZeroShotHead(prototypes=protos, tau=1e-3).tau == 1e-3
+    for tau in (1e-3, sys.float_info.min):
+        assert bk.ZeroShotHead(prototypes=protos, tau=tau).tau == tau
 
 
 def test_head_tau_is_a_real():

@@ -154,7 +154,7 @@ def test_non_finite_tau_exits_one(tmp_path, monkeypatch, capsys):
                          (bk, "make_embedder"), (bk, "fit_prototype_head")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **kw: pytest.fail(name))
     for method in ("cutout", "gif_latent"):
-        for value in ("inf", "nan"):
+        for value in ("inf", "nan", "5e-324"):  # a subnormal tau can overflow the softmax
             assert cli.main(_small_expand_args(src, tmp_path / "hot.gifx", method=method,
                                                tau=value)) == 1
             assert "tau must be a finite real" in capsys.readouterr().err
@@ -576,7 +576,7 @@ def _fuzz_expand(method, **flags) -> int:
                                "selective_randlite"]),
        ratio=st.integers(1, 4), budget=st.none() | st.integers(1, 9),
        cutout_frac=st.sampled_from([0, 0.01, 0.4, 1]), grid_period=st.sampled_from([2, 3, 8, 100]),
-       grid_keep=st.sampled_from([0.01, 0.5, 1]), tau=st.sampled_from([1e-300, 1, 1e308]))
+       grid_keep=st.sampled_from([0.01, 0.5, 1]), tau=st.sampled_from([5e-324, 1e-300, 1, 1e308]))
 def test_baseline_expand_flags_fuzz(method, ratio, budget, cutout_frac, grid_period, grid_keep,
                                     tau):
     # the input is valid, so no setting may end in a data error (exit 2)

@@ -249,7 +249,8 @@ def test_embedding_path_gradient_matches_fd():
     weights = (1.0, 0.7, 0.3)
     path = gd.ScoreChain(head, weights, head.predict_rows(e0)[None], gd.identity_lift)
     params = _params(seed.values.shape, 2, "full", _stream("fd-emb"))
-    project = lambda z, b: lm.perturb_and_project_rows(seed.values, z, b, np.inf)
+    bounds = lm.projection_bounds(seed.values, np.inf)
+    project = lambda z, b: lm.perturb_and_project_rows(seed.values, z, b, np.inf, bounds)
     _, grads, _ = path(project(*params))
     for i in range(2):
         for j, field in enumerate(("z", "b")):
@@ -271,7 +272,8 @@ def test_latent_path_gradient_matches_fd():
     for idx in range(len(data.labels)):
         f0 = codec.encode(data.images[idx])
         z, b = _params(f0.values.shape, 2, "full", _stream("fd-lat", idx))
-        variants = lm.perturb_and_project_rows(f0.values, z, b, np.inf)
+        variants = lm.perturb_and_project_rows(f0.values, z, b, np.inf,
+                                               lm.projection_bounds(f0.values, np.inf))
         # FD across the decode clamp is only valid when no raw pixel sits
         # within the difference window of a clamp boundary
         margins = []

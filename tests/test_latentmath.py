@@ -285,12 +285,9 @@ def test_projection_bounds_clamp_as_the_nudging_loop(data):
     # brings back within epsilon of f
     with np.errstate(over="ignore"):
         want = _project_by_nudging(f, z, b, epsilon)
-        bounds = lm.projection_bounds(f, epsilon)
-        once = lm.perturb_and_project_rows(f, z, b, epsilon, bounds)
-        each = lm.perturb_and_project_rows(f, z, b, epsilon)
+        once = lm.perturb_and_project_rows(f, z, b, epsilon, lm.projection_bounds(f, epsilon))
     # bit for bit, so a zero's sign counts
     assert np.array_equal(once.view(np.int64), want.view(np.int64))
-    assert np.array_equal(each.view(np.int64), want.view(np.int64))
 
 
 def test_projection_keeps_the_sign_of_a_zero():
@@ -298,7 +295,7 @@ def test_projection_keeps_the_sign_of_a_zero():
     # both within the bounds, and the clamp keeps each as it is
     f = np.array([[-0.0, -0.0, 0.0]])
     b = np.array([[-1.0, 1.0, -1.0]])
-    out = lm.perturb_and_project_rows(f, np.zeros_like(f), b, 0.0)
+    out = lm.perturb_and_project_rows(f, np.zeros_like(f), b, 0.0, lm.projection_bounds(f, 0.0))
     assert np.array_equal(np.signbit(out), [[True, False, False]])
     assert np.array_equal(out.view(np.int64),
                           _project_by_nudging(f, np.zeros_like(f), b, 0.0).view(np.int64))
@@ -685,6 +682,50 @@ def test_record_s_div_equals_the_unfloored_kl_above_the_floor(seed, scale):
     above = (lm.softmax_rows(flats) >= lm.KL_FLOOR).all(axis=-1)
     assert np.array_equal(new[above], old[above])
     assert (new >= 0.0).all()
+
+
+def _grad_skipping_zero_weights(p, jac, tau, target, lam_con, lam_ent):
+    """consistency_entropy_grad_rows as it was, each term behind a branch
+    that skips it at a zero weight."""
+    logp = np.log(np.maximum(p, 1e-300))
+    h_val = -(p * np.where(p > 0, logp, 0.0)).sum(axis=-1, keepdims=True)
+    d_logits = np.zeros_like(p)
+    if lam_con != 0.0:
+        target = np.asarray(target)[..., None]
+        p_t = np.take_along_axis(p, np.broadcast_to(target, p.shape[:-1] + (1,)), axis=-1)
+        row = -p_t * p
+        row = np.where(np.arange(p.shape[-1]) == target, row + p_t, row)
+        d_logits += lam_con * row
+    if lam_ent != 0.0:
+        d_logits += lam_ent * (-(p * (logp + h_val)))
+    return np.matmul((d_logits / tau)[..., None, :], jac)[..., 0, :]
+
+
+_WEIGHTS = (st.sampled_from([0.0, -0.0]) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _WEIGHTS, _WEIGHTS, st.floats(0.05, 20.0))
+def test_zero_weights_keep_the_gradient_bits(data, lam_con, lam_ent, tau):
+    # a zero weight's term is +-0.0 throughout and d_logits starts at +0.0, so
+    # adding the term keeps every bit of the branch form; log's bits vary by
+    # CPU, but both forms take the same logs
+    c, e = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 5))
+    lead = data.draw(st.sampled_from([(), (1, 1), (2, 3), (3, 1, 2)]))
+    logits = data.draw(hnp.arrays(np.float64, lead + (c,), elements=st.floats(-5.0, 5.0)))
+    # a dropped entry's logit underflows its probability to an exact zero; a
+    # row that drops all but one is one-hot
+    drop = data.draw(hnp.arrays(bool, lead + (c,)))
+    drop &= logits < logits.max(axis=-1, keepdims=True)  # each row keeps its largest
+    if data.draw(st.booleans()):
+        drop[...] = np.arange(c) != data.draw(st.integers(0, c - 1))
+    p = lm.softmax_rows(np.where(drop, -1e4, logits))
+    jac = data.draw(hnp.arrays(np.float64, lead + (c, e), elements=st.floats(-10.0, 10.0)))
+    target_shape = data.draw(st.sampled_from([lead, lead[:-1] + (1,)])) if lead else ()
+    target = data.draw(hnp.arrays(np.int64, target_shape, elements=st.integers(0, c - 1)))
+    got = lm.consistency_entropy_grad_rows(p, jac, tau, target, lam_con, lam_ent)
+    want = _grad_skipping_zero_weights(p, jac, tau, target, lam_con, lam_ent)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_consistency_entropy_grad_matches_fd():

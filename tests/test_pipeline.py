@@ -556,6 +556,33 @@ def test_read_manifest_rejects_unreadable_bytes(tmp_path, raw):
         pl.read_manifest(path)
 
 
+@pytest.mark.parametrize("change", [
+    lambda m: {**m, "seed_count": str(m["seed_count"])},
+    _first_record(lambda r: {}),
+    _first_record(lambda r: {**r, "retry_count": -1}),
+], ids=["header", "record_keys", "record_value"])
+def test_a_refused_manifest_is_held_by_no_frame_of_its_error(tmp_path, change):
+    # a caller that keeps the error in a reference cycle, as one that stores
+    # it in a local of the frame that caught it does, keeps every frame of its
+    # traceback and of its causes' until a full garbage collection; none may
+    # hold the parsed manifest or a part of it
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(change(_cutout_manifest_dict())))
+    with pytest.raises(FormatError) as info:
+        pl.read_manifest(path)
+    held, err = [], info.value
+    while err is not None:
+        tb = err.__traceback__
+        while tb is not None:
+            frame = tb.tb_frame
+            if frame.f_code.co_filename == pl.__file__:
+                held += [(frame.f_code.co_name, name) for name, value
+                         in frame.f_locals.items() if isinstance(value, (dict, list))]
+            tb = tb.tb_next
+        err = err.__context__
+    assert held == []
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
