@@ -261,7 +261,7 @@ def expand_block(seed_pixels, out, steps, embedder, head, streams, budget=None):
     pool[...] = seed_pixels[:, None]
     draw, apply = steps
     params = [draw(gen) for gen in rekeyed(sub for row in subs for sub in row)]
-    apply(pool.reshape((-1,) + pool.shape[2:]), params)  # a view: pool is contiguous
+    apply(pool.reshape((-1,) + pool.shape[2:]), params)  # a view: its first two axes merge
     stack = np.concatenate([seed_pixels[:, None], pool], axis=1)  # each seed in its row 0
     embeddings = embedder.embed_flat(stack.reshape(stack.shape[:2] + (-1,)))
     terms = (*_score_rows(embeddings, head), embeddings[:, 1:])

@@ -90,28 +90,49 @@ def pixel_stack(images) -> np.ndarray:
     return pixels
 
 
+def record_dtype(image_shape: tuple) -> np.dtype:
+    """The one layout of a GIFX sample: its <u4 label, then its <f4 pixels."""
+    return np.dtype([("label", "<u4"), ("pixels", "<f4", tuple(image_shape))])
+
+
 class LabeledDataset:
-    """N labeled images of one shape: `pixels`, one (N, H, W, C) float32
-    array, and `labels`, an (N,) int64 array, with one name per class.
-    images is a sequence of Image or that array, which is kept, not copied;
-    `.images` is a list of Image views of the pixels, built on first access."""
+    """N labeled images of one shape and one name per class, held as `records`,
+    one (N,) record_dtype array, the samples of its GIFX file: `pixels`, the
+    (N, H, W, C) float32 images, and `labels`, the (N,) <u4 class indices, are
+    views of it. images, a sequence of Image or such a pixel array, is copied
+    once into the records; `.images` are Image views built on first access."""
 
     def __init__(self, images, labels, class_names):
-        self.pixels = pixel_stack(images)
-        labels = np.asarray(labels)
-        if labels.shape != self.pixels.shape[:1]:
-            raise ShapeError(f"{len(self.pixels)} images but labels of shape {labels.shape}")
-        c = len(class_names)
-        if c < 2:
-            raise ParameterError("dataset needs at least two classes")
-        bad = np.flatnonzero(~((labels >= 0) & (labels < c)))
-        if bad.size:
-            raise ParameterError(f"label {labels[bad[0]]} at index {bad[0]} outside [0, {c})")
-        self.labels = labels.astype(np.int64)
+        pixels, labels = pixel_stack(images), np.asarray(labels)
+        if labels.shape != pixels.shape[:1]:
+            raise ShapeError(f"{len(pixels)} images but labels of shape {labels.shape}")
+        _check_labels(labels, class_names)
+        self.records = np.empty(len(pixels), record_dtype(pixels.shape[1:]))
+        self.records["label"], self.records["pixels"] = labels, pixels
         self.class_names = class_names
 
+    @classmethod
+    def from_records(cls, records: np.ndarray, class_names) -> "LabeledDataset":
+        """The dataset of an (N,) C-contiguous record_dtype array, kept as it is:
+        its labels are checked as the constructor checks them, then its pixels."""
+        if records.ndim != 1 or not records.flags.c_contiguous:  # hashed and written as a buffer
+            raise ShapeError(f"records must be one C-contiguous (N,) array, got {records.shape}")
+        _check_labels(records["label"], class_names)
+        check_pixels(records["pixels"])
+        dataset = cls.__new__(cls)
+        dataset.records, dataset.class_names = records, class_names
+        return dataset
+
+    @property
+    def pixels(self) -> np.ndarray:
+        return self.records["pixels"]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.records["label"]
+
     def __len__(self) -> int:
-        return len(self.pixels)
+        return len(self.records)
 
     @functools.cached_property
     def images(self) -> list:
@@ -132,7 +153,17 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return LabeledDataset(self.pixels[idx], self.labels[idx], list(self.class_names))
+        return LabeledDataset.from_records(self.records[idx], list(self.class_names))
+
+
+def _check_labels(labels: np.ndarray, class_names) -> None:
+    """Raise ParameterError unless there are two classes or more and each label names one."""
+    c = len(class_names)
+    if c < 2:
+        raise ParameterError("dataset needs at least two classes")
+    bad = np.flatnonzero(~((labels >= 0) & (labels < c)))
+    if bad.size:
+        raise ParameterError(f"label {labels[bad[0]]} at index {bad[0]} outside [0, {c})")
 
 
 STRIPE_PERIOD = 4
@@ -197,13 +228,14 @@ def gen_toy_dataset(classes: int, per_class: int, side: int, seed: int) -> Label
     check_count("per_class", per_class, 1)
     check_count("side", side, 8, 64)
     check_count("seed", seed, None)
-    pixels = np.empty((classes, per_class, side, side, 1), dtype=np.float32)
+    records = np.empty(classes * per_class, record_dtype((side, side, 1)))
+    records["label"] = np.repeat(np.arange(classes), per_class)
+    pixels = records["pixels"].reshape(classes, per_class, side, side, 1)  # a view
     for c in range(classes):
         for i in range(per_class):
             gen = RngStream(("toygen", seed, c, i)).generator()
             pixels[c, i, :, :, 0] = _render_family(SHAPE_FAMILIES[c], side, gen)
-    labels = np.repeat(np.arange(classes), per_class)
-    return LabeledDataset(pixels.reshape(-1, side, side, 1), labels, list(SHAPE_FAMILIES[:classes]))
+    return LabeledDataset.from_records(records, list(SHAPE_FAMILIES[:classes]))
 
 
 def _check_orthonormal(rows: np.ndarray, name: str) -> None:

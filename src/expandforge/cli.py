@@ -238,7 +238,9 @@ def _cmd_traineval(args) -> int:
     return 0
 
 
-_REPORT_COLUMNS = ("method", "ratio", "seed", "accuracy", "macro_accuracy", "covering_radius")
+# a report's columns and the type of each (a float may be written as an int)
+_REPORT_COLUMNS = {"method": str, "ratio": int, "seed": int, "accuracy": float,
+                   "macro_accuracy": float, "covering_radius": float}
 
 
 def _cmd_report(args) -> int:
@@ -253,15 +255,15 @@ def _cmd_report(args) -> int:
         if not isinstance(data, dict):
             raise FormatError(f"metrics file {path} must hold a JSON object")
         row = []
-        for key in _REPORT_COLUMNS:
+        for key, kind in _REPORT_COLUMNS.items():
             if key not in data:
                 raise FormatError(f"metrics file {path} is missing key {key!r}")
             value = data[key]
-            if isinstance(value, float):
-                value = pl.canonical_json(value)
-            elif isinstance(value, str) and not pl.utf8_text(value):
-                raise FormatError(f"metrics file {path} key {key!r} is not UTF-8 text")
-            row.append(value)
+            try:
+                pl._check_types([value], kind, f"metrics file {path} key {key!r}")
+            except InputError as err:
+                raise FormatError(str(err)) from err
+            row.append(pl.canonical_json(value) if isinstance(value, float) else value)
         rows.append(row)
     with pl.output_file(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")

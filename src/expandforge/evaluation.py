@@ -59,8 +59,8 @@ RADIUS_BLOCK = 64
 
 
 def _features(x) -> np.ndarray:
-    """x as aligned, C-ordered float32 rows. A GIFX read gives a record-strided
-    view that is neither, and matmul leaves BLAS for such an array."""
+    """x as aligned, C-ordered float32 rows. A dataset's pixels are a
+    record-strided view that is neither, and matmul leaves BLAS for such an array."""
     return np.require(x, np.float32, ["C", "A"])
 
 
@@ -112,7 +112,7 @@ class MLPClassifier:
         backward in turn; everything else is elementwise or a row reduction,
         whose bits do not depend on how many rows it sees."""
         x = _features(x)
-        y = np.asarray(y)
+        y = np.ascontiguousarray(y)  # each epoch picks by it; a dataset's labels are strided
         if x.ndim != 2 or x.shape[0] != y.size:
             raise ParameterError(
                 f"expected (N, D) features with N labels, got {x.shape} and {y.size}"

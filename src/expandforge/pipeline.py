@@ -29,7 +29,8 @@ import numpy as np
 from . import augment as ag
 from . import guidance as gd
 from . import latentmath as lm
-from .backends import Embedder, LabeledDataset, LinearCodec, ZeroShotHead, bad_image_index
+from .backends import (Embedder, LabeledDataset, LinearCodec, ZeroShotHead, bad_image_index,
+                       record_dtype)
 from .errors import (FormatError, InputError, NumericDivergenceError, NumericInputError,
                      ParameterError, check_count, check_real)
 from .rng import RngStream
@@ -65,18 +66,13 @@ def parse_method(name: str) -> str:
 
 # the header: magic, version, sample count, height, width, channels, class
 # count; then per class a <u4 byte length and its UTF-8 name; then the
-# samples, one record_dtype record each
+# samples, one backends.record_dtype record each
 HEADER = struct.Struct("<4s6I")
 
 
-def record_dtype(image_shape: tuple) -> np.dtype:
-    """The one layout of a GIFX sample: its <u4 label, then its <f4 pixels."""
-    return np.dtype([("label", "<u4"), ("pixels", "<f4", tuple(image_shape))])
-
-
-def _gifx(dataset: LabeledDataset):
-    """The GIFX header bytes and the (N,) record array of a dataset; the file
-    is the header followed by the records' buffer."""
+def _gifx_header(dataset: LabeledDataset) -> bytes:
+    """The GIFX header bytes of a dataset; the file is the header followed by
+    the buffer of dataset.records."""
     n = len(dataset)
     if n == 0:
         raise InputError("refusing to serialize an empty dataset")
@@ -84,21 +80,17 @@ def _gifx(dataset: LabeledDataset):
     for name in dataset.class_names:
         raw = name.encode("utf-8")
         header += [struct.pack("<I", len(raw)), raw]
-    records = np.empty(n, record_dtype(dataset.image_shape))
-    records["label"] = dataset.labels
-    records["pixels"] = dataset.pixels
-    return b"".join(header), records
+    return b"".join(header)
 
 
 def dataset_bytes(dataset: LabeledDataset) -> bytes:
     """Serialize to the GIFX layout; equal datasets give equal bytes."""
-    return b"".join(_gifx(dataset))
+    return _gifx_header(dataset) + dataset.records.tobytes()
 
 
 def dataset_digest(dataset: LabeledDataset) -> str:
-    header, records = _gifx(dataset)
-    h = hashlib.sha256(header)
-    h.update(records)
+    h = hashlib.sha256(_gifx_header(dataset))
+    h.update(dataset.records)
     return h.hexdigest()
 
 
@@ -129,10 +121,10 @@ def output_file(path, binary: bool = False):
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
-    header, records = _gifx(dataset)
+    header = _gifx_header(dataset)
     with output_file(path, binary=True) as fh:
         fh.write(header)
-        fh.write(records)
+        fh.write(dataset.records)
 
 
 def dataset_from_bytes(buf: bytes) -> LabeledDataset:
@@ -174,19 +166,12 @@ def dataset_from_bytes(buf: bytes) -> LabeledDataset:
             f"{have - n * size} trailing bytes after the last record at byte {pos + n * size}"
         )
     records = np.frombuffer(buf, record_dtype((h, w, c)), n, pos)
-    bad = np.flatnonzero(records["label"] >= class_count)
-    if bad.size:
-        i = bad[0]
-        raise FormatError(f"label {records['label'][i]} of sample {i} at byte {pos + i * size} "
-                          f"is out of range for {class_count} classes")
     try:
-        return LabeledDataset(records["pixels"], records["label"], names)
-    except (NumericInputError, ParameterError) as err:
-        i = bad_image_index(records["pixels"])
-        raise FormatError(
-            f"pixels of sample {i} at byte {pos + i * size + 4} are non-finite or "
-            f"outside [0, 1]: {err}"
-        ) from err
+        return LabeledDataset.from_records(records, names)
+    except (NumericInputError, ParameterError) as err:  # a bad label, else a bad pixel
+        bad = np.flatnonzero(records["label"] >= class_count)
+        i, at = (int(bad[0]), 0) if bad.size else (bad_image_index(records["pixels"]), 4)
+        raise FormatError(f"sample {i} at byte {pos + i * size + at}: {err}") from err
 
 
 def read_dataset(path) -> LabeledDataset:
@@ -576,10 +561,11 @@ def expand_dataset(
         raise InputError("cannot expand an empty dataset")
     root = RngStream.root(global_seed)
     streams = [root.child("method", method, "seed", seed_content_key(record))
-               for record in _gifx(dataset)[1]]
-    pixels = np.empty((n * (1 + k),) + dataset.image_shape, dtype=np.float32)
-    pixels[:n] = dataset.pixels
-    variants = pixels[n:].reshape((n, k) + dataset.image_shape)  # seed j's variant i at [j, i]
+               for record in dataset.records]
+    records = np.empty(n * (1 + k), dataset.records.dtype)  # the originals, then the variants
+    records[:n] = dataset.records
+    records["label"][n:] = np.repeat(dataset.labels, k)
+    variants = records["pixels"][n:].reshape((n, k) + dataset.image_shape)  # a view, [seed, i]
     # block(s) writes the variants of seeds s into variants[s], returning their record columns
     budget = None
     if method in GUIDED_METHODS:
@@ -613,8 +599,7 @@ def expand_dataset(
         raise NumericDivergenceError(f"record {bad[0]}: the weights overflow its total")
     for key, total in zip(_SCORE_COLUMNS, totals):
         columns[key] = np.concatenate([columns[key], total[..., None]], axis=-1)
-    labels = np.concatenate([dataset.labels, np.repeat(dataset.labels, k)])
-    expanded = LabeledDataset(pixels, labels, list(dataset.class_names))
+    expanded = LabeledDataset.from_records(records, list(dataset.class_names))
     manifest = ExpansionManifest(
         version=TOOL_VERSION,
         global_seed=int(global_seed),

@@ -193,7 +193,7 @@ def test_dataset_from_images_equals_dataset_from_pixel_array():
         images=data.pixels.copy(), labels=data.labels, class_names=list(data.class_names)
     )
     for built in (from_images, from_array):
-        assert built.pixels.dtype == np.float32 and built.labels.dtype == np.int64
+        assert built.pixels.dtype == np.float32 and built.labels.dtype == np.uint32
         assert built.pixels.tobytes() == data.pixels.tobytes()
         assert built.labels.tolist() == data.labels.tolist()
         assert built.image_shape == (12, 12, 1) and len(built) == 12
@@ -231,6 +231,26 @@ def test_empty_subset_keeps_the_image_shape():
     picked = data.subset([4, 1])
     assert picked.labels.tolist() == [1, 0]
     assert picked.pixels.tobytes() == data.pixels[[4, 1]].tobytes()
+
+
+def test_dataset_from_records_keeps_the_array_and_checks_it_once():
+    data = _toy(classes=2, per_class=3, side=8)
+    records = data.records.copy()
+    kept = bk.LabeledDataset.from_records(records, list(data.class_names))
+    assert kept.records is records and np.shares_memory(kept.pixels, records)
+    assert kept.records.dtype == bk.record_dtype((8, 8, 1)) and kept.labels.dtype == np.uint32
+    bad_label, bad_pixel = records.copy(), records.copy()
+    bad_label["label"][4] = 2
+    bad_pixel["pixels"][3, 0, 0, 0] = math.nan
+    for bad, error, match in ((bad_label, ParameterError, "label 2 at index 4"),
+                              (bad_pixel, NumericInputError, "image 3")):
+        with pytest.raises(error, match=match):
+            bk.LabeledDataset.from_records(bad, list(data.class_names))
+    with pytest.raises(ParameterError, match="two classes"):
+        bk.LabeledDataset.from_records(records, ["one"])
+    # a strided record array could be neither hashed nor written as one buffer
+    with pytest.raises(ShapeError):
+        bk.LabeledDataset.from_records(records[::2], list(data.class_names))
 
 
 def test_dataset_validation():

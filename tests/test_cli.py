@@ -238,6 +238,27 @@ def test_report_text_utf8_cannot_encode_exits_two(tmp_path, capsys):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("key, value", [
+    ("method", {"a": 1}), ("method", 3), ("ratio", [1, 2]), ("ratio", 2.0), ("seed", True),
+    ("seed", None), ("accuracy", True), ("macro_accuracy", "0.5"), ("covering_radius", [1.0]),
+])
+def test_report_column_of_the_wrong_type_exits_two(tmp_path, capsys, key, value):
+    row = {"method": "cutout", "ratio": 2, "seed": 0, "accuracy": 1, "macro_accuracy": 0.5,
+           "covering_radius": 1.0}
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(row))
+    bad.write_text(json.dumps({**row, key: value}))
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["report", "--metrics", str(good), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(key) in err and "Traceback" not in err
+    assert not out.exists()
+    # a score may be an int, as canonical JSON writes 1.0
+    assert cli.main(["report", "--metrics", str(good), "--out", str(out)]) == 0
+    assert out.read_text() == ("method,ratio,seed,accuracy,macro_accuracy,covering_radius\n"
+                               "cutout,2,0,1,0.5,1\n")
+
+
 def test_report_output_naming_an_input_exits_one(tmp_path):
     metrics = tmp_path / "m.json"
     metrics.write_text(json.dumps({"method": "cutout", "ratio": 2, "seed": 0, "accuracy": 0.5,

@@ -145,14 +145,13 @@ def test_trained_bits_ignore_the_blas_thread_count():
                          env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
         for threads in (1, 2, 4)
     ]
+    # every child is read before any assertion: an unread pipe would be
+    # collected in a later test, where its ResourceWarning is an error
+    outs = [child.communicate(timeout=60)[0] for child in children]
     expected = [MLP_FULL_PRECISION[shape][2] for shape in sorted(MLP_FULL_PRECISION)]
-    forward = set()
-    for child in children:
-        out, _ = child.communicate(timeout=60)
-        assert child.returncode == 0
-        assert out.split()[:2] == expected
-        forward.add(out.split()[2])
-    assert len(forward) == 1
+    assert [child.returncode for child in children] == [0, 0, 0]
+    assert [out.split()[:2] for out in outs] == [expected] * 3
+    assert len({out.split()[2] for out in outs}) == 1
 
 
 def _per_chunk_fit(model, x, y):

@@ -563,7 +563,7 @@ def test_record_stream_ids_name_the_variant():
     seeds = data.subset([0, 30, 60])
     bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)
     _, manifest = pl.expand_dataset(seeds, "gif_embed", cfg, bundle, global_seed=3)
-    keys = [pl.seed_content_key(record) for record in pl._gifx(seeds)[1]]
+    keys = [pl.seed_content_key(record) for record in seeds.records]
     for rec in manifest.records:
         stream = RngStream.root(3).child("method", "gif_embed", "seed", keys[rec["seed_index"]])
         assert rec["stream_id"] == stream.child("variant", rec["variant_index"]).id

@@ -10,6 +10,7 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,48 @@ def test_gifx_rejects_empty_dataset():
     data = _data().subset([])
     with pytest.raises(InputError):
         pl.dataset_bytes(data)
+
+
+def test_a_dataset_is_its_gifx_record_array():
+    data = _data()
+    expanded, _ = pl.expand_dataset(data, "cutout", _small_config(), _bundle(), global_seed=1)
+    for d in (data, expanded, pl.dataset_from_bytes(pl.dataset_bytes(expanded))):
+        assert d.records.dtype == pl.record_dtype(d.image_shape) and d.records.shape == (len(d),)
+        assert np.shares_memory(d.pixels, d.records) and np.shares_memory(d.labels, d.records)
+        assert d.labels.dtype == np.uint32
+        header = pl.HEADER.pack(b"GIFX", 1, len(d), *d.image_shape, d.class_count) + b"".join(
+            struct.pack("<I", len(name.encode("utf-8"))) + name.encode("utf-8")
+            for name in d.class_names)
+        assert pl.dataset_bytes(d) == header + d.records.tobytes()
+    # a read dataset holds the file's records in place
+    buf = pl.dataset_bytes(expanded)
+    assert np.shares_memory(pl.dataset_from_bytes(buf).records, np.frombuffer(buf, np.uint8))
+
+
+def test_expand_write_digest_and_verify_allocate_no_second_record_array(tmp_path):
+    # the bulk benchmark's shape: 8 x 25 seeds at 32x32, cutout, K = 20
+    data = bk.gen_toy_dataset(8, 25, 32, 1)
+    embedder = bk.make_embedder(data.image_shape, 64, seed=0)
+    bundle = pl.BackendBundle(None, embedder, bk.fit_prototype_head(data, embedder))
+    size = len(data) * 21 * (4 + 4 * 32 * 32)  # the expanded set's record array
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (expanded, manifest), peak = traced_peak(
+        lambda: pl.expand_dataset(data, "cutout", pl.ExpansionConfig(ratio_k=20), bundle, 1))
+    assert peak <= 1.3 * size
+    path = tmp_path / "bulk.gifx"
+    assert traced_peak(lambda: pl.write_dataset(expanded, path))[1] < size / 10
+    back = pl.read_dataset(path)
+    for run in (lambda: pl.dataset_digest(expanded),
+                lambda: manifest.verify_against(data, expanded),
+                lambda: manifest.verify_against(data, back)):
+        assert traced_peak(run)[1] < size / 10
 
 
 def test_output_file_leaves_a_device_in_place(monkeypatch):
@@ -677,7 +720,7 @@ def test_expand_contracts_per_method(method):
     assert all(r["method"] == method for r in manifest.records)
     # seed j's streams, keyed by its content as expand_dataset keys them
     streams = [RngStream.root(1).child("method", method, "seed", pl.seed_content_key(record))
-               for record in pl._gifx(data)[1]]
+               for record in data.records]
     for r in manifest.records:
         stream = streams[r["seed_index"]]
         if method.startswith("selective_"):
@@ -807,7 +850,7 @@ def _one_image_expansion(data, method, config, bundle, global_seed):
     }[method.removeprefix("selective_")]
     k, root = config.ratio_k, RngStream.root(global_seed)
     variants, scores, consistent, qualified, ids = [], [], [], [], []
-    for record, image in zip(pl._gifx(data)[1], data.images):
+    for record, image in zip(data.records, data.images):
         stream = root.child("method", method, "seed", pl.seed_content_key(record))
         if method.startswith("selective_"):
             images, picked = ag.selective_expand([image], augmenter, bundle.embedder, bundle.head,
