@@ -565,7 +565,8 @@ def expand_dataset(
     records = np.empty(n * (1 + k), dataset.records.dtype)  # the originals, then the variants
     records[:n] = dataset.records
     records["label"][n:] = np.repeat(dataset.labels, k)
-    variants = records["pixels"][n:].reshape((n, k) + dataset.image_shape)  # a view, [seed, i]
+    # seed j's variant i at [j, i], a view of the records' pixels
+    variants = records["pixels"][n:].reshape((n, k) + dataset.image_shape)
     # block(s) writes the variants of seeds s into variants[s], returning their record columns
     budget = None
     if method in GUIDED_METHODS:
