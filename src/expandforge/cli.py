@@ -259,11 +259,11 @@ def _cmd_report(args) -> int:
             if key not in data:
                 raise FormatError(f"metrics file {path} is missing key {key!r}")
             value = data[key]
-            try:
-                pl._check_types([value], kind, f"metrics file {path} key {key!r}")
+            try:  # a float may be NaN or infinite, which canonical JSON refuses
+                pl._check_types([value], kind, "its value")
+                row.append(pl.canonical_json(value) if isinstance(value, float) else value)
             except InputError as err:
-                raise FormatError(str(err)) from err
-            row.append(pl.canonical_json(value) if isinstance(value, float) else value)
+                raise FormatError(f"metrics file {path} key {key!r}: {err}") from err
         rows.append(row)
     with pl.output_file(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")

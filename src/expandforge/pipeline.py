@@ -35,7 +35,7 @@ from .errors import (FormatError, InputError, NumericDivergenceError, NumericInp
                      ParameterError, check_count, check_real)
 from .rng import RngStream
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 MAGIC = b"GIFX"
 FORMAT_VERSION = 1
@@ -226,11 +226,10 @@ def canonical_json(obj) -> str:
 
 # a record's keys and value types, in the order _records fills them: one
 # record per emitted variant, scores_initial and scores_final laid out as
-# _SCORE_TYPES
+# _SCORE_TYPES; the method and the weights are the header's alone
 _RECORD_TYPES = {
     "seed_index": int,
     "variant_index": int,
-    "method": str,
     "stream_id": str,
     "scores_initial": dict,
     "scores_final": dict,
@@ -239,8 +238,8 @@ _RECORD_TYPES = {
     "fallback": bool,
     "qualified": bool,
 }
-_SCORE_TYPES = {"s_con": float, "s_ent": float, "s_div": float, "total": float, "weights": list}
-_TERMS = tuple(_SCORE_TYPES)[:4]
+_SCORE_TYPES = {"s_con": float, "s_ent": float, "s_div": float, "total": float}
+_TERMS = tuple(_SCORE_TYPES)
 
 # a manifest's record columns, each (seed_count, ratio_k) plus its tail, and
 # "stream_id", the list of N·K stream ids; a score column holds the _TERMS
@@ -253,7 +252,7 @@ _SCORE_COLUMNS = ("scores_initial", "scores_final")
 # the types a manifest value of each kind may have; a bool is never a number
 # here, though Python counts it as an int
 _KINDS = {bool: (bool, np.bool_), int: (int, np.integer),
-          float: (int, float, np.integer, np.floating), str: str, dict: dict, list: list}
+          float: (int, float, np.integer, np.floating), str: str, dict: dict}
 
 
 def _check_types(values: list, kind: type, what: str) -> None:
@@ -321,23 +320,16 @@ def _check_columns(columns: dict, n: int, k: int) -> None:
 def _record_columns(records: list, start: int, header: dict) -> dict:
     """The record columns, one row per record, of records start, start + 1, ...
     under a checked header: one list per field, then one array per column.
-    Record p must be seed p // ratio_k's variant p % ratio_k, by the header's
-    method and with the config's weights. Each check runs on whole columns;
-    only when one fails is each record checked alone, naming the first to fail."""
-    m, k, method = len(records), header["ratio_k"], header["method"]
-    weights = header["config"]["weights"]
+    Record p must be seed p // ratio_k's variant p % ratio_k. Each check runs
+    on whole columns; only when one fails is each record checked alone,
+    naming the first to fail."""
+    m, k = len(records), header["ratio_k"]
     try:
         fields = _fields(records, _RECORD_TYPES, "the record")
         scores = {key: _fields(fields[key], _SCORE_TYPES, key) for key in _SCORE_COLUMNS}
-        seed_index, variant_index = divmod(np.arange(start, start + m), k)
-        if ([fields["seed_index"], fields["variant_index"], fields["method"],
-             *(score["weights"] for score in scores.values())]
-                != [seed_index.tolist(), variant_index.tolist(), [method] * m, [weights] * m,
-                    [weights] * m]):
-            raise InputError(f"the record is not its position's variant by {method} with the "
-                             f"config's weights {weights}")
-        for key, score in scores.items():  # the config's three weights, if only by value
-            _check_types([w for row in score["weights"] for w in row], float, f"weights of {key}")
+        position = divmod(np.arange(start, start + m), k)  # (seed_index, variant_index)
+        if [fields["seed_index"], fields["variant_index"]] != [p.tolist() for p in position]:
+            raise InputError("the record is not its position's variant")
         columns = {key: np.array(fields[key], dtype)
                    for key, (dtype, tail) in _COLUMN_TYPES.items() if not tail}
         for key, score in scores.items():
@@ -351,29 +343,27 @@ def _record_columns(records: list, start: int, header: dict) -> dict:
     return {**columns, "stream_id": fields["stream_id"]}
 
 
-def _records(method: str, weights, columns: dict) -> list:
+def _records(columns: dict) -> list:
     """The record dicts of record columns, seed j's variant i (record j * K + i)
     from entry [j, i] of each; .tolist() keeps every float's bits."""
     n, k = columns["consistent"].shape
-    scores = [[dict(zip(_SCORE_TYPES, (*row, list(weights))))
-               for row in columns[key].reshape(n * k, 4).tolist()] for key in _SCORE_COLUMNS]
+    scores = [[dict(zip(_SCORE_TYPES, row)) for row in columns[key].reshape(n * k, 4).tolist()]
+              for key in _SCORE_COLUMNS]
     flags = [columns[key].ravel().tolist()
              for key in ("consistent", "retry_count", "fallback", "qualified")]
-    rows = zip(*np.indices((n, k)).reshape(2, -1).tolist(), [method] * (n * k),
-               columns["stream_id"], *scores, *flags)
+    rows = zip(*np.indices((n, k)).reshape(2, -1).tolist(), columns["stream_id"], *scores, *flags)
     return [dict(zip(_RECORD_TYPES, row)) for row in rows]
 
 
-def _render_records(method: str, weights, columns: dict):
-    """canonical_json(_records(method, weights, columns)) of finite columns,
-    yielded in pieces, one per record, each in one fixed layout: sorted keys,
-    floats as _format_float writes them."""
+def _render_records(columns: dict):
+    """canonical_json(_records(columns)) of finite columns, yielded in pieces,
+    one per record, each in one fixed layout: sorted keys, floats as
+    _format_float writes them."""
     n, k = columns["consistent"].shape
-    scores = ('{"s_con":%.9g,"s_div":%.9g,"s_ent":%.9g,"total":%.9g,"weights":'
-              + canonical_json(list(weights)) + "}")
-    layout = ('{"consistent":%s,"fallback":%s,"method":' + _encode_str(method)
-              + ',"qualified":%s,"retry_count":%d,"scores_final":' + scores + ',"scores_initial":'
-              + scores + ',"seed_index":%d,"stream_id":%s,"variant_index":%d}')
+    scores = '{"s_con":%.9g,"s_div":%.9g,"s_ent":%.9g,"total":%.9g}'
+    layout = ('{"consistent":%s,"fallback":%s,"qualified":%s,"retry_count":%d,"scores_final":'
+              + scores + ',"scores_initial":' + scores
+              + ',"seed_index":%d,"stream_id":%s,"variant_index":%d}')
     flags = [np.where(columns[key], "true", "false").ravel().tolist()
              for key in ("consistent", "fallback", "qualified")]
     # the terms of scores_final, then scores_initial, in sorted key order, each
@@ -413,7 +403,7 @@ class ExpansionManifest:
 
     @property
     def records(self) -> list:
-        return _records(self.method, self.config["weights"], self.columns)
+        return _records(self.columns)
 
     def as_dict(self) -> dict:
         return {**{key: getattr(self, key) for key in _HEADER_TYPES}, "records": self.records}
@@ -458,8 +448,7 @@ def write_manifest(manifest: ExpansionManifest, path) -> None:
     rendered."""
     manifest.validate()
     parts = {key: [canonical_json(getattr(manifest, key))] for key in _HEADER_TYPES}
-    parts["records"] = _render_records(manifest.method, manifest.config["weights"],
-                                       manifest.columns)
+    parts["records"] = _render_records(manifest.columns)
     with output_file(path) as fh:
         for i, key in enumerate(sorted(parts)):
             fh.write(("," if i else "{") + _encode_str(key) + ":")

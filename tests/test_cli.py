@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expandforge
 import expandforge.backends as bk
 import expandforge.cli as cli
 import expandforge.evaluation as ev
@@ -241,6 +242,8 @@ def test_report_text_utf8_cannot_encode_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("method", {"a": 1}), ("method", 3), ("ratio", [1, 2]), ("ratio", 2.0), ("seed", True),
     ("seed", None), ("accuracy", True), ("macro_accuracy", "0.5"), ("covering_radius", [1.0]),
+    # json writes these as NaN and Infinity, which it reads back, but canonical JSON cannot
+    ("accuracy", float("nan")), ("covering_radius", float("inf")),
 ])
 def test_report_column_of_the_wrong_type_exits_two(tmp_path, capsys, key, value):
     row = {"method": "cutout", "ratio": 2, "seed": 0, "accuracy": 1, "macro_accuracy": 0.5,
@@ -832,12 +835,20 @@ def test_module_invocation(tmp_path):
     assert pl.read_dataset(out).class_count == 4
 
 
+def _project():
+    """The [project] table of pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
 def test_console_script_resolves_to_main():
     # the tests run the package from its source tree, never installed, so
     # the entry point pyproject.toml declares is checked here
-    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["expandforge"]
-    module, _, attr = target.partition(":")
+    module, _, attr = _project()["scripts"]["expandforge"].partition(":")
     assert getattr(importlib.import_module(module), attr)(["--help"]) == 0
+
+
+def test_package_version_is_the_projects():
+    # one version: the one a manifest records is the one the package declares
+    assert _project()["version"] == expandforge.__version__ == pl.TOOL_VERSION

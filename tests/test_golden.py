@@ -18,31 +18,31 @@ import expandforge.pipeline as pl
 GOLDEN = {
     "gif_embed": (
         "fc4eb278e10fc43296576bc04485361ab6fec136126329225b57598dbc5c388a",
-        "1cf27991ead2d8d55c503751d852ae0b9323a1876a52fe8a7108d72817f8cf28",
+        "e63da80d3e90ab7fc8879bc535b7a28afea56660900b00fdde2e1a3625085f14",
     ),
     "gif_latent": (
         "f9e825edc60f20be06afb3cd47268fd5837c258d731c2a23f09dfbfa1047f795",
-        "86d42890a07b37fd1d85506001cfc299f60666ced6a1e732fb41ce9fba5ea829",
+        "6ee9dc02fc6d7775bfe4dd370d26c662fc17beb52299f7ce49862a467d63bb06",
     ),
     "cutout": (
         "93b138dd1cc586a9384b33a59796ebea9ac1f497d85890daf5c423e13fe2be03",
-        "68f143f4f9afd4e6bbe4f716840d30e9e0569dd4a57b23257283fd1933868277",
+        "2e2b69f5f68173582c5fd2d0e137065df7b42f51ab8c16be471c11bdb99264a4",
     ),
     "gridmask": (
         "0b17085e4ba788ec5a5ba96314fe2d36517a7d0435a46240718221f321e22485",
-        "9cac5f4f6f9a484eca897059c874649854e583c597087a3f2baaddcfaa0745de",
+        "db0d024dd236347593be5a1f3b5d27cb4e318771abd53ef5a8e4e2dfc22a1807",
     ),
     "randlite": (
         "f24606e11e59be1e515e412ab25d28f00bb7a65fe12b642d7a356e38a072b017",
-        "2296872506f187ad1d6d266c88aefc95018508fea23b8dc0f98c0da1791c9e4e",
+        "797b937098c5b71c5dd4821f8bb915c04f94aa76f1e8ce5e2d1b5e3cdda58bc5",
     ),
     "selective_randlite": (
         "9e89313e86c04a0a265a55e57e87eabe27b9a064cbe8ab76e733c1a14180d226",
-        "4cd891b0c976cdb60cb89c44c548444ffc91de5fca2fb3a0cc1c07437ee49c45",
+        "c8d3df6a738d29ba67046fb261f40939b2e2c56eb2933dc69c9090fcaf473cef",
     ),
     "selective_cutout": (
         "2b316e262fc9aa48a4921a08b64b4ade709e7fe076fee6ad61b657f94d3e351f",
-        "a69f67d165850f778e9ec0705d1bf241163061f4a54f454651a994f46c509da2",
+        "1d57b82109c4d5f56076a884d8c05e3fee9b252d4ac41c69e95cb2c0adfbd264",
     ),
 }
 
@@ -51,13 +51,13 @@ GOLDEN = {
 # json.dumps writes a float's shortest exact repr, so any drift in the last
 # bit of a record score shows, which the 9-digit manifest digests cannot see
 RECORDS_FULL_PRECISION = {
-    "gif_embed": "791eaf9e294027610cae4c691918237788385698778d12299cd5973ed5a95460",
-    "gif_latent": "3c8c0fc80e974e0db4cd51ee010474686ff11d0a8e84ff1c674eda45a714fbd2",
-    "cutout": "7a975d2112bedc3d195e4b7b362ea6db3e1b3015dfbb55d0e1084574d42d3e9a",
-    "gridmask": "8d40f5fbae605bfbf1e05ee4406cef119904b49aafeb3dd5cd80bedae4d86f68",
-    "randlite": "5e2e1443753429437b1a986b7b8335c4cecacde4270eb952fdadda04316adbab",
-    "selective_randlite": "8af6b2bf931b00b43307ba2dea3215d548d0d9c326bfbbc6faab7bc64b11f58f",
-    "selective_cutout": "608ec53591dc784144b3f496c536eca806bc63dfcedf5f9eaffdc4f2afd0e7d7",
+    "gif_embed": "bc8b24337b291ce17978f8568c7b58d9f3c095e3105d2c0bd7e5b59f77eb87dd",
+    "gif_latent": "e40998deacae4432908878c0ed037a0f1d0cba62a7292c0a70fe09d100b4b819",
+    "cutout": "1f873ba506425cac10e1d6b6dd20b1b91a42ff2fb659ee70bb28fdc148b0c78b",
+    "gridmask": "e69abf096753302bec4f4899e0fca21400a1b8e5b80fd11b2146351d095729a9",
+    "randlite": "ab23d0080160baecaea42b16bc87bd0ab0a6b01f4e0695ed6d0a57fc9c267d4d",
+    "selective_randlite": "51bd234e7cd29b8ee1b6c28116927c0275a8c524ecec16a3914ed40b7d53c78e",
+    "selective_cutout": "71affa0db2fbb22c7474e37066d449beb682a0844bf190f8a6d05ff1ef38c431",
 }
 
 # the exact types a record value may have: numpy scalars would render the

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import fractions
 import functools
 import hashlib
 import json
@@ -397,8 +396,7 @@ def test_manifest_with_numpy_bools_validates_and_writes(tmp_path):
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "numpy.json").read_bytes()
     # numpy ints and floats are numbers of their kinds too, in a record and its scores
     def numpy_scores(scores):
-        return {key: list(map(np.float64, value)) if key == "weights" else np.float64(value)
-                for key, value in scores.items()}
+        return {key: np.float64(value) for key, value in scores.items()}
     records = [{**r, "seed_index": np.int64(r["seed_index"]),
                 "variant_index": np.int32(r["variant_index"]), "retry_count": np.int64(0),
                 "scores_initial": numpy_scores(r["scores_initial"]),
@@ -411,7 +409,7 @@ def test_manifest_with_numpy_bools_validates_and_writes(tmp_path):
 def test_manifest_with_integer_scores_reads_and_writes(tmp_path):
     # JSON writes an integral float as an int; the score columns stay float64
     data = _cutout_manifest_dict()
-    scores = {"s_con": 1, "s_ent": 0, "s_div": 0, "total": 1, "weights": [1, 1, 1]}
+    scores = {"s_con": 1, "s_ent": 0, "s_div": 0, "total": 1}
     records = [{**r, "scores_initial": scores, "scores_final": scores} for r in data["records"]]
     data = {**data, "records": records}
     pl.write_manifest(pl.ExpansionManifest.from_dict(data), tmp_path / "ints.json")
@@ -459,22 +457,20 @@ def _record_at(p, change):
         _first_record(lambda r: {**r, "consistent": 1}),
         _first_record(lambda r: {**r, "extra": 0}),
         _first_record(lambda r: {**r, "scores_final": {**r["scores_final"], "s_div": "0"}}),
+        # the config's weights in a score object: a key too many
         _first_record(lambda r: {**r, "scores_initial": {**r["scores_initial"], "weights": [1]}}),
         lambda m: [m],
         # a column whose last value alone is of another type, or not an object
         lambda m: {**m, "records": [*m["records"][:-1], {**m["records"][-1], "fallback": 0.0}]},
         lambda m: {**m, "records": [*m["records"][:-1], list(m["records"][-1].items())]},
         _first_record(lambda r: {**r, "scores_final": 0.5}),
-        # equal to the config's weights, but not a float
-        _first_record(lambda r: {**r, "scores_final": {**r["scores_final"],
-                                                       "weights": [fractions.Fraction(1), 1, 1]}}),
     ],
     ids=[
         "seed_count_str", "seed_count_bool", "seed_count_float", "records_int",
         "ratio_k_null", "digest_int", "config_list", "records_empty",
         "retry_count_bool", "consistent_int", "record_extra_key", "score_str",
         "weights_short", "root_list", "last_fallback_float", "last_record_list",
-        "scores_float", "weights_fraction",
+        "scores_float",
     ],
 )
 def test_manifest_rejects_wrong_types(tamper):
@@ -488,19 +484,18 @@ def _scores_weights(key, weights):
 
 
 # each case is type-correct but contradicts itself: record p must be seed
-# p // ratio_k's variant p % ratio_k, by the manifest's method, with the
-# config's weights and retry_count >= 0, and the config must be a real one;
-# or it breaks one record's types deep in the manifest, which names it
+# p // ratio_k's variant p % ratio_k with retry_count >= 0, and the config
+# must be a real one; or it breaks one record's types or keys deep in the
+# manifest, which names it
 @pytest.mark.parametrize(
     "tamper, named",
     [
         (_first_record(lambda r: {**r, "seed_index": 7}), "record 0"),
         (_first_record(lambda r: {**r, "variant_index": -3}), "record 0"),
-        (_first_record(lambda r: {**r, "method": "nonsense"}), "record 0"),
+        # the header's method in a record, the config's weights in a score: a key too many
         (_first_record(lambda r: {**r, "method": "gif_latent"}), "record 0"),
         (_scores_weights("scores_initial", [9, 9, 9]), "record 0"),
         (_scores_weights("scores_final", [9.0, 9.0, 9.0]), "record 0"),
-        (lambda m: {**m, "config": {**m["config"], "weights": [2.0, 1.0, 1.0]}}, "record 0"),
         (_first_record(lambda r: {**r, "retry_count": -4}), "record 0"),
         (lambda m: {**m, "records": [m["records"][0], *m["records"][:1], *m["records"][2:]]},
          "record 1"),
@@ -513,7 +508,6 @@ def _scores_weights(key, weights):
         (_record_at(12, lambda r: {**r, "scores_final": {**r["scores_final"], "s_con": "0"}}),
          "record 12"),
         (_record_at(5, lambda r: {key: r[key] for key in r if key != "stream_id"}), "record 5"),
-        # equal to the config's weights by value, so only the bool rule rejects it
         (_record_at(3, lambda r: {**r, "scores_initial": {**r["scores_initial"],
                                                           "weights": [True, 1.0, 1.0]}}),
          "record 3"),
@@ -525,8 +519,8 @@ def _scores_weights(key, weights):
         (lambda m: {**m, "config": {**m["config"], "ratio_k": 7}}, "config"),
     ],
     ids=[
-        "seed_index", "variant_index_negative", "method_unknown", "method_other",
-        "initial_weights", "final_weights", "config_weights", "retry_count_negative",
+        "seed_index", "variant_index_negative", "method_other",
+        "initial_weights", "final_weights", "retry_count_negative",
         "record_copied", "config_empty", "config_invalid", "config_step_size_inf",
         "record_37_consistent_int", "record_12_score_str", "record_5_no_stream_id",
         "record_3_weights_bool", "record_9_retry_count_overflow",
@@ -536,6 +530,21 @@ def _scores_weights(key, weights):
 def test_manifest_rejects_self_contradicting_records(tamper, named):
     with pytest.raises(FormatError, match=rf"\b{named}\b"):
         pl.ExpansionManifest.from_dict(tamper(copy.deepcopy(_cutout_manifest_dict())))
+
+
+def test_read_manifest_refuses_the_0_1_0_record_layout(tmp_path):
+    # a 0.1.0 record repeated the header's method, and both its score objects
+    # the config's weights; 0.2.0 keeps them in the header alone, and the reader
+    # does not branch on the version
+    m = _cutout_manifest_dict()
+    weights = m["config"]["weights"]
+    records = [{**r, "method": m["method"],
+                "scores_initial": {**r["scores_initial"], "weights": weights},
+                "scores_final": {**r["scores_final"], "weights": weights}} for r in m["records"]]
+    path = tmp_path / "old.manifest.json"
+    path.write_text(pl.canonical_json({**m, "version": "0.1.0", "records": records}))
+    with pytest.raises(FormatError, match=r"\brecord 0\b"):
+        pl.read_manifest(path)
 
 
 @pytest.mark.parametrize(
@@ -581,11 +590,7 @@ def test_render_records_matches_canonical_json_of_the_records(k, data):
         "qualified": flags(),
         "stream_id": data.draw(st.lists(_STREAM_IDS, min_size=n * k, max_size=n * k)),
     }
-    method = data.draw(st.sampled_from(pl.METHOD_IDS))
-    weights = data.draw(st.lists(_SCORE_FLOATS.map(abs), min_size=3, max_size=3))
-    assert "".join(pl._render_records(method, weights, columns)) == pl.canonical_json(
-        pl._records(method, weights, columns)
-    )
+    assert "".join(pl._render_records(columns)) == pl.canonical_json(pl._records(columns))
 
 
 @pytest.mark.parametrize(
@@ -717,7 +722,7 @@ def test_expand_contracts_per_method(method):
     assert [(r["seed_index"], r["variant_index"]) for r in manifest.records] == [
         (j, i) for j in range(n) for i in range(k)
     ]
-    assert all(r["method"] == method for r in manifest.records)
+    assert not any("method" in r for r in manifest.records)  # the header's alone
     # seed j's streams, keyed by its content as expand_dataset keys them
     streams = [RngStream.root(1).child("method", method, "seed", pl.seed_content_key(record))
                for record in data.records]
@@ -789,7 +794,7 @@ def test_steps_zero_keeps_the_initial_scores():
         "98390069b591750becc80e59b4c969f04f9a401d3f34cf5529e16bedce8ce66f"
     )
     assert hashlib.sha256(pl.canonical_json(manifest.as_dict()).encode()).hexdigest() == (
-        "3965ec8ee557656cea95ba75bca2e5ba3611dd9c67ab5d1bf2f0e88fe3a9aafc"
+        "fa79d043b3d095d26b40ff0464e16393cd50a9186cb7b4440de15f4b807c31ca"
     )
 
 
