@@ -151,6 +151,13 @@ def _check_outputs(inputs, outputs) -> None:
         taken.add(real)
 
 
+def _check_alike(role: str, path, data, ref) -> None:
+    """Raise InputError, naming path, unless data has ref's classes and image shape."""
+    if (data.class_names, data.image_shape) != (ref.class_names, ref.image_shape):
+        raise InputError(f"{role} {path} has classes {data.class_names} of shape "
+                         f"{data.image_shape}, not {ref.class_names} of {ref.image_shape}")
+
+
 def _cmd_toygen(args) -> int:
     seed = _resolve_seed(args.seed)
     data = bk.gen_toy_dataset(args.classes, args.per_class, args.size, seed)
@@ -174,17 +181,12 @@ def _cmd_expand(args) -> int:
     bk.check_tau(args.tau)
     data = pl.read_dataset(args.input)
     exemplars = pl.read_dataset(args.exemplars) if args.exemplars else data
-    if exemplars.class_names != data.class_names:
-        raise InputError(f"exemplars {args.exemplars} have classes {exemplars.class_names}, "
-                         f"not the input's {data.class_names}")
+    _check_alike("exemplars", args.exemplars, exemplars, data)
     embedder = bk.make_embedder(data.image_shape, args.embed_dim, args.embed_seed)
     codec = None
-    if args.method in pl.GUIDED_METHODS:
-        codec = bk.fit_linear_codec(
-            data,
-            latent_dim=args.latent_dim,
-            latent_shape=(args.latent_tokens, args.latent_dim // args.latent_tokens),
-        )
+    if args.method == "gif_latent":  # the one method that decodes with a codec
+        latent_shape = (args.latent_tokens, args.latent_dim // args.latent_tokens)
+        codec = bk.fit_linear_codec(data, args.latent_dim, latent_shape)
     head = bk.fit_prototype_head(exemplars, embedder, tau=args.tau)
     bundle = pl.BackendBundle(codec=codec, embedder=embedder, head=head)
     expanded, manifest = pl.expand_dataset(data, args.method, config, bundle, seed)
@@ -212,9 +214,7 @@ def _cmd_traineval(args) -> int:
     config = ev.ClassifierConfig(hidden=args.hidden, epochs=args.epochs, lr=args.lr, seed=seed)
     train = pl.read_dataset(args.train)
     test = pl.read_dataset(args.test)
-    if (test.class_names, test.image_shape) != (train.class_names, train.image_shape):
-        raise InputError(f"test set {args.test} has classes {test.class_names} of shape "
-                         f"{test.image_shape}, not {train.class_names} of {train.image_shape}")
+    _check_alike("test set", args.test, test, train)
     embedder = bk.make_embedder(train.image_shape, args.embed_dim, args.embed_seed)
     model = ev.train_classifier(train, config)
     metrics = ev.evaluate(model, test)

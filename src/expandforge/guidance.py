@@ -1,16 +1,16 @@
 """Guided expansion of seeds: perturb, score, ascend, filter.
 
 Two flows share one ascent engine and one scoring chain: latent -> lift ->
-embedding -> cosine head, plus diversity over the latents. Both take the
-same backends (codec, embedder, head). The embedding flow perturbs the
-seed's scoring embedding directly (identity lift) and decodes all emitted
-embeddings at the end as one stack: the embedder's orthonormal transpose
-into pixel space, then a codec round trip (LinearCodec.encode_flat,
-decode_with_mask). The latent flow perturbs the codec latent, and its lift
-decodes an intermediate image and embeds it for every scoring evaluation.
-Both enforce prediction consistency with retries and a fallback to the
-unperturbed seed reconstruction, so every emitted variant keeps the seed's
-predicted class.
+embedding -> cosine head, plus diversity over the latents. The embedding
+flow perturbs the seed's scoring embedding e0 directly (identity lift) and
+decodes each emitted e' by its residual, clip(x0 + P^T (e' - e0), 0, 1):
+the seed's pixels x0 keep what the embedder's orthonormal rows P cannot
+see, an unmoved e' decodes to x0 bit for bit, and no codec is used. The
+latent flow perturbs the codec latent, and its lift decodes an intermediate
+image and embeds it for every scoring evaluation. Both enforce prediction
+consistency with retries and a fallback to the unperturbed seed (for the
+latent flow, its codec reconstruction), so every emitted variant keeps the
+seed's predicted class.
 
 Both flows take their knobs from the one pipeline.ExpansionConfig. The flow
 fills in an epsilon or noise_mode left None from FLOW_DEFAULTS (flow_config),
@@ -62,7 +62,7 @@ import numpy as np
 
 from . import latentmath as lm
 from .backends import Embedder, Image, LinearCodec, ZeroShotHead
-from .errors import NumericDivergenceError, ShapeError, check_count
+from .errors import NumericDivergenceError, ParameterError, ShapeError, check_count
 from .rng import RngStream, rekeyed
 
 if TYPE_CHECKING:
@@ -290,24 +290,24 @@ def _expand_with_chain(chain, seeds: np.ndarray, config: ExpansionConfig, rng_st
 
 def expand_embedding_block(
     seed_pixels: np.ndarray,
-    codec: LinearCodec,
+    codec: LinearCodec | None,
     embedder: Embedder,
     head: ZeroShotHead,
     config: ExpansionConfig,
     rng_streams: list,
 ):
     """Optimize K perturbed copies of each seed's embedding in one stack, then
-    decode them as one stack: through the embedder's orthonormal transpose
-    into pixel space, then a codec round trip to stay on the image manifold.
-    seed_pixels is (G, H, W, C); returns the (G, K, H, W, C) float32 variant
-    pixels, their record columns and the trace. config fields left None
-    take their gif_embed FLOW_DEFAULTS."""
+    decode each by its residual (module docstring); codec is not used and may
+    be None. seed_pixels is (G, H, W, C); returns the (G, K, H, W, C) float32
+    variant pixels, their record columns and the trace. config fields left
+    None take their gif_embed FLOW_DEFAULTS."""
     config = flow_config(config, "gif_embed")
     e0 = embedder.embed_images(seed_pixels)
     chain = ScoreChain(head, config.weights, head.predict_rows(e0))
     emitted, columns, trace = _expand_with_chain(chain, e0[:, None, :], config, rng_streams)
-    pixels = lm.matvec(embedder.projection.T, emitted.reshape(emitted.shape[:2] + (-1,))) + 0.5
-    return _decoded(codec, codec.encode_flat(pixels)), columns, trace
+    move = lm.matvec(embedder.projection.T, emitted[:, :, 0] - e0[:, None])
+    pixels = np.clip(seed_pixels.reshape(len(e0), 1, -1) + move, 0.0, 1.0).astype(np.float32)
+    return pixels.reshape(move.shape[:2] + seed_pixels.shape[1:]), columns, trace
 
 
 def expand_latent_block(
@@ -323,6 +323,8 @@ def expand_latent_block(
     (G, K, H, W, C) float32 variant pixels, their record columns and the
     trace. config fields left None take their gif_latent FLOW_DEFAULTS."""
     config = flow_config(config, "gif_latent")
+    if codec is None:
+        raise ParameterError("gif_latent decodes its latents with a codec, and none was given")
     if seed_pixels.shape[1:] != codec.image_shape:
         raise ShapeError(f"image shape {seed_pixels.shape[1:]} vs codec {codec.image_shape}")
     # one gemv per row: each seed's latent as codec.encode gives it
@@ -335,13 +337,9 @@ def expand_latent_block(
     emitted, columns, trace = _expand_with_chain(
         chain, f0.reshape((len(f0),) + codec.latent_shape), config, rng_streams
     )
-    return _decoded(codec, emitted.reshape(emitted.shape[:2] + (-1,))), columns, trace
-
-
-def _decoded(codec: LinearCodec, flat_latents: np.ndarray) -> np.ndarray:
-    """The (G, K, H, W, C) float32 pixels of (G, K, latent_dim) flat latents."""
-    pixels, _ = codec.decode_with_mask(flat_latents)
-    return pixels.reshape(flat_latents.shape[:2] + codec.image_shape).astype(np.float32)
+    flat = emitted.reshape(emitted.shape[:2] + (-1,))
+    pixels = codec.decode_with_mask(flat)[0].astype(np.float32)
+    return pixels.reshape(flat.shape[:2] + codec.image_shape), columns, trace
 
 
 def _seed_flow(block, seed: Image, codec, embedder, head, config, rng_stream):
@@ -350,7 +348,7 @@ def _seed_flow(block, seed: Image, codec, embedder, head, config, rng_stream):
     return [Image(p) for p in pixels[0]], {k: c[0] for k, c in columns.items()}, trace.group(0)
 
 
-def expand_seed_embedding_flow(seed_image: Image, codec: LinearCodec, embedder: Embedder,
+def expand_seed_embedding_flow(seed_image: Image, codec: LinearCodec | None, embedder: Embedder,
                                head: ZeroShotHead, config: ExpansionConfig, rng_stream: RngStream):
     """Optimize K perturbed copies of the seed's embedding, then decode them."""
     return _seed_flow(expand_embedding_block, seed_image, codec, embedder, head, config, rng_stream)

@@ -49,7 +49,7 @@ METHOD_IDS = (
     "selective_randlite",
     "selective_cutout",
 )
-# the methods that ascend with guidance, and so decode with the codec
+# the methods that ascend with guidance; only gif_latent decodes with the codec
 GUIDED_METHODS = tuple(gd.FLOW_DEFAULTS)
 
 
@@ -515,7 +515,7 @@ class ExpansionConfig:
 
 @dataclass(eq=False)
 class BackendBundle:
-    codec: LinearCodec | None  # None for the baselines, which never decode
+    codec: LinearCodec | None  # only gif_latent decodes with it; None will do for the others
     embedder: Embedder
     head: ZeroShotHead
 

@@ -509,14 +509,32 @@ def test_traineval_on_other_classes_exits_two_before_training(tmp_path, monkeypa
 def test_expand_with_exemplars_of_other_classes_exits_two_before_fitting(tmp_path, monkeypatch,
                                                                          capsys):
     src = _toygen(tmp_path)
-    exemplars = _renamed(tmp_path, src)
-    monkeypatch.setattr(bk, "fit_prototype_head", lambda *a, **kw: pytest.fail("fitted"))
+    names = str(pl.read_dataset(src).class_names)
+    for fit in ("fit_prototype_head", "fit_linear_codec"):
+        monkeypatch.setattr(bk, fit, lambda *a, **kw: pytest.fail("fitted"))
     out = tmp_path / "ex.gifx"
-    assert cli.main(_small_expand_args(src, out, exemplars=exemplars)) == 2
-    err = capsys.readouterr().err
-    assert "['a', 'b', 'c', 'd']" in err and str(pl.read_dataset(src).class_names) in err
+    # other class names, then the input's classes at another image shape
+    for exemplars, shown in ((_renamed(tmp_path, src), ("['a', 'b', 'c', 'd']", names)),
+                             (_toygen(tmp_path, "s8.gifx", size=8), ("(8, 8, 1)", "(16, 16, 1)"))):
+        for method in ("cutout", "gif_latent"):
+            assert cli.main(_small_expand_args(src, out, method, exemplars=exemplars)) == 2
+            err = capsys.readouterr().err
+            assert str(exemplars) in err and all(text in err for text in shown)
+            assert not out.exists()
+            assert not (tmp_path / "ex.gifx.manifest.json").exists()
+
+
+def test_gif_embed_expands_a_set_too_small_for_a_codec(tmp_path, capsys):
+    # 16 samples: gif_embed fits no codec, gif_latent's default 32-dimension one cannot fit
+    src = _toygen(tmp_path, classes=8, per_class=2)
+    out = tmp_path / "small.gifx"
+    args = ["expand", "--in", str(src), "--ratio", "2", "--steps", "2", "--out", str(out)]
+    assert cli.main(args + ["--method", "gif_embed"]) == 0
+    assert len(pl.read_dataset(out)) == 16 * 3
+    out.unlink()
+    assert cli.main(args + ["--method", "gif_latent"]) == 1
+    assert "latent_dim" in capsys.readouterr().err
     assert not out.exists()
-    assert not (tmp_path / "ex.gifx.manifest.json").exists()
 
 
 def test_every_expand_config_flag_reaches_the_manifest(tmp_path):

@@ -17,8 +17,8 @@ import expandforge.pipeline as pl
 
 GOLDEN = {
     "gif_embed": (
-        "fc4eb278e10fc43296576bc04485361ab6fec136126329225b57598dbc5c388a",
-        "e63da80d3e90ab7fc8879bc535b7a28afea56660900b00fdde2e1a3625085f14",
+        "de8ab727b29bd8d55a1b50decb2a659093cbb919d95900f88122975fadb6b9e1",
+        "870dc6b3161267e7e9c2571cf1725fe6e091e55c452982266964b7cc86cadc3b",
     ),
     "gif_latent": (
         "f9e825edc60f20be06afb3cd47268fd5837c258d731c2a23f09dfbfa1047f795",

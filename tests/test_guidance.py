@@ -334,12 +334,11 @@ def test_chain_predictions_are_the_head_predictions(flow):
 # ---------------------------------------------------------- full flows
 
 
-def _decode_embedding(codec, embedder, embedding):
-    """One embedding decoded on its own: the embedder's orthonormal transpose
-    into pixel space, then a codec round trip."""
-    latent = codec.encode_flat(embedder.projection.T @ embedding + 0.5)
-    clamped, _ = codec.decode_with_mask(latent)
-    return bk.Image(clamped.reshape(codec.image_shape))
+def _decode_embedding(embedder, seed, embedding):
+    """One embedding decoded on its own by its residual: the seed Image's
+    pixels plus the embedder's orthonormal transpose of the embedding's move."""
+    move = embedder.projection.T @ (embedding - embedder.embed(seed))
+    return bk.Image(np.clip(seed.flat() + move, 0.0, 1.0).reshape(seed.pixels.shape))
 
 
 def test_embedding_decode_stack_is_bit_equal_to_per_embedding_reference(monkeypatch):
@@ -360,21 +359,20 @@ def test_embedding_decode_stack_is_bit_equal_to_per_embedding_reference(monkeypa
         return out
 
     monkeypatch.setattr(gd, "_expand_with_chain", capture)
-    seeds = data.pixels[[0, 30, 60, 90]]
+    picked = [0, 30, 60, 90]
+    seeds = data.pixels[picked]
     cfg = pl.ExpansionConfig(ratio_k=3, steps=2)
     streams = [_stream("stacked-decode", i) for i in range(len(seeds))]
     images, _, _ = gd.expand_embedding_block(seeds, codec, embedder, head, cfg, streams)
     (values,) = emitted
     assert values.shape == (4, 3, 1, embedder.embed_dim)
-    for group, rows in zip(images, values):
+    for group, rows, i in zip(images, values, picked):
         for img, row in zip(group, rows):
-            want = _decode_embedding(codec, embedder, row.ravel())
+            want = _decode_embedding(embedder, data.images[i], row.ravel())
             assert np.array_equal(img, want.pixels)
-    # an embedder whose pixels are not the codec's cannot decode
+    # a codec refuses pixels of another size
     small = bk.gen_toy_dataset(4, 25, 8, seed=7)
     other = bk.fit_linear_codec(small, latent_dim=16, latent_shape=(4, 4))
-    with pytest.raises(ShapeError):
-        gd.expand_embedding_block(seeds[:1], other, embedder, head, cfg, streams[:1])
     with pytest.raises(ShapeError):
         other.encode_flat(pixels)
 
@@ -385,9 +383,8 @@ def test_embedding_flow_epsilon_zero_emits_decoded_seed():
     images, columns, trace = gd.expand_seed_embedding_flow(
         data.images[0], codec, embedder, head, cfg, _stream("eps0")
     )
-    reference = _decode_embedding(codec, embedder, embedder.embed(data.images[0]))
     for img in images:
-        assert np.array_equal(img.pixels, reference.pixels)
+        assert np.array_equal(img.pixels, data.images[0].pixels)
     assert np.allclose(trace.objective, trace.objective[0])
     assert columns["consistent"].all() and not columns["fallback"].any()
     assert (columns["retry_count"] == 0).all()

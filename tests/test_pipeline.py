@@ -781,6 +781,36 @@ def test_ascent_block_layout_keeps_the_bytes(method, monkeypatch):
         assert layouts[1:] == layouts[:1] * 2
 
 
+def test_only_gif_latent_needs_a_codec():
+    data, bundle, config = _data(), _bundle(), _small_config()
+    no_codec = dataclasses.replace(bundle, codec=None)
+    with pytest.raises(ParameterError, match="codec"):
+        pl.expand_dataset(data, "gif_latent", config, no_codec, global_seed=0)
+    # gif_embed decodes by its residual, so a codec changes no byte
+    runs = [pl.expand_dataset(data, "gif_embed", config, b, global_seed=0)
+            for b in (bundle, no_codec)]
+    assert len({(pl.dataset_bytes(expanded), pl.canonical_json(manifest.as_dict()))
+                for expanded, manifest in runs}) == 1
+
+
+def test_gif_embed_variants_that_do_not_move_are_their_seeds():
+    # x0 + P^T (e' - e0) adds exact zeros to the seed's pixels when e' is e0,
+    # so every variant at epsilon 0 and every fallback is its seed, bit for
+    # bit, on any CPU and at any BLAS thread count
+    data, bundle = _data(), _bundle()
+    for config in (pl.ExpansionConfig(epsilon=0.0, ratio_k=3, steps=2),
+                   pl.ExpansionConfig(epsilon=1.0, ratio_k=3, steps=2, retries=0)):
+        expanded, manifest = pl.expand_dataset(data, "gif_embed", config, bundle, global_seed=0)
+        variants = expanded.pixels[len(data):].reshape((len(data), 3) + data.image_shape)
+        same = (variants == data.pixels[:, None]).all(axis=(2, 3, 4))
+        fallback = manifest.columns["fallback"]
+        if config.epsilon == 0.0:
+            assert same.all() and not fallback.any()
+        else:  # 7 of the 36 variants fall back
+            assert fallback.any() and not fallback.all()
+            assert np.array_equal(same, fallback)
+
+
 def test_steps_zero_keeps_the_initial_scores():
     # at steps 0 the ascent emits its step-0 rows, and retries and the
     # fallback overwrite some of them (6 retries, 1 fallback here); the
